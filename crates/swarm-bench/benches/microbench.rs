@@ -106,11 +106,12 @@ fn bench_reconstruction(c: &mut Criterion) {
             }
             log.flush().unwrap();
             let addr = addr.unwrap();
-            let engine = log.engine();
-            let (victim, _) =
-                swarm_log::reconstruct::locate_fragment(engine, addr.fid).expect("fragment stored");
+            let (victim, _) = swarm_log::reconstruct::locate_fragment(log.engine(), addr.fid)
+                .expect("fragment stored");
             transport.set_down(victim, true);
-            b.iter(|| swarm_log::reconstruct::reconstruct_fragment(engine, addr.fid).unwrap());
+            let engine =
+                swarm_log::ReadEngine::new(log.engine().clone(), swarm_log::DEFAULT_READ_WINDOW);
+            b.iter(|| swarm_log::reconstruct::reconstruct_fragment(&engine, addr.fid).unwrap());
         });
     }
     g.finish();

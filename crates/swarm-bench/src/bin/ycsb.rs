@@ -8,8 +8,7 @@
 //! ycsb diff --fresh target/bench        # gate fresh results vs committed
 //! ```
 //!
-//! Stands up an in-process cluster of real TCP servers (epoll runtime on
-//! Linux), drives it with [`swarm_bench::ycsb`], and writes one
+//! Stands up an in-process cluster of real TCP servers, drives it with [`swarm_bench::ycsb`], and writes one
 //! `BENCH_ycsb_<workload>.json` per workload: throughput and
 //! p50/p99/p999 latency for every `(threads, window)` cell, plus the
 //! window-8-over-window-1 speedup at 8 threads — the number the write
@@ -23,7 +22,7 @@ use swarm_bench::contention::{run_contention_cell, ChurnConfig, CleanerMode, Con
 use swarm_bench::print_table;
 use swarm_bench::ycsb::{run_workload, RunConfig, RunResult, Workload};
 use swarm_net::tcp::{ServerConfig, TcpServer, TcpTransport};
-use swarm_net::{RequestHandler, Runtime};
+use swarm_net::RequestHandler;
 use swarm_server::{Durability, FileStore, FragmentStore, MemStore, StorageServer};
 use swarm_types::{Result, ServerId};
 
@@ -238,7 +237,6 @@ fn parse_args() -> std::result::Result<Args, String> {
 /// removed on drop.
 struct BenchCluster {
     addrs: Vec<(ServerId, std::net::SocketAddr)>,
-    runtime: Runtime,
     _servers: Vec<TcpServer>,
     dir: Option<PathBuf>,
 }
@@ -263,7 +261,6 @@ impl BenchCluster {
         file_store: bool,
         cache_fragments: usize,
         group_ms: u64,
-        runtime: Runtime,
     ) -> Result<BenchCluster> {
         let dir = file_store.then(Self::store_root);
         let mut servers = Vec::new();
@@ -286,7 +283,6 @@ impl BenchCluster {
                 "127.0.0.1:0",
                 handler,
                 ServerConfig {
-                    runtime,
                     // Store handlers park on the group-commit fsync, so the
                     // pool must hold a full pipelining window per client —
                     // otherwise worker starvation, not the wire, sets the
@@ -300,7 +296,6 @@ impl BenchCluster {
         }
         Ok(BenchCluster {
             addrs,
-            runtime,
             _servers: servers,
             dir,
         })
@@ -312,10 +307,8 @@ impl BenchCluster {
     /// reactor and hides the windowing effect being measured.
     fn transport_factory(&self) -> Arc<swarm_bench::ycsb::TransportFactory> {
         let addrs = self.addrs.clone();
-        let runtime = self.runtime;
         Arc::new(move |_thread| {
             let transport = Arc::new(TcpTransport::new());
-            transport.set_runtime(runtime);
             // 64-thread cells queue behind group commits; don't let the
             // default call timeout turn backlog into failures.
             transport.set_call_timeout(Some(Duration::from_secs(30)));
@@ -408,7 +401,7 @@ fn contention_json_row(cell: &ContentionCell, window: usize, p99_x_idle: Option<
 /// under the three cleaner modes, on a fresh cluster per cell. Writes
 /// `BENCH_ycsb_contention.json` and prints the p99-inflation headline
 /// the cleaner budget is judged on (≤ 2× over idle when budgeted).
-fn run_contention(args: &Args, runtime: Runtime) -> std::process::ExitCode {
+fn run_contention(args: &Args) -> std::process::ExitCode {
     let workload = Workload::named("write").expect("table has write");
     let churn = ChurnConfig::default();
     let window = args.windows[0];
@@ -430,7 +423,6 @@ fn run_contention(args: &Args, runtime: Runtime) -> std::process::ExitCode {
                 args.file_store,
                 args.cache_fragments,
                 args.group_ms,
-                runtime,
             ) {
                 Ok(c) => c,
                 Err(e) => {
@@ -494,7 +486,7 @@ fn run_contention(args: &Args, runtime: Runtime) -> std::process::ExitCode {
         .collect();
     print_table(
         &format!(
-            "YCSB contention over tcp-{runtime} ({store_name} store, {} B values, \
+            "YCSB contention over tcp ({store_name} store, {} B values, \
              window {window}, cleaner budget {} B/s)",
             args.value_bytes, args.cleaner_budget
         ),
@@ -525,7 +517,7 @@ fn run_contention(args: &Args, runtime: Runtime) -> std::process::ExitCode {
         .collect();
     let json = format!(
         "{{\n  \"bench\": \"ycsb-contention\",\n  \"workload\": \"write\",\n  \
-         \"transport\": \"tcp-{runtime}\",\n  \"store\": \"{store_name}\",\n  \
+         \"transport\": \"tcp\",\n  \"store\": \"{store_name}\",\n  \
          \"servers\": {},\n  \"value_bytes\": {},\n  \"records_per_thread\": {},\n  \
          \"ops_per_thread\": {},\n  \"window\": {window},\n  \
          \"cleaner_budget_bytes_per_sec\": {},\n  \
@@ -731,13 +723,8 @@ fn main() -> std::process::ExitCode {
             return std::process::ExitCode::from(2);
         }
     };
-    let runtime = if cfg!(target_os = "linux") {
-        Runtime::Epoll
-    } else {
-        Runtime::default_for_platform()
-    };
     if args.contention {
-        return run_contention(&args, runtime);
+        return run_contention(&args);
     }
     let store_name = if args.file_store { "file" } else { "mem" };
     // A requested RS geometry dictates the cluster size; every stripe
@@ -766,7 +753,6 @@ fn main() -> std::process::ExitCode {
                     args.file_store,
                     args.cache_fragments,
                     args.group_ms,
-                    runtime,
                 ) {
                     Ok(c) => c,
                     Err(e) => {
@@ -822,7 +808,7 @@ fn main() -> std::process::ExitCode {
 
         print_table(
             &format!(
-                "YCSB '{}' over tcp-{runtime} ({store_name} store, {} B values{})",
+                "YCSB '{}' over tcp ({store_name} store, {} B values{})",
                 workload.name,
                 args.value_bytes,
                 args.geometry
@@ -841,7 +827,7 @@ fn main() -> std::process::ExitCode {
             "{{\n  \"bench\": \"ycsb\",\n  \"workload\": \"{}\",\n  \
              \"mix\": {{\"read_pct\": {}, \"scan_pct\": {}, \"update_pct\": {}, \
              \"insert_pct\": {}, \"dist\": \"{}\"}},\n  \
-             \"transport\": \"tcp-{runtime}\",\n  \"store\": \"{store_name}\",\n  \
+             \"transport\": \"tcp\",\n  \"store\": \"{store_name}\",\n  \
              \"servers\": {},\n  \"geometry\": \"{}\",\n  \"value_bytes\": {},\n  \
              \"records_per_thread\": {},\n  \
              \"ops_per_thread\": {},\n  \"mode\": \"{}\",\n  \"rows\": [\n{}\n  ],\n  \

@@ -413,7 +413,7 @@ impl Runner {
         write_window: usize,
         read_window: usize,
     ) -> Result<Runner> {
-        let cluster = Cluster::new_sized(kind, schedule.servers, store, schedule.clients)?;
+        let cluster = Cluster::new_with_store(kind, schedule.servers, store)?;
         let rigs = (1..=schedule.clients)
             .map(|c| {
                 Rig::new(
@@ -907,7 +907,7 @@ mod tests {
             },
             RunOptions {
                 seed: u64::MAX,
-                transport: TransportKind::tcp(),
+                transport: TransportKind::Tcp,
                 store: StoreKind::File,
                 events: 256,
                 servers: 6,
@@ -955,6 +955,21 @@ mod tests {
                     --geometry 3+1 --write-window 8 --read-window 8";
         let parsed: RunOptions = line.parse().expect("legacy line parses");
         assert_eq!(parsed.clients, 1);
+    }
+
+    /// Replay lines printed while a second TCP runtime existed name a
+    /// transport that is gone; they fail loudly instead of silently
+    /// replaying on something else.
+    #[test]
+    fn replay_line_naming_a_removed_runtime_is_refused() {
+        for runtime in ["epoll", "blocking"] {
+            let line = format!(
+                "swarm-chaos --seed 3 --transport tcp-{runtime} --store mem --events 32 \
+                 --geometry 3+1 --write-window 8 --read-window 8 --clients 1"
+            );
+            let err = line.parse::<RunOptions>().unwrap_err();
+            assert!(err.contains("want mem|tcp"), "{err}");
+        }
     }
 
     /// The report's replay command is the same canonical line.

@@ -365,7 +365,8 @@ fn frag_command(args: &Args) -> Result<()> {
         }
         None => {
             // Not directly present: can it be reconstructed?
-            match swarm_log::reconstruct::reconstruct_fragment(&pool, fid) {
+            let engine = swarm_log::ReadEngine::new(pool, swarm_log::DEFAULT_READ_WINDOW);
+            match swarm_log::reconstruct::reconstruct_fragment(&engine, fid) {
                 Ok(bytes) => println!(
                     "{fid}: NOT stored on any reachable server, but reconstructible                      from parity ({} bytes)",
                     bytes.len()

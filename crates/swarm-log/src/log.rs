@@ -143,14 +143,14 @@ pub struct LogConfig {
     /// the paper's one-store-per-server pipeline; larger windows exploit
     /// the multiplexed transport and let the server's group commit batch
     /// one client's fsyncs. Clamped to what the connection can pipeline,
-    /// so blocking transports degrade gracefully to 1.
+    /// so synchronous transports degrade gracefully to 1.
     pub write_window: usize,
     /// Outstanding `Read` RPCs the pipelined read engine keeps on the
     /// wire per server (default
     /// [`crate::reader::DEFAULT_READ_WINDOW`]). 1 reproduces the paper's
     /// serial one-read-at-a-time path; larger windows overlap server
     /// seeks with wire transfer on the multiplexed transport. Clamped to
-    /// what the connection can pipeline, so blocking transports degrade
+    /// what the connection can pipeline, so synchronous transports degrade
     /// gracefully to 1.
     pub read_window: usize,
     /// Client-side fragment cache capacity, in fragments (default 16).
@@ -1051,7 +1051,7 @@ impl Log {
         swarm_metrics::trace!("log.read", "reconstructing fragment {}", addr.fid);
         let bytes = {
             let _span = m.reconstruct_us.span("log.reconstruct");
-            match reconstruct::reconstruct_fragment_with(&self.reader, addr.fid) {
+            match reconstruct::reconstruct_fragment(&self.reader, addr.fid) {
                 Ok(b) => b,
                 Err(e) => return (ReadSource::Reconstruct, Err(e)),
             }
@@ -1276,7 +1276,7 @@ impl Log {
         if let Some(bytes) = self.cache.lock().get(fid) {
             return Ok(Some(FragmentView::parse(&bytes)?));
         }
-        match reconstruct::read_fragment_anywhere_with(&self.reader, fid)? {
+        match reconstruct::read_fragment_anywhere(&self.reader, fid)? {
             None => Ok(None),
             Some(bytes) => {
                 let view = FragmentView::parse(&bytes)?;
@@ -1462,7 +1462,7 @@ fn fetch_whole_fragment(
     fid: FragmentId,
 ) -> Result<Option<Bytes>> {
     if let Some(server) = home {
-        match reconstruct::fetch_fragment_with(reader, server, fid) {
+        match reconstruct::fetch_fragment(reader, server, fid) {
             Ok(bytes) => return Ok(Some(bytes)),
             // Home down or the map entry is stale: locate will find it.
             Err(e) if e.is_unavailability() => {}
@@ -1470,7 +1470,7 @@ fn fetch_whole_fragment(
             Err(e) => return Err(e),
         }
     }
-    reconstruct::read_fragment_anywhere_with(reader, fid)
+    reconstruct::read_fragment_anywhere(reader, fid)
 }
 
 /// Cuts the addressed range out of a whole-fragment buffer as a shared

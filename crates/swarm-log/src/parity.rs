@@ -128,27 +128,6 @@ impl ParityAccumulator {
         self.members.iter().map(|(_, len)| *len).collect()
     }
 
-    /// Finalizes a single-parity accumulator into its parity fragment.
-    ///
-    /// `header` must describe the parity member (its fid, index, stripe
-    /// membership); this method fills in the parity flag, body fields, and
-    /// member length table.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the accumulator was built with more than one parity row —
-    /// use [`ParityAccumulator::build_parities`] for those.
-    pub fn build_parity(self, header: FragmentHeader) -> SealedFragment {
-        assert_eq!(
-            self.rows.len(),
-            1,
-            "multi-parity stripes use build_parities"
-        );
-        self.build_parities([header])
-            .pop()
-            .expect("one row in, one out")
-    }
-
     /// Finalizes into `m` parity fragments, one per row, consuming the
     /// accumulator. `headers` must describe the parity members in row
     /// order (member indices `k`, `k+1`, …); each gets the parity flag,
@@ -177,24 +156,6 @@ impl ParityAccumulator {
         }
         assert!(headers.next().is_none(), "a header per parity row");
         out
-    }
-
-    /// Reconstructs a missing data fragment from the parity *body* and the
-    /// surviving data fragments' bytes, trimming to `true_len`.
-    ///
-    /// The caller supplies the parity fragment's body (XOR of all data
-    /// members, zero-padded) and every surviving data member's full bytes.
-    pub fn reconstruct(
-        parity_body: &[u8],
-        surviving: impl IntoIterator<Item = Vec<u8>>,
-        true_len: usize,
-    ) -> Vec<u8> {
-        let mut buf = parity_body.to_vec();
-        for frag in surviving {
-            xor_into(&mut buf, &frag);
-        }
-        buf.truncate(true_len);
-        buf
     }
 }
 
@@ -268,119 +229,9 @@ mod tests {
         assert!(acc.iter().all(|&b| b == 0));
     }
 
-    #[test]
-    fn any_single_member_is_reconstructible() {
-        // Three data fragments of different lengths + parity.
-        let frags = vec![
-            data_fragment(0, 0, 4, &[1u8; 100]),
-            data_fragment(1, 1, 4, &[2u8; 500]),
-            data_fragment(2, 2, 4, &[3u8; 50]),
-        ];
-        let mut acc = ParityAccumulator::new();
-        for f in &frags {
-            acc.add(f);
-        }
-        let lens = acc.member_lens();
-        let parity = acc.build_parity(header(3, 3, 4));
-        let parity_view = crate::fragment::FragmentView::parse(&parity.bytes).unwrap();
-        assert!(parity_view.header.is_parity());
-        assert_eq!(parity_view.header.member_lens, lens);
-
-        let parity_header_len = parity.header.encoded_len();
-        let parity_body = &parity.bytes[parity_header_len..];
-
-        for lost in 0..3 {
-            let surviving: Vec<Vec<u8>> = frags
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| *i != lost)
-                .map(|(_, f)| f.bytes.to_vec())
-                .collect();
-            let rebuilt =
-                ParityAccumulator::reconstruct(parity_body, surviving, lens[lost] as usize);
-            assert_eq!(rebuilt, frags[lost].bytes, "member {lost}");
-            // Rebuilt bytes parse as a valid fragment.
-            crate::fragment::FragmentView::parse(&rebuilt).unwrap();
-        }
-    }
-
-    #[test]
-    fn parity_of_single_fragment_is_a_mirror() {
-        // The 1-client/2-server minimum configuration (§3.4): stripe =
-        // one data fragment + parity ⇒ parity body == data bytes.
-        let f = data_fragment(0, 0, 2, b"mirrored payload");
-        let mut acc = ParityAccumulator::new();
-        acc.add(&f);
-        let parity = acc.build_parity(header(1, 1, 2));
-        let body_start = parity.header.encoded_len();
-        assert_eq!(&parity.bytes[body_start..], &f.bytes[..]);
-    }
-
-    #[test]
-    fn single_parity_rs_is_bitwise_xor() {
-        // m = 1 through with_geometry must produce byte-identical output
-        // to the paper's XOR accumulator, whatever k is.
-        for k in [1u8, 3, 7] {
-            let frags: Vec<SealedFragment> = (0..k)
-                .map(|i| {
-                    data_fragment(
-                        i as u64,
-                        i,
-                        k + 1,
-                        &vec![i.wrapping_mul(37); 64 + i as usize * 111],
-                    )
-                })
-                .collect();
-            let mut xor = ParityAccumulator::new();
-            let mut rs = ParityAccumulator::with_geometry(k as usize, 1);
-            for f in &frags {
-                xor.add(f);
-                rs.add(f);
-            }
-            let a = xor.build_parity(header(k as u64, k, k + 1));
-            let b = rs.build_parity(header(k as u64, k, k + 1));
-            assert_eq!(a.bytes, b.bytes, "k={k}");
-        }
-    }
-
-    fn rs_headers(k: u8, m: u8) -> Vec<FragmentHeader> {
-        (0..m)
-            .map(|j| {
-                let mut h = header((k + j) as u64, k + j, k + m);
-                h.parity_index = k;
-                h
-            })
-            .collect()
-    }
-
-    #[test]
-    fn multi_parity_row_zero_is_xor() {
-        // The first of m parities is still plain XOR: a 1-down failure in
-        // any geometry can be repaired by the old XOR path.
-        let frags = vec![
-            data_fragment(0, 0, 6, &[5u8; 320]),
-            data_fragment(1, 1, 6, &[9u8; 17]),
-            data_fragment(2, 2, 6, &[13u8; 199]),
-            data_fragment(3, 3, 6, &[17u8; 64]),
-        ];
-        let mut xor = ParityAccumulator::new();
-        let mut rs = ParityAccumulator::with_geometry(4, 2);
-        for f in &frags {
-            xor.add(f);
-            rs.add(f);
-        }
-        let xor_parity = xor.build_parity({
-            let mut h = header(4, 4, 6);
-            h.parity_index = 4;
-            h
-        });
-        let parities = rs.build_parities(rs_headers(4, 2));
-        assert_eq!(parities.len(), 2);
-        assert_eq!(parities[0].bytes, xor_parity.bytes);
-        assert_ne!(
-            &parities[1].bytes[parities[1].header.encoded_len()..],
-            &parities[0].bytes[parities[0].header.encoded_len()..],
-        );
+    /// Seals a single-parity accumulator (the paper's configuration).
+    fn build_one(acc: ParityAccumulator, header: FragmentHeader) -> SealedFragment {
+        acc.build_parities([header]).pop().expect("one row")
     }
 
     /// Decodes the erased members of a stripe from ≥k survivors using the
@@ -398,6 +249,143 @@ mod tests {
                 out
             })
             .collect()
+    }
+
+    /// Rebuilds data member `lost` of a k+1 stripe from the parity body
+    /// and the other data members, trimmed to its recorded length.
+    fn rebuild_from_single_parity(
+        frags: &[SealedFragment],
+        parity: &SealedFragment,
+        lost: usize,
+    ) -> Vec<u8> {
+        let k = frags.len();
+        let body = &parity.bytes[parity.header.encoded_len()..];
+        let mut survivors: Vec<(usize, &[u8])> = frags
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| *i != lost)
+            .map(|(i, f)| (i, &f.bytes[..]))
+            .collect();
+        survivors.push((k, body));
+        let mut rebuilt = rs_decode(k, &survivors, &[lost]).pop().unwrap();
+        rebuilt.truncate(parity.header.member_lens[lost] as usize);
+        rebuilt
+    }
+
+    #[test]
+    fn any_single_member_is_reconstructible() {
+        // Three data fragments of different lengths + parity.
+        let frags = vec![
+            data_fragment(0, 0, 4, &[1u8; 100]),
+            data_fragment(1, 1, 4, &[2u8; 500]),
+            data_fragment(2, 2, 4, &[3u8; 50]),
+        ];
+        let mut acc = ParityAccumulator::new();
+        for f in &frags {
+            acc.add(f);
+        }
+        let lens = acc.member_lens();
+        let parity = build_one(acc, header(3, 3, 4));
+        let parity_view = crate::fragment::FragmentView::parse(&parity.bytes).unwrap();
+        assert!(parity_view.header.is_parity());
+        assert_eq!(parity_view.header.member_lens, lens);
+
+        for lost in 0..3 {
+            let rebuilt = rebuild_from_single_parity(&frags, &parity, lost);
+            assert_eq!(rebuilt, frags[lost].bytes, "member {lost}");
+            // Rebuilt bytes parse as a valid fragment.
+            crate::fragment::FragmentView::parse(&rebuilt).unwrap();
+        }
+    }
+
+    #[test]
+    fn parity_of_single_fragment_is_a_mirror() {
+        // The 1-client/2-server minimum configuration (§3.4): stripe =
+        // one data fragment + parity ⇒ parity body == data bytes.
+        let f = data_fragment(0, 0, 2, b"mirrored payload");
+        let mut acc = ParityAccumulator::new();
+        acc.add(&f);
+        let parity = build_one(acc, header(1, 1, 2));
+        let body_start = parity.header.encoded_len();
+        assert_eq!(&parity.bytes[body_start..], &f.bytes[..]);
+    }
+
+    #[test]
+    fn single_parity_is_the_papers_xor_format_bit_for_bit() {
+        // m = 1 must produce exactly the paper's parity fragment whatever
+        // k is: the body is the byte-wise XOR of the zero-padded members
+        // (computed here with the scalar reference loop, independent of
+        // the gf kernels), behind a header carrying the parity flag, the
+        // member length table, and the body's length and CRC.
+        for k in [1u8, 3, 7] {
+            let frags: Vec<SealedFragment> = (0..k)
+                .map(|i| {
+                    data_fragment(
+                        i as u64,
+                        i,
+                        k + 1,
+                        &vec![i.wrapping_mul(37); 64 + i as usize * 111],
+                    )
+                })
+                .collect();
+            let mut acc = ParityAccumulator::with_geometry(k as usize, 1);
+            let mut body = Vec::new();
+            for f in &frags {
+                acc.add(f);
+                xor_into_baseline(&mut body, &f.bytes);
+            }
+            let got = build_one(acc, header(k as u64, k, k + 1));
+
+            let mut want = header(k as u64, k, k + 1);
+            want.flags |= FLAG_PARITY;
+            want.member_lens = frags.iter().map(|f| f.len()).collect();
+            want.body_len = body.len() as u32;
+            want.body_crc = crc32(&body);
+            let mut w = ByteWriter::new();
+            want.encode(&mut w);
+            w.put_raw(&body);
+            assert_eq!(&got.bytes[..], w.as_slice(), "k={k}");
+        }
+    }
+
+    fn rs_headers(k: u8, m: u8) -> Vec<FragmentHeader> {
+        (0..m)
+            .map(|j| {
+                let mut h = header((k + j) as u64, k + j, k + m);
+                h.parity_index = k;
+                h
+            })
+            .collect()
+    }
+
+    #[test]
+    fn multi_parity_row_zero_is_xor() {
+        // The first of m parities is still plain XOR, bit-identical to a
+        // single-parity stripe's fragment over the same members.
+        let frags = vec![
+            data_fragment(0, 0, 6, &[5u8; 320]),
+            data_fragment(1, 1, 6, &[9u8; 17]),
+            data_fragment(2, 2, 6, &[13u8; 199]),
+            data_fragment(3, 3, 6, &[17u8; 64]),
+        ];
+        let mut xor = ParityAccumulator::new();
+        let mut rs = ParityAccumulator::with_geometry(4, 2);
+        for f in &frags {
+            xor.add(f);
+            rs.add(f);
+        }
+        let xor_parity = build_one(xor, {
+            let mut h = header(4, 4, 6);
+            h.parity_index = 4;
+            h
+        });
+        let parities = rs.build_parities(rs_headers(4, 2));
+        assert_eq!(parities.len(), 2);
+        assert_eq!(parities[0].bytes, xor_parity.bytes);
+        assert_ne!(
+            &parities[1].bytes[parities[1].header.encoded_len()..],
+            &parities[0].bytes[parities[0].header.encoded_len()..],
+        );
     }
 
     proptest! {
@@ -484,17 +472,8 @@ mod tests {
             for f in &frags {
                 acc.add(f);
             }
-            let lens = acc.member_lens();
-            let parity = acc.build_parity(header(payloads.len() as u64, count - 1, count));
-            let body = &parity.bytes[parity.header.encoded_len()..];
-            let surviving: Vec<Vec<u8>> = frags
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| *i != lost)
-                .map(|(_, f)| f.bytes.to_vec())
-                .collect();
-            let rebuilt =
-                ParityAccumulator::reconstruct(body, surviving, lens[lost] as usize);
+            let parity = build_one(acc, header(payloads.len() as u64, count - 1, count));
+            let rebuilt = rebuild_from_single_parity(&frags, &parity, lost);
             prop_assert_eq!(&rebuilt, &frags[lost].bytes);
         }
     }

@@ -10,17 +10,20 @@
 //! Reconstruction is entirely client-side; servers only answer `Locate`
 //! and `Read` and never learn that a reconstruction is happening.
 //!
-//! All functions here run over a shared [`ConnectionPool`]: locates use
-//! the pool's first-positive-wins broadcast, and stripe members — which by
-//! construction live on *different* servers — are fetched in parallel and
-//! XORed into the accumulator in arrival order (XOR is commutative, so
-//! arrival order does not affect the result).
+//! All functions here read through a [`ReadEngine`] (and its shared
+//! [`ConnectionPool`]): locates use the pool's first-positive-wins
+//! broadcast, member fetches ride the engine's window and the mux
+//! priority lane, and stripe members — which by construction live on
+//! *different* servers — are fetched in parallel.
 //!
-//! Single-parity stripes rebuild exactly as the paper describes. Stripes
-//! with `m > 1` Reed–Solomon parities tolerate up to `m` concurrent member
-//! losses: the fetch fans out to every other member, the first `k` arrivals
-//! win, and the lost fragment is decoded as a GF(2^8) linear combination of
-//! those survivors ([`crate::gf::decode_rows`]).
+//! There is one rebuild path for every geometry. A `k + m` stripe
+//! tolerates up to `m` concurrent member losses: the fetch fans out to
+//! every other member, the first `k` arrivals win, and the lost fragment
+//! is a GF(2^8) linear combination of those survivors
+//! ([`crate::gf::decode_rows`]). The paper's single-parity stripe is the
+//! `m = 1` case: coding row 0 is all ones, every coefficient comes out 1,
+//! and [`crate::gf::mul_into`] folds a coefficient-1 member with plain
+//! XOR — the same bytes and the same kernel as §2.3.3's rebuild.
 
 use std::sync::Arc;
 
@@ -29,8 +32,7 @@ use swarm_types::{Bytes, FragmentId, Result, ServerId, SwarmError, MAX_PARITY};
 
 use crate::fragment::{parse_header, FragmentHeader, LOCATE_HEADER_LEN};
 use crate::gf;
-use crate::parity::xor_into;
-use crate::reader::{ReadEngine, DEFAULT_READ_WINDOW};
+use crate::reader::ReadEngine;
 
 /// Broadcasts a `Locate` for `fid`, returning the first server that holds
 /// it plus its parsed header. First positive reply wins; a hit on one
@@ -62,36 +64,17 @@ pub fn locate_fragment(
     None
 }
 
-/// Fetches the complete bytes of a fragment from a specific server over a
-/// pooled connection (a default-window [`ReadEngine`]; callers with a
-/// configured engine use [`fetch_fragment_with`]). Zero-copy: the
-/// returned [`Bytes`] is the decoded wire frame's payload, shared, not
-/// copied.
+/// Fetches the complete bytes of a fragment from a specific server. The
+/// locate and the body read ride the engine's window (and its priority
+/// lane on the mux, so a reconstruction is not stuck behind queued store
+/// payloads). Zero-copy: the returned [`Bytes`] is the decoded wire
+/// frame's payload, shared, not copied.
 ///
 /// # Errors
 ///
 /// Propagates transport and server errors ([`SwarmError::FragmentNotFound`],
 /// [`SwarmError::ServerUnavailable`], …) and validates the header.
-pub fn fetch_fragment(
-    pool: &Arc<ConnectionPool>,
-    server: ServerId,
-    fid: FragmentId,
-) -> Result<Bytes> {
-    fetch_fragment_with(
-        &ReadEngine::new(pool.clone(), DEFAULT_READ_WINDOW),
-        server,
-        fid,
-    )
-}
-
-/// [`fetch_fragment`] through an existing [`ReadEngine`] — the locate and
-/// the body read ride the engine's window (and its priority lane on the
-/// mux, so a reconstruction is not stuck behind queued store payloads).
-pub fn fetch_fragment_with(
-    engine: &ReadEngine,
-    server: ServerId,
-    fid: FragmentId,
-) -> Result<Bytes> {
+pub fn fetch_fragment(engine: &ReadEngine, server: ServerId, fid: FragmentId) -> Result<Bytes> {
     match engine.fetch_whole(server, &[fid]).pop().expect("one fid") {
         Ok(Some(bytes)) => Ok(bytes),
         Ok(None) => Err(SwarmError::FragmentNotFound(fid)),
@@ -141,175 +124,28 @@ fn find_stripe_header(pool: &Arc<ConnectionPool>, fid: FragmentId) -> Option<Fra
     None
 }
 
-/// Fetches the stripe members named by `indices` and feeds each to
-/// `on_member` as it arrives. Members live on different servers, so the
-/// fetches fan out across threads; `on_member` runs on the calling thread
-/// in arrival order. The first fetch error (or `on_member` error) aborts,
-/// after the in-flight fetches drain.
-fn fetch_members<F>(
-    engine: &ReadEngine,
-    header: &FragmentHeader,
-    indices: &[u8],
-    mut on_member: F,
-) -> Result<()>
-where
-    F: FnMut(u8, Bytes) -> Result<()>,
-{
-    if indices.len() <= 1 || !engine.pool().fanout_enabled() {
-        for &i in indices {
-            let bytes = fetch_member(engine, header, i)?;
-            on_member(i, bytes)?;
-        }
-        return Ok(());
-    }
-    std::thread::scope(|s| {
-        let (tx, rx) = std::sync::mpsc::channel();
-        for &i in indices {
-            let tx = tx.clone();
-            s.spawn(move || {
-                let _ = tx.send((i, fetch_member(engine, header, i)));
-            });
-        }
-        drop(tx);
-        for (i, result) in rx {
-            on_member(i, result?)?;
-        }
-        Ok(())
-    })
-}
-
 /// Reconstructs the complete bytes of fragment `fid` from the surviving
 /// members of its stripe, fetching them in parallel.
 ///
 /// # Errors
 ///
 /// Returns [`SwarmError::ReconstructionFailed`] when no stripe-mate can be
-/// located (e.g. the fragment never existed, or more than one member of
-/// the stripe is unavailable), and [`SwarmError::Corrupt`] if the rebuilt
-/// bytes fail validation.
-pub fn reconstruct_fragment(pool: &Arc<ConnectionPool>, fid: FragmentId) -> Result<Bytes> {
-    reconstruct_fragment_with(&ReadEngine::new(pool.clone(), DEFAULT_READ_WINDOW), fid)
-}
-
-/// [`reconstruct_fragment`] through an existing [`ReadEngine`]: member
-/// fetches ride the engine's window and priority lane.
-pub fn reconstruct_fragment_with(engine: &ReadEngine, fid: FragmentId) -> Result<Bytes> {
-    let pool = engine.pool();
-    let header = find_stripe_header(pool, fid).ok_or_else(|| SwarmError::ReconstructionFailed {
-        fid,
-        reason: "no surviving stripe-mate located via broadcast".into(),
-    })?;
-
-    let my_index = (fid.seq() - header.stripe_first_seq) as u8;
-    if header.parity_count() > 1 {
-        // Reed–Solomon stripe: any k survivors decode any member.
-        return reconstruct_rs(engine, fid, &header, my_index);
-    }
-    reconstruct_xor(engine, fid, &header, my_index)
-}
-
-/// The paper's single-parity rebuild: fetch every other member (all are
-/// required) and XOR them in arrival order.
-fn reconstruct_xor(
-    engine: &ReadEngine,
-    fid: FragmentId,
-    header: &FragmentHeader,
-    my_index: u8,
-) -> Result<Bytes> {
-    let parity_index = header.parity_index;
-
-    if my_index == parity_index {
-        // Rebuild the parity fragment by re-XOR-ing all data members.
-        // XOR is commutative: fold each member in as it arrives.
-        let indices: Vec<u8> = (0..header.member_count)
-            .filter(|i| *i != parity_index)
-            .collect();
-        let mut acc_buf: Vec<u8> = Vec::new();
-        let mut lens = vec![0u32; header.member_count as usize];
-        fetch_members(engine, header, &indices, |i, bytes| {
-            lens[i as usize] = bytes.len() as u32;
-            xor_into(&mut acc_buf, &bytes);
-            Ok(())
+/// located (e.g. the fragment never existed) or fewer than `k` other
+/// members of the stripe are available, and [`SwarmError::Corrupt`] if
+/// the rebuilt bytes fail validation.
+pub fn reconstruct_fragment(engine: &ReadEngine, fid: FragmentId) -> Result<Bytes> {
+    let header =
+        find_stripe_header(engine.pool(), fid).ok_or_else(|| SwarmError::ReconstructionFailed {
+            fid,
+            reason: "no surviving stripe-mate located via broadcast".into(),
         })?;
-        let lens: Vec<u32> = indices.iter().map(|i| lens[*i as usize]).collect();
-        let mut parity_header = FragmentHeader {
-            flags: 0,
-            fid,
-            stripe: header.stripe,
-            stripe_first_seq: header.stripe_first_seq,
-            member_count: header.member_count,
-            my_index,
-            parity_index,
-            body_len: 0,
-            body_crc: 0,
-            group: header.group.clone(),
-            member_lens: vec![],
-        };
-        parity_header.flags |= crate::fragment::FLAG_PARITY;
-        parity_header.member_lens = lens;
-        parity_header.body_len = acc_buf.len() as u32;
-        parity_header.body_crc = swarm_types::crc32(&acc_buf);
-        let mut w =
-            swarm_types::ByteWriter::with_capacity(parity_header.encoded_len() + acc_buf.len());
-        use swarm_types::Encode;
-        parity_header.encode(&mut w);
-        w.put_raw(&acc_buf);
-        return Ok(Bytes::from(w.into_bytes()));
-    }
-
-    // Rebuild a data member: parity body XOR all other data members. The
-    // parity member rides the same fan-out; when it arrives, its header
-    // supplies the rebuilt fragment's true length.
-    let indices: Vec<u8> = (0..header.member_count)
-        .filter(|i| *i != my_index)
-        .collect();
-    let mut acc: Vec<u8> = Vec::new();
-    let mut true_len: Option<usize> = None;
-    fetch_members(engine, header, &indices, |i, bytes| {
-        if i == parity_index {
-            let parity_header = parse_header(&bytes)?;
-            if !parity_header.is_parity() {
-                return Err(SwarmError::corrupt(format!(
-                    "member {parity_index} of {} is not a parity fragment",
-                    header.stripe
-                )));
-            }
-            true_len = Some(
-                *parity_header
-                    .member_lens
-                    .get(my_index as usize)
-                    .ok_or_else(|| SwarmError::corrupt("parity member_lens table too short"))?
-                    as usize,
-            );
-            xor_into(&mut acc, &bytes[parity_header.encoded_len()..]);
-        } else {
-            xor_into(&mut acc, &bytes);
-        }
-        Ok(())
-    })?;
-    let true_len = true_len.ok_or_else(|| SwarmError::corrupt("parity member missing"))?;
-    acc.truncate(true_len);
-    let rebuilt = acc;
-
-    // Validate before handing back.
-    let view = crate::fragment::FragmentView::parse(&rebuilt).map_err(|e| {
-        SwarmError::ReconstructionFailed {
-            fid,
-            reason: format!("rebuilt bytes failed validation: {e}"),
-        }
-    })?;
-    if view.header.fid != fid {
-        return Err(SwarmError::ReconstructionFailed {
-            fid,
-            reason: format!("rebuilt fragment identifies as {}", view.header.fid),
-        });
-    }
-    Ok(Bytes::from(rebuilt))
+    let my_index = (fid.seq() - header.stripe_first_seq) as u8;
+    reconstruct_rs(engine, fid, &header, my_index)
 }
 
 /// Fetches every stripe member except `exclude` in parallel and keeps the
-/// first `need` that arrive — the tolerant fan-out under the Reed–Solomon
-/// decode, where any `k` of the `k + m - 1` other members suffice.
+/// first `need` that arrive — the tolerant fan-out under the decode,
+/// where any `k` of the `k + m - 1` other members suffice.
 /// Unavailable members are skipped, not fatal; fewer than `need` total is
 /// a [`SwarmError::ReconstructionFailed`] naming every failure.
 fn fetch_survivors(
@@ -370,8 +206,8 @@ fn fetch_survivors(
     Ok(out)
 }
 
-/// Rebuilds any member of a Reed–Solomon stripe from the first `k`
-/// surviving members to arrive.
+/// Rebuilds any member of a `k + m` stripe from the first `k` surviving
+/// members to arrive.
 ///
 /// Data members come back as a [`gf::decode_rows`] combination of the
 /// survivors' symbols (a data member's symbol is its full stored bytes, a
@@ -517,11 +353,11 @@ fn reconstruct_rs(
 fn fetch_member(engine: &ReadEngine, header: &FragmentHeader, i: u8) -> Result<Bytes> {
     let fid = header.member_fid(i);
     let home = header.member_server(i);
-    match fetch_fragment_with(engine, home, fid) {
+    match fetch_fragment(engine, home, fid) {
         Ok(bytes) => Ok(bytes),
         Err(e) if e.is_unavailability() => {
             if let Some((server, _)) = locate_fragment(engine.pool(), fid) {
-                fetch_fragment_with(engine, server, fid)
+                fetch_fragment(engine, server, fid)
             } else {
                 Err(SwarmError::ReconstructionFailed {
                     fid,
@@ -536,23 +372,15 @@ fn fetch_member(engine: &ReadEngine, header: &FragmentHeader, i: u8) -> Result<B
 /// Reads the complete bytes of `fid` from wherever they are, falling back
 /// to reconstruction; `Ok(None)` means the fragment does not exist in the
 /// cluster at all (end of log, or a cleaned stripe).
-pub fn read_fragment_anywhere(
-    pool: &Arc<ConnectionPool>,
-    fid: FragmentId,
-) -> Result<Option<Bytes>> {
-    read_fragment_anywhere_with(&ReadEngine::new(pool.clone(), DEFAULT_READ_WINDOW), fid)
-}
-
-/// [`read_fragment_anywhere`] through an existing [`ReadEngine`].
-pub fn read_fragment_anywhere_with(engine: &ReadEngine, fid: FragmentId) -> Result<Option<Bytes>> {
+pub fn read_fragment_anywhere(engine: &ReadEngine, fid: FragmentId) -> Result<Option<Bytes>> {
     if let Some((server, _)) = locate_fragment(engine.pool(), fid) {
-        match fetch_fragment_with(engine, server, fid) {
+        match fetch_fragment(engine, server, fid) {
             Ok(bytes) => return Ok(Some(bytes)),
             Err(e) if e.is_unavailability() => {} // fall through to rebuild
             Err(e) => return Err(e),
         }
     }
-    match reconstruct_fragment_with(engine, fid) {
+    match reconstruct_fragment(engine, fid) {
         Ok(bytes) => Ok(Some(bytes)),
         Err(SwarmError::ReconstructionFailed { reason, .. })
             if reason.contains("no surviving stripe-mate") =>

@@ -146,6 +146,9 @@ pub fn recover(
     // One pool for the whole recovery; it is handed to the recovered Log
     // afterwards so new reads start on already-warm connections.
     let pool = Arc::new(ConnectionPool::new(transport.clone(), client));
+    // Every whole-fragment read below — checkpoint discovery and the
+    // rollforward read-ahead — rides the configured read window.
+    let engine = ReadEngine::new(Arc::clone(&pool), config.read_window);
 
     let anchor = find_anchor(&pool);
     swarm_metrics::trace!("recovery", "client {} anchor={:?}", client, anchor);
@@ -154,23 +157,21 @@ pub fn recover(
     let scan_start = match anchor {
         None => 0,
         Some(anchor_fid) => {
-            match read_checkpoint_dir(&pool, anchor_fid)? {
+            match read_checkpoint_dir(&engine, anchor_fid)? {
                 Some(directory) => {
-                    discover_from_directory(&pool, &directory, expected_services, &mut replay)?
+                    discover_from_directory(&engine, &directory, expected_services, &mut replay)?
                 }
                 // No directory (e.g. the anchor predates directories, or
                 // its record was unreadable): legacy backward walk.
-                None => discover_checkpoints(&pool, anchor_fid, expected_services, &mut replay)?,
+                None => discover_checkpoints(&engine, anchor_fid, expected_services, &mut replay)?,
             }
         }
     };
     let anchor_seq = anchor.map(|a| a.seq()).unwrap_or(0);
 
     // Rollforward, pipelined: while fragment `seq` is parsed, fragments
-    // `seq+1..=seq+K` are already being fetched in the background. The
-    // fetches ride the configured read window, so a larger window deepens
-    // the recovery read-ahead along with it.
-    let engine = ReadEngine::new(Arc::clone(&pool), config.read_window);
+    // `seq+1..=seq+K` are already being fetched in the background. A
+    // larger read window deepens the recovery read-ahead along with it.
     let depth = config.read_ahead.max(config.read_window) as u64;
     let mut ahead = ReadAhead::new(engine, depth);
     let mut seq = scan_start;
@@ -345,7 +346,7 @@ struct FragmentFetch {
 fn fetch_anywhere_with_home(engine: &ReadEngine, fid: FragmentId) -> Result<FragmentFetch> {
     let located = reconstruct::locate_fragment(engine.pool(), fid);
     match located {
-        Some((server, _)) => match reconstruct::fetch_fragment_with(engine, server, fid) {
+        Some((server, _)) => match reconstruct::fetch_fragment(engine, server, fid) {
             Ok(b) => Ok(FragmentFetch {
                 home: Some(server),
                 bytes: Some(b),
@@ -412,7 +413,7 @@ impl ReadAhead {
 }
 
 fn try_reconstruct(engine: &ReadEngine, fid: FragmentId) -> Result<Option<Bytes>> {
-    match reconstruct::reconstruct_fragment_with(engine, fid) {
+    match reconstruct::reconstruct_fragment(engine, fid) {
         Ok(bytes) => {
             metrics().reconstructions.inc();
             Ok(Some(bytes))
@@ -440,13 +441,13 @@ fn find_anchor(pool: &Arc<ConnectionPool>) -> Option<FragmentId> {
 /// Reads the log layer's checkpoint directory from the anchor fragment,
 /// if present (the newest CHECKPOINT_DIR record wins).
 fn read_checkpoint_dir(
-    pool: &Arc<ConnectionPool>,
+    engine: &ReadEngine,
     anchor: FragmentId,
 ) -> Result<Option<Vec<(ServiceId, crate::log::LogPosition)>>> {
     if std::env::var("SWARM_DISABLE_CKPT_DIR").is_ok() {
         return Ok(None); // test hook: force the legacy backward walk
     }
-    let Some(bytes) = reconstruct::read_fragment_anywhere(pool, anchor)? else {
+    let Some(bytes) = reconstruct::read_fragment_anywhere(engine, anchor)? else {
         return Ok(None);
     };
     let view = crate::fragment::FragmentView::parse(&bytes)?;
@@ -469,7 +470,7 @@ fn read_checkpoint_dir(
 /// directory; returns the forward-scan start (the oldest position that
 /// still matters).
 fn discover_from_directory(
-    pool: &Arc<ConnectionPool>,
+    engine: &ReadEngine,
     directory: &[(ServiceId, LogPosition)],
     expected: &[ServiceId],
     replay: &mut Replay,
@@ -479,8 +480,8 @@ fn discover_from_directory(
         if !expected.contains(service) {
             continue;
         }
-        let fid = FragmentId::new(pool.client(), pos.seq);
-        let Some(bytes) = reconstruct::read_fragment_anywhere(pool, fid)? else {
+        let fid = FragmentId::new(engine.pool().client(), pos.seq);
+        let Some(bytes) = reconstruct::read_fragment_anywhere(engine, fid)? else {
             // The directory references a fragment that is gone — fall
             // back to scanning from the beginning for safety.
             scan_start = 0;
@@ -513,7 +514,7 @@ fn discover_from_directory(
 /// Walks backward from the anchor collecting the newest checkpoint per
 /// service; returns the sequence number the forward scan should start at.
 fn discover_checkpoints(
-    pool: &Arc<ConnectionPool>,
+    engine: &ReadEngine,
     anchor: FragmentId,
     expected: &[ServiceId],
     replay: &mut Replay,
@@ -524,8 +525,8 @@ fn discover_checkpoints(
         if seq < 0 {
             break;
         }
-        let fid = FragmentId::new(pool.client(), seq as u64);
-        let bytes = match reconstruct::read_fragment_anywhere(pool, fid) {
+        let fid = FragmentId::new(engine.pool().client(), seq as u64);
+        let bytes = match reconstruct::read_fragment_anywhere(engine, fid) {
             Ok(Some(b)) => b,
             // A cleaned region (or a second failure): stop walking.
             Ok(None) => break,

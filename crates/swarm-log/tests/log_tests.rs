@@ -486,6 +486,53 @@ fn log_stats_track_the_pipeline() {
     assert_eq!(log.stats().reconstructions, 1);
 }
 
+/// The single rebuild path covers the paper's geometry: every member of a
+/// 3+1 stripe — each of the three data fragments and the parity — comes
+/// back byte-identical to what was stored when its home server is down.
+#[test]
+fn every_member_of_a_single_parity_stripe_rebuilds_bit_identical() {
+    let (transport, _servers) = cluster(4);
+    let log = small_log(transport.clone(), 1, 4);
+    for i in 0..40u32 {
+        // Uneven block sizes, so stripe members differ in length.
+        log.append_block(
+            SVC,
+            b"",
+            &vec![(i % 251) as u8; 300 + (i as usize * 37) % 500],
+        )
+        .unwrap();
+    }
+    log.flush().unwrap();
+
+    let pool = log.engine().clone();
+    let engine = swarm_log::ReadEngine::new(pool.clone(), swarm_log::DEFAULT_READ_WINDOW);
+    let (mut data_members, mut parity_members) = (0, 0);
+    for seq in 0..1000u64 {
+        let fid = swarm_types::FragmentId::new(ClientId::new(1), seq);
+        let Some((home, header)) = swarm_log::reconstruct::locate_fragment(&pool, fid) else {
+            break;
+        };
+        assert_eq!((header.data_count(), header.parity_count()), (3, 1));
+        let stored = swarm_log::reconstruct::fetch_fragment(&engine, home, fid).unwrap();
+
+        transport.set_down(home, true);
+        let rebuilt = swarm_log::reconstruct::reconstruct_fragment(&engine, fid)
+            .unwrap_or_else(|e| panic!("{fid} (member {}): {e}", header.my_index));
+        transport.set_down(home, false);
+
+        assert_eq!(rebuilt, stored, "{fid} (member {})", header.my_index);
+        if header.is_parity() {
+            parity_members += 1;
+        } else {
+            data_members += 1;
+        }
+    }
+    assert!(
+        data_members >= 3 && parity_members >= 1,
+        "log too short to cover a whole stripe: {data_members} data, {parity_members} parity"
+    );
+}
+
 #[test]
 fn reconstruction_with_member_dying_mid_fetch_falls_back_to_locate() {
     use swarm_net::Request;
@@ -504,7 +551,8 @@ fn reconstruction_with_member_dying_mid_fetch_falls_back_to_locate() {
     log.flush().unwrap();
     let addr = addrs[5];
     let expected = vec![5u8; 700];
-    let engine = log.engine().clone();
+    let pool = log.engine().clone();
+    let engine = swarm_log::ReadEngine::new(pool.clone(), swarm_log::DEFAULT_READ_WINDOW);
 
     // Mirror every fragment EXCEPT the victim's own onto server 3, so the
     // victim can only come back via reconstruction, but every stripe
@@ -512,32 +560,31 @@ fn reconstruction_with_member_dying_mid_fetch_falls_back_to_locate() {
     let extra = ServerId::new(3);
     for seq in 0..1000u64 {
         let fid = swarm_types::FragmentId::new(ClientId::new(1), seq);
-        let Some((holder, _)) = swarm_log::reconstruct::locate_fragment(&engine, fid) else {
+        let Some((holder, _)) = swarm_log::reconstruct::locate_fragment(&pool, fid) else {
             break;
         };
         if fid == addr.fid {
             continue;
         }
         let bytes = swarm_log::reconstruct::fetch_fragment(&engine, holder, fid).unwrap();
-        engine
-            .call(
-                extra,
-                &Request::Store {
-                    fid,
-                    marked: false,
-                    ranges: vec![],
-                    data: bytes,
-                },
-            )
-            .unwrap()
-            .into_result()
-            .unwrap();
+        pool.call(
+            extra,
+            &Request::Store {
+                fid,
+                marked: false,
+                ranges: vec![],
+                data: bytes,
+            },
+        )
+        .unwrap()
+        .into_result()
+        .unwrap();
     }
 
     // Kill the victim's home outright, and arm a surviving member's home
     // to die a couple of RPCs into the reconstruction — i.e. mid-fetch,
     // while the parallel member fan-out is in flight.
-    let (home, _) = swarm_log::reconstruct::locate_fragment(&engine, addr.fid).unwrap();
+    let (home, _) = swarm_log::reconstruct::locate_fragment(&pool, addr.fid).unwrap();
     log.forget_fragment(addr.fid);
     transport.set_down(home, true);
     let dying = ServerId::new((0..3).find(|i| ServerId::new(*i) != home).unwrap());

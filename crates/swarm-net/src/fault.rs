@@ -16,9 +16,9 @@
 //!   client-side, so one fault schedule replays identically on mem and
 //!   TCP.
 //! * [`FaultHandler`] wraps a [`RequestHandler`] server-side (disk-full
-//!   on store), and [`crate::tcp::TcpServer::spawn_with_faults`] consumes
-//!   truncation server-side so a genuinely torn frame crosses a real
-//!   socket.
+//!   on store), and a TCP server given the plan in
+//!   [`crate::tcp::ServerConfig::faults`] consumes truncation server-side
+//!   so a genuinely torn frame crosses a real socket.
 //!
 //! ## Fault semantics
 //!
@@ -223,9 +223,9 @@ pub struct FaultTransport {
     plans: RwLock<BTreeMap<ServerId, Arc<FaultPlan>>>,
     /// When true (the default), pending truncations are consumed
     /// client-side: the inner call completes (request processed) and the
-    /// response is discarded. A TCP cluster whose servers were spawned
-    /// with [`crate::tcp::TcpServer::spawn_with_faults`] disables this so
-    /// the truncation happens at the socket, byte-for-byte.
+    /// response is discarded. A TCP cluster whose servers were given the
+    /// plan in [`crate::tcp::ServerConfig::faults`] disables this so the
+    /// truncation happens at the socket, byte-for-byte.
     client_truncation: AtomicBool,
 }
 
@@ -255,7 +255,7 @@ impl FaultTransport {
 
     /// The fault plan for `server`, created on first use. The same `Arc`
     /// may be shared with a server-side [`FaultHandler`] or
-    /// [`crate::tcp::TcpServer::spawn_with_faults`].
+    /// [`crate::tcp::ServerConfig::faults`].
     pub fn plan(&self, server: ServerId) -> Arc<FaultPlan> {
         if let Some(plan) = self.plans.read().get(&server) {
             return plan.clone();

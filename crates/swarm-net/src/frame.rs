@@ -72,7 +72,7 @@ pub fn write_frame_vectored<W: Write>(mut w: W, head: &[u8], tail: &[u8]) -> Res
 /// Builds the 12-byte frame header for a payload given as scattered
 /// `parts`, without concatenating them.
 ///
-/// The epoll paths queue frames as segment lists (header `Vec` + shared
+/// The reactor paths queue frames as segment lists (header `Vec` + shared
 /// payload `Bytes`) and write them with plain non-blocking `write` calls;
 /// this helper produces the exact header `write_frame_vectored` would
 /// have emitted for the same bytes.

@@ -23,7 +23,7 @@ pub trait RequestHandler: Send + Sync {
 
     /// Services `request` without blocking, if it can.
     ///
-    /// The epoll runtime's reactor thread offers each read here before
+    /// The server's reactor thread offers each read here before
     /// queueing it for a worker: answering in place skips the two context
     /// switches of the worker-pool round trip, which dominate the cost of
     /// a memory-resident read on a loaded machine. An implementation may

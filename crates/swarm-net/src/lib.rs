@@ -11,9 +11,10 @@
 //!   down, dropped calls). Used by tests, examples, and benchmarks: it is
 //!   the moral equivalent of the paper's switched Ethernet for functional
 //!   purposes.
-//! * [`tcp::TcpTransport`] / [`tcp::TcpServer`] — real sockets via
-//!   `std::net`, served through a bounded [`WorkerPool`], matching the
-//!   prototype's user-level server processes.
+//! * [`tcp::TcpTransport`] / [`tcp::TcpServer`] — real sockets, one
+//!   multiplexed session driven by a readiness reactor with handlers on
+//!   a bounded [`WorkerPool`], matching the prototype's user-level
+//!   server processes.
 //!
 //! The paper locates stripe neighbours by *broadcast* (§2.3.3). Both
 //! transports expose the member set, and the [`broadcast`] helper simply
@@ -31,7 +32,7 @@ pub mod mem;
 mod mux;
 pub mod pool;
 pub mod proto;
-pub mod reactor;
+mod reactor;
 pub mod tcp;
 pub mod transport;
 pub mod workpool;
@@ -46,7 +47,6 @@ pub use proto::{
     BatchItem, BatchReply, HintSpec, PreparedRequest, ReadSpec, Request, Response, ServerStats,
     StoreRange,
 };
-pub use reactor::Runtime;
 pub use transport::{
     broadcast, peer_server_id, Connection, PeerHost, PeerTransport, PendingCall, Transport,
     PEER_SERVER_BASE,

@@ -1,24 +1,23 @@
 //! Request-ID multiplexing: many in-flight RPCs on one connection.
 //!
-//! The blocking client dedicates a socket (and a parked thread) to each
-//! in-flight call, which is why the connection pool and the parallel read
-//! engine need several sockets per server. A multiplexed channel carries
-//! any number of concurrent calls on a single socket: each request frame
-//! is prefixed with a 64-bit request id, the server echoes the id on the
-//! response frame, and the channel matches responses to waiting callers
-//! by id — order on the wire no longer matters.
+//! A multiplexed channel carries any number of concurrent calls on a
+//! single socket: each request frame is prefixed with a 64-bit request
+//! id, the server echoes the id on the response frame, and the channel
+//! matches responses to waiting callers by id — order on the wire does
+//! not matter. This is the only TCP session; the connection pool and the
+//! windowed read/write engines all ride it.
 //!
-//! Negotiation happens in the handshake. A classic hello frame is exactly
-//! the 4-byte [`ClientId`] encoding; a mux hello is [`MUX_HELLO_MAGIC`]
-//! followed by the client id (8 bytes), which a classic frame can never
-//! be. Servers answer both with the plain [`ServerId`] frame, so either
-//! side can run either runtime.
+//! The handshake is one frame each way: the client sends
+//! [`MUX_HELLO_MAGIC`] followed by its [`ClientId`] (8 bytes), the server
+//! answers with its [`ServerId`]. A first frame without the magic closes
+//! the connection.
 //!
 //! A mux frame payload is `id:u64le ++ message` in both directions.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::Write;
 use std::net::TcpStream;
+use std::os::fd::AsRawFd;
 use std::sync::Arc;
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
@@ -29,13 +28,11 @@ use swarm_types::{Bytes, ClientId, Decode, Encode, Result, ServerId, SwarmError}
 use crate::frame::{frame_header_for, FrameProgress, FrameReader};
 use crate::reactor::{Ctx, Handle, Ready, Source};
 
-/// First four bytes of a multiplexed hello frame: `"MUX1"` little-endian.
-/// A classic hello is a bare 4-byte client id, so an 8-byte frame opening
-/// with this magic is unambiguous.
+/// First four bytes of the hello frame: `"MUX1"`.
 pub(crate) const MUX_HELLO_MAGIC: [u8; 4] = *b"MUX1";
 
 /// Length of the request-id prefix on every mux frame payload.
-const MUX_ID_PREFIX: usize = 8;
+pub(crate) const MUX_ID_PREFIX: usize = 8;
 
 /// Builds the hello frame payload announcing a multiplexed session.
 pub(crate) fn encode_mux_hello(client: ClientId) -> Vec<u8> {
@@ -47,18 +44,17 @@ pub(crate) fn encode_mux_hello(client: ClientId) -> Vec<u8> {
     hello
 }
 
-/// Decodes a hello frame payload: `(client, is_mux)`.
+/// Decodes the hello frame payload.
 ///
 /// # Errors
 ///
-/// Returns a decode error if the frame is neither a classic client-id
-/// hello nor a well-formed mux hello.
-pub(crate) fn parse_hello(frame: &[u8]) -> Result<(ClientId, bool)> {
-    if frame.len() >= 8 && frame[..4] == MUX_HELLO_MAGIC {
-        let client = ClientId::decode_all(&frame[4..])?;
-        return Ok((client, true));
+/// Returns a protocol error if the frame does not open with
+/// [`MUX_HELLO_MAGIC`], a decode error if what follows is not a client id.
+pub(crate) fn parse_mux_hello(frame: &[u8]) -> Result<ClientId> {
+    match frame.strip_prefix(&MUX_HELLO_MAGIC) {
+        Some(rest) => ClientId::decode_all(rest),
+        None => Err(SwarmError::protocol("hello frame lacks the MUX1 magic")),
     }
-    Ok((ClientId::decode_all(frame)?, false))
 }
 
 /// One segment of queued output: either an owned header or a shared
@@ -353,15 +349,7 @@ impl MuxSource {
 
 impl Source for MuxSource {
     fn fd(&self) -> epoll::RawFd {
-        #[cfg(target_os = "linux")]
-        {
-            use std::os::fd::AsRawFd;
-            self.stream.as_raw_fd()
-        }
-        #[cfg(not(target_os = "linux"))]
-        {
-            -1
-        }
+        self.stream.as_raw_fd()
     }
 
     fn interest(&self) -> epoll::Interest {
@@ -453,17 +441,16 @@ mod tests {
     fn hello_negotiation_roundtrips() {
         let mux = encode_mux_hello(ClientId::new(42));
         assert_eq!(mux.len(), 8);
-        let (client, is_mux) = parse_hello(&mux).unwrap();
-        assert_eq!(client, ClientId::new(42));
-        assert!(is_mux);
+        assert_eq!(parse_mux_hello(&mux).unwrap(), ClientId::new(42));
 
+        // A pre-mux client's hello (a bare client id) is refused.
         let mut w = swarm_types::ByteWriter::new();
         ClientId::new(7).encode(&mut w);
-        let (client, is_mux) = parse_hello(w.as_slice()).unwrap();
-        assert_eq!(client, ClientId::new(7));
-        assert!(!is_mux, "a bare client id is a classic hello");
+        assert!(parse_mux_hello(w.as_slice()).is_err());
 
-        assert!(parse_hello(b"garbage that is long").is_err());
+        assert!(parse_mux_hello(b"garbage that is long").is_err());
+        assert!(parse_mux_hello(b"MUX1").is_err(), "magic without an id");
+        assert!(parse_mux_hello(b"MUX1 and trailing junk").is_err());
     }
 
     #[test]

@@ -1,13 +1,18 @@
-//! Readiness-driven event loop: the engine behind the epoll runtime.
+//! Readiness-driven event loop: the one I/O engine under the TCP
+//! transport, client and server side.
 //!
-//! The blocking stack parks one OS thread per connection (server) and per
-//! in-flight RPC (client) — §2.3's "a client talks to its whole stripe
-//! group" costs a thread per member. The [`Reactor`] inverts that: one
-//! thread owns an epoll instance and a set of [`Source`]s (listener,
-//! server connections, multiplexed client channels), each a small state
-//! machine advanced only when its descriptor is ready. Per-connection
-//! state is a few hundred bytes instead of a stack, which is what lets
-//! one server hold thousands of connections.
+//! §2.3's "a client talks to its whole stripe group" would cost a parked
+//! thread per member (and a server a thread per connection) on blocking
+//! sockets. The [`Reactor`] inverts that: one thread owns a poller and a
+//! set of [`Source`]s (listener, server connections, multiplexed client
+//! channels), each a small state machine advanced only when its
+//! descriptor is ready. Per-connection state is a few hundred bytes
+//! instead of a stack, which is what lets one server hold thousands of
+//! connections.
+//!
+//! The poller is the in-tree `epoll` shim: `epoll(7)` on Linux, `poll(2)`
+//! behind the same API on other unix targets. Which one is a property of
+//! the target OS, not a setting.
 //!
 //! Pieces:
 //!
@@ -18,17 +23,15 @@
 //!   threads use it to say "this connection has a response to write".
 //! * `TimerWheel` — a hashed timing wheel (16 ms ticks) holding at most
 //!   one deadline per source; deadlines drive idle-connection reaping.
-//! * [`Runtime`] — the user-facing `blocking | epoll` selector.
 //!
 //! The reactor thread is the only code that touches sources, so sources
 //! need no internal locking; cross-thread communication happens through
-//! the command queue + eventfd waker, and through whatever shared state a
-//! source chooses to carry (the mux channel shares a mutex-guarded
-//! outbox with callers).
+//! the command queue + waker, and through whatever shared state a source
+//! chooses to carry (the mux channel shares a mutex-guarded outbox with
+//! callers).
 
 use std::collections::HashMap;
 use std::io;
-use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -36,49 +39,6 @@ use std::time::{Duration, Instant};
 
 use epoll::{Epoll, Events, Interest, RawFd, Waker};
 use parking_lot::Mutex;
-
-/// Which I/O engine the TCP transport and server run on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Runtime {
-    /// Thread-per-connection `std::net` stack: workers park in blocking
-    /// reads, the client holds one socket per in-flight RPC.
-    Blocking,
-    /// Readiness-driven reactor (Linux epoll): a few reactor threads
-    /// drive all sockets; the client pipelines RPCs on one connection.
-    Epoll,
-}
-
-impl Runtime {
-    /// The platform default: `Epoll` on Linux, `Blocking` elsewhere.
-    pub fn default_for_platform() -> Runtime {
-        if cfg!(target_os = "linux") {
-            Runtime::Epoll
-        } else {
-            Runtime::Blocking
-        }
-    }
-}
-
-impl std::fmt::Display for Runtime {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Runtime::Blocking => write!(f, "blocking"),
-            Runtime::Epoll => write!(f, "epoll"),
-        }
-    }
-}
-
-impl FromStr for Runtime {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "blocking" => Ok(Runtime::Blocking),
-            "epoll" => Ok(Runtime::Epoll),
-            other => Err(format!("unknown runtime {other:?} (want blocking|epoll)")),
-        }
-    }
-}
 
 /// What a readiness or notify callback wants done with its source.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -212,7 +172,7 @@ impl Ctx<'_> {
     }
 }
 
-/// One reactor: an epoll instance plus the thread that drives it.
+/// One reactor: a poller plus the thread that drives it.
 ///
 /// Dropping (or [`Reactor::stop`]ping) the reactor drops every source,
 /// which closes every owned descriptor — connections are severed exactly
@@ -231,7 +191,7 @@ impl std::fmt::Debug for Reactor {
 const WAKER_TOKEN: u64 = 0;
 
 impl Reactor {
-    /// Creates the epoll instance and spawns the reactor thread.
+    /// Creates the poller and spawns the reactor thread.
     pub(crate) fn new(name: &str) -> io::Result<Reactor> {
         let epoll = Epoll::new()?;
         let waker = Waker::new(&epoll, WAKER_TOKEN)?;
@@ -362,7 +322,12 @@ impl TimerWheel {
     /// has passed. Entries from future rounds sharing a slot are kept.
     fn expired(&mut self, now: Instant) -> Vec<u64> {
         let mut due = Vec::new();
-        let now_tick = self.tick_of(now).saturating_add(1); // process every slot whose boundary passed
+        // Every slot whose boundary has passed — round *down*, unlike
+        // `tick_of`. Sweeping the slot `now` is still inside would keep its
+        // not-yet-due entries but move the cursor past them, and they
+        // would only fire a full wheel round (~8 s) late.
+        let offset = now.saturating_duration_since(self.start);
+        let now_tick = (offset.as_micros() / TICK.as_micros()) as u64 + 1;
         while self.next_tick < now_tick {
             let slot = &mut self.slots[(self.next_tick % SLOTS as u64) as usize];
             if !slot.is_empty() {
@@ -507,9 +472,16 @@ fn apply(
                 finish(shared, entries, token, verdict);
             }
         }
-        Cmd::Close(token) => {
-            entries.remove(&token);
-        }
+        Cmd::Close(token) => close(shared, entries, token),
+    }
+}
+
+/// Drops a source: deregisters its descriptor, then closes it. The
+/// `poll(2)` backend has no kernel object that forgets a closed fd, so
+/// the delete is explicit on every backend.
+fn close(shared: &Arc<Shared>, entries: &mut HashMap<u64, Entry>, token: u64) {
+    if let Some(entry) = entries.remove(&token) {
+        let _ = shared.epoll.delete(entry.fd);
     }
 }
 
@@ -517,9 +489,7 @@ fn apply(
 /// reconcile its interest set with epoll.
 fn finish(shared: &Arc<Shared>, entries: &mut HashMap<u64, Entry>, token: u64, verdict: Ready) {
     match verdict {
-        Ready::Close => {
-            entries.remove(&token);
-        }
+        Ready::Close => close(shared, entries, token),
         Ready::Continue => {
             if let Some(entry) = entries.get_mut(&token) {
                 let want = entry.source.interest();
@@ -537,7 +507,8 @@ fn finish(shared: &Arc<Shared>, entries: &mut HashMap<u64, Entry>, token: u64, v
 ///
 /// # Errors
 ///
-/// Fails if the epoll instance cannot be created (e.g. off-Linux).
+/// Fails if the poller or its thread cannot be created (fd or thread
+/// exhaustion); the failure is remembered, so every later call reports it.
 pub(crate) fn client_reactor() -> io::Result<&'static Reactor> {
     static CLIENT: std::sync::OnceLock<io::Result<Reactor>> = std::sync::OnceLock::new();
     match CLIENT.get_or_init(|| Reactor::new("swarm-mux-client")) {
@@ -549,17 +520,6 @@ pub(crate) fn client_reactor() -> io::Result<&'static Reactor> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn runtime_parses_and_displays() {
-        assert_eq!("blocking".parse::<Runtime>().unwrap(), Runtime::Blocking);
-        assert_eq!("epoll".parse::<Runtime>().unwrap(), Runtime::Epoll);
-        assert!("tokio".parse::<Runtime>().is_err());
-        assert_eq!(Runtime::Epoll.to_string(), "epoll");
-        assert_eq!(Runtime::Blocking.to_string(), "blocking");
-        #[cfg(target_os = "linux")]
-        assert_eq!(Runtime::default_for_platform(), Runtime::Epoll);
-    }
 
     #[test]
     fn timer_wheel_fires_at_or_after_deadline_and_keeps_future_rounds() {
@@ -583,6 +543,19 @@ mod tests {
         assert_eq!(wheel.next_timeout(t0), None, "wheel drained");
     }
 
+    /// Regression: a wait that returns a hair before the tick boundary
+    /// (poll timeouts are whole milliseconds) swept the current slot,
+    /// kept its not-yet-due entry, and moved the cursor past it — the
+    /// deadline then fired a whole wheel round late.
+    #[test]
+    fn timer_wheel_early_wake_does_not_skip_the_current_slot() {
+        let t0 = Instant::now();
+        let mut wheel = TimerWheel::new(t0);
+        wheel.insert(1, t0 + Duration::from_millis(15));
+        assert!(wheel.expired(t0 + Duration::from_millis(14)).is_empty());
+        assert_eq!(wheel.expired(t0 + Duration::from_millis(20)), vec![1]);
+    }
+
     #[test]
     fn timer_wheel_armed_survives_multi_slot_sweep() {
         let t0 = Instant::now();
@@ -604,7 +577,6 @@ mod tests {
         assert_eq!(wheel.next_timeout(t0), None, "wheel drained");
     }
 
-    #[cfg(target_os = "linux")]
     mod live {
         use super::*;
         use std::io::Write;

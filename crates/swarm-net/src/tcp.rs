@@ -2,44 +2,39 @@
 //! where storage servers are user-level processes reached over switched
 //! Ethernet (§3).
 //!
-//! Connection establishment performs a small handshake so the server knows
-//! which client it is talking to (the prototype relied on the transport
-//! for identity as well): the client sends a frame containing its
-//! [`ClientId`] (optionally prefixed with the mux magic — see
-//! `crate::mux`), the server replies with its [`ServerId`].
+//! There is one TCP session. Connection establishment performs a small
+//! handshake so the server knows which client it is talking to (the
+//! prototype relied on the transport for identity as well): the client
+//! sends the mux hello frame carrying its [`ClientId`] (see `crate::mux`),
+//! the server replies with its [`ServerId`]. After that every frame in
+//! both directions is `request id ++ message`, and any number of calls
+//! overlap on the socket.
 //!
-//! Two runtimes serve the same wire protocol (selected per server via
-//! [`ServerConfig::runtime`] and per transport via
-//! [`TcpTransport::set_runtime`]; either side may run either runtime):
-//!
-//! * **Blocking** — thread-per-connection: accepted connections queue for
-//!   a [`WorkerPool`] worker that parks in `read_frame`. One request is in
-//!   flight per connection.
-//! * **Epoll** — a reactor thread drives every connection as a
-//!   non-blocking state machine; the worker pool only runs handlers
-//!   (file I/O, fragment-store locking). Clients multiplex many
-//!   concurrent calls on one connection by request id, and the server
-//!   holds thousands of idle connections at a few hundred bytes each.
+//! Both ends run on the readiness reactor (`crate::reactor`): a reactor
+//! thread drives every connection as a non-blocking state machine, and
+//! the [`WorkerPool`] only runs handlers (file I/O, fragment-store
+//! locking). A server holds thousands of idle connections at a few
+//! hundred bytes each; a client shares one socket per `(server, client)`
+//! pair among all its [`Connection`] handles. A peer that does not open
+//! with the mux hello, or sends a frame too short to carry a request id,
+//! loses its connection and nothing else.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::io::{BufReader, BufWriter, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::os::fd::AsRawFd;
 use std::sync::{Arc, OnceLock};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use swarm_metrics::{Counter, Histogram};
 use swarm_types::{ByteWriter, Bytes, ClientId, Decode, Encode, Result, ServerId, SwarmError};
 
-use crate::frame::{
-    frame_header_for, read_frame, write_frame, write_frame_vectored, FrameProgress, FrameReader,
-};
+use crate::frame::{frame_header_for, FrameProgress, FrameReader};
 use crate::handler::RequestHandler;
-use crate::mux::{mux_dial, parse_hello, MuxChannel, MuxSource, Seg};
+use crate::mux::{mux_dial, parse_mux_hello, MuxChannel, MuxSource, Seg, MUX_ID_PREFIX};
 use crate::proto::{PreparedRequest, Request, Response};
-use crate::reactor::{Ctx, Handle, Reactor, Ready, Runtime, Source, TimerVerdict};
+use crate::reactor::{Ctx, Handle, Reactor, Ready, Source, TimerVerdict};
 use crate::transport::{Connection, PendingCall, Transport};
 use crate::workpool::{WorkerPool, DEFAULT_WORKERS};
 
@@ -58,13 +53,13 @@ const ACCEPT_ERROR_LIMIT: u32 = 100;
 pub const DEFAULT_CALL_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Default server-side read deadline: a connection that delivers no bytes
-/// for this long while nothing is in flight is reaped. Protects both
-/// runtimes from slow-loris peers (a trickled half-frame used to park a
-/// blocking worker forever, or pin reactor connection state).
+/// for this long while nothing is in flight is reaped. Protects the
+/// server from slow-loris peers (a trickled half-frame would otherwise
+/// pin reactor connection state forever).
 pub const DEFAULT_READ_DEADLINE: Duration = Duration::from_secs(30);
 
 /// Requests a single connection may have in flight (queued or running in
-/// the worker pool) before the epoll server pauses reading from it.
+/// the worker pool) before the server pauses reading from it.
 const MAX_INFLIGHT_PER_CONN: usize = 64;
 
 pub(crate) struct NetMetrics {
@@ -105,22 +100,24 @@ pub(crate) fn metrics() -> &'static NetMetrics {
 /// Configuration for [`TcpServer::spawn_with_config`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker pool width. Blocking runtime: max connections served
-    /// concurrently. Epoll runtime: max handlers running concurrently
-    /// (connections themselves are unbounded).
+    /// Worker pool width: max handlers running concurrently (connections
+    /// themselves are unbounded).
     pub workers: usize,
-    /// Which I/O engine serves connections.
-    pub runtime: Runtime,
     /// Reap a connection that delivers no bytes for this long while no
-    /// request of its is in flight (`None` = never reap — the
-    /// pre-deadline behaviour). Clients whose pooled idle connection is
-    /// reaped redial transparently.
+    /// request of its is in flight (`None` = never reap). Clients whose
+    /// pooled idle connection is reaped redial transparently.
     pub read_deadline: Option<Duration>,
-    /// Server-side fault plan (see [`TcpServer::spawn_with_faults`]).
+    /// Server-side fault plan. When the plan has a pending truncation
+    /// ([`FaultPlan::inject_truncate`]), the server processes the request,
+    /// writes only a *prefix* of the response frame, and severs the
+    /// connection — a genuinely torn frame on a real socket. The client
+    /// observes [`SwarmError::ServerUnavailable`] with the ack lost, so a
+    /// retried store hits the duplicate-store path.
+    ///
+    /// [`FaultPlan::inject_truncate`]: crate::fault::FaultPlan::inject_truncate
     pub faults: Option<Arc<crate::fault::FaultPlan>>,
-    /// Per-client fairness when the worker pool saturates (epoll runtime
-    /// only — the blocking runtime dedicates a worker per connection).
-    /// See [`crate::admission::Admission`].
+    /// Per-client fairness when the worker pool saturates. See
+    /// [`crate::admission::Admission`].
     pub admission: crate::admission::AdmissionConfig,
 }
 
@@ -128,7 +125,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             workers: DEFAULT_WORKERS,
-            runtime: Runtime::default_for_platform(),
             read_deadline: Some(DEFAULT_READ_DEADLINE),
             faults: None,
             admission: crate::admission::AdmissionConfig::default(),
@@ -138,28 +134,16 @@ impl Default for ServerConfig {
 
 /// A running TCP storage-server endpoint.
 ///
-/// Wraps a [`RequestHandler`] and serves it on a listening socket with the
-/// runtime chosen by [`ServerConfig::runtime`] (platform default unless
-/// overridden). Dropping the server (or calling [`TcpServer::shutdown`])
-/// stops accepting, severs established connections (unblocking any worker
-/// parked in a socket read), and joins all threads.
+/// Wraps a [`RequestHandler`] and serves it on a listening socket: a
+/// reactor thread owns the listener and every connection, a worker pool
+/// runs the handlers. Dropping the server (or calling
+/// [`TcpServer::shutdown`]) stops accepting, severs established
+/// connections, and joins all threads.
 pub struct TcpServer {
     id: ServerId,
     addr: SocketAddr,
-    state: ServerState,
-}
-
-enum ServerState {
-    Blocking {
-        stop: Arc<AtomicBool>,
-        accept_thread: Option<JoinHandle<()>>,
-        conns: Arc<Mutex<Vec<TcpStream>>>,
-        pool: Option<Arc<WorkerPool>>,
-    },
-    Epoll {
-        reactor: Option<Reactor>,
-        pool: Option<Arc<WorkerPool>>,
-    },
+    reactor: Option<Reactor>,
+    pool: Option<Arc<WorkerPool>>,
 }
 
 impl std::fmt::Debug for TcpServer {
@@ -167,7 +151,6 @@ impl std::fmt::Debug for TcpServer {
         f.debug_struct("TcpServer")
             .field("id", &self.id)
             .field("addr", &self.addr)
-            .field("runtime", &self.runtime())
             .finish()
     }
 }
@@ -187,69 +170,13 @@ impl TcpServer {
         Self::spawn_with_config(id, bind_addr, handler, ServerConfig::default())
     }
 
-    /// Like [`TcpServer::spawn`], but with a server-side [`FaultPlan`]
-    /// hook: when the plan has a pending truncation
-    /// ([`FaultPlan::inject_truncate`]), the server processes the request,
-    /// writes only a *prefix* of the response frame, and severs the
-    /// connection — a genuinely torn frame on a real socket. The client
-    /// observes [`SwarmError::ServerUnavailable`] with the ack lost, so a
-    /// retried store hits the duplicate-store path.
-    ///
-    /// [`FaultPlan`]: crate::fault::FaultPlan
-    /// [`FaultPlan::inject_truncate`]: crate::fault::FaultPlan::inject_truncate
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SwarmError::Io`] if the address cannot be bound.
-    pub fn spawn_with_faults(
-        id: ServerId,
-        bind_addr: &str,
-        handler: Arc<dyn RequestHandler>,
-        faults: Option<Arc<crate::fault::FaultPlan>>,
-    ) -> Result<TcpServer> {
-        Self::spawn_with_config(
-            id,
-            bind_addr,
-            handler,
-            ServerConfig {
-                faults,
-                ..ServerConfig::default()
-            },
-        )
-    }
-
-    /// Like [`TcpServer::spawn_with_faults`], but with an explicit worker
-    /// pool width.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SwarmError::Io`] if the address cannot be bound.
-    pub fn spawn_with_opts(
-        id: ServerId,
-        bind_addr: &str,
-        handler: Arc<dyn RequestHandler>,
-        faults: Option<Arc<crate::fault::FaultPlan>>,
-        workers: usize,
-    ) -> Result<TcpServer> {
-        Self::spawn_with_config(
-            id,
-            bind_addr,
-            handler,
-            ServerConfig {
-                workers,
-                faults,
-                ..ServerConfig::default()
-            },
-        )
-    }
-
     /// Binds `bind_addr` and serves `handler` with full control over the
-    /// runtime, worker width, read deadline, and fault plan.
+    /// worker width, read deadline, fault plan, and admission policy.
     ///
     /// # Errors
     ///
-    /// Returns [`SwarmError::Io`] if the address cannot be bound, or if
-    /// the epoll runtime was requested on a platform without epoll.
+    /// Returns [`SwarmError::Io`] if the address cannot be bound or the
+    /// reactor cannot start (no poller, no thread).
     pub fn spawn_with_config(
         id: ServerId,
         bind_addr: &str,
@@ -258,54 +185,28 @@ impl TcpServer {
     ) -> Result<TcpServer> {
         let listener = TcpListener::bind(bind_addr)?;
         let addr = listener.local_addr()?;
+        listener.set_nonblocking(true)?;
         let pool = Arc::new(WorkerPool::new(
             &format!("swarm-conn-{}", id.raw()),
             config.workers,
         ));
-        let state = match config.runtime {
-            Runtime::Blocking => {
-                let stop = Arc::new(AtomicBool::new(false));
-                let stop2 = stop.clone();
-                let conns = Arc::new(Mutex::new(Vec::new()));
-                let conns2 = conns.clone();
-                let pool2 = pool.clone();
-                let faults = config.faults;
-                let deadline = config.read_deadline;
-                let accept_thread = std::thread::Builder::new()
-                    .name(format!("swarm-server-{}", id.raw()))
-                    .spawn(move || {
-                        accept_loop(
-                            listener, id, handler, stop2, conns2, faults, deadline, &pool2,
-                        )
-                    })
-                    .expect("spawn server accept thread");
-                ServerState::Blocking {
-                    stop,
-                    accept_thread: Some(accept_thread),
-                    conns,
-                    pool: Some(pool),
-                }
-            }
-            Runtime::Epoll => {
-                listener.set_nonblocking(true)?;
-                let reactor = Reactor::new(&format!("swarm-epoll-{}", id.raw()))?;
-                let source = ListenerSource {
-                    listener,
-                    id,
-                    handler,
-                    faults: config.faults,
-                    admission: crate::admission::Admission::new(pool.clone(), config.admission),
-                    read_deadline: config.read_deadline,
-                    consecutive_errors: 0,
-                };
-                reactor.register(None, move |_h| Box::new(source));
-                ServerState::Epoll {
-                    reactor: Some(reactor),
-                    pool: Some(pool),
-                }
-            }
+        let reactor = Reactor::new(&format!("swarm-net-{}", id.raw()))?;
+        let source = ListenerSource {
+            listener,
+            id,
+            handler,
+            faults: config.faults,
+            admission: crate::admission::Admission::new(pool.clone(), config.admission),
+            read_deadline: config.read_deadline,
+            consecutive_errors: 0,
         };
-        Ok(TcpServer { id, addr, state })
+        reactor.register(None, move |_h| Box::new(source));
+        Ok(TcpServer {
+            id,
+            addr,
+            reactor: Some(reactor),
+            pool: Some(pool),
+        })
     }
 
     /// The address the server is listening on.
@@ -318,51 +219,16 @@ impl TcpServer {
         self.id
     }
 
-    /// The runtime this server was spawned with.
-    pub fn runtime(&self) -> Runtime {
-        match &self.state {
-            ServerState::Blocking { .. } => Runtime::Blocking,
-            ServerState::Epoll { .. } => Runtime::Epoll,
-        }
-    }
-
     /// Stops accepting new connections, severs established ones, and joins
     /// every thread. Like a process exit, in-flight peers see their
     /// sockets close — a client holding a pooled connection must redial.
     pub fn shutdown(&mut self) {
-        match &mut self.state {
-            ServerState::Blocking {
-                stop,
-                accept_thread,
-                conns,
-                pool,
-            } => {
-                stop.store(true, Ordering::SeqCst);
-                // Unblock the accept() call with a dummy connection.
-                let _ = TcpStream::connect(self.addr);
-                if let Some(t) = accept_thread.take() {
-                    let _ = t.join();
-                }
-                for stream in conns.lock().drain(..) {
-                    let _ = stream.shutdown(std::net::Shutdown::Both);
-                }
-                // The accept thread is joined and its pool reference
-                // released, so this drop is the last one: it closes the
-                // job queue and joins the workers (severing the
-                // connections above unblocked any worker parked in a
-                // socket read).
-                pool.take();
-            }
-            ServerState::Epoll { reactor, pool } => {
-                // Stopping the reactor drops the listener and every
-                // connection source, closing their sockets. Workers never
-                // park on sockets in this runtime, so closing the job
-                // queue then joins promptly; their late notify() calls
-                // land on a stopped reactor and are ignored.
-                reactor.take();
-                pool.take();
-            }
-        }
+        // Stopping the reactor drops the listener and every connection
+        // source, closing their sockets. Workers never park on sockets,
+        // so closing the job queue then joins promptly; their late
+        // notify() calls land on a stopped reactor and are ignored.
+        self.reactor.take();
+        self.pool.take();
     }
 }
 
@@ -373,201 +239,7 @@ impl Drop for TcpServer {
 }
 
 // ---------------------------------------------------------------------------
-// Blocking runtime: accept loop + thread-per-connection serving.
-// ---------------------------------------------------------------------------
-
-#[allow(clippy::too_many_arguments)]
-fn accept_loop(
-    listener: TcpListener,
-    id: ServerId,
-    handler: Arc<dyn RequestHandler>,
-    stop: Arc<AtomicBool>,
-    conns: Arc<Mutex<Vec<TcpStream>>>,
-    faults: Option<Arc<crate::fault::FaultPlan>>,
-    read_deadline: Option<Duration>,
-    pool: &WorkerPool,
-) {
-    let mut consecutive_errors = 0u32;
-    loop {
-        let stream = match listener.accept() {
-            Ok((stream, _peer)) => stream,
-            Err(err) => {
-                if stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                // Back off instead of spinning: a persistent accept failure
-                // (fd exhaustion, listener torn down) would otherwise loop
-                // at 100% CPU. Past the limit the listener is considered
-                // dead and the loop exits cleanly.
-                metrics().accept_errors.inc();
-                consecutive_errors += 1;
-                swarm_metrics::trace!(
-                    "net.accept",
-                    "server {} accept error ({consecutive_errors} consecutive): {err}",
-                    id.raw()
-                );
-                if consecutive_errors >= ACCEPT_ERROR_LIMIT {
-                    swarm_metrics::trace!(
-                        "net.accept",
-                        "server {} giving up on dead listener",
-                        id.raw()
-                    );
-                    return;
-                }
-                std::thread::sleep(ACCEPT_ERROR_BACKOFF);
-                continue;
-            }
-        };
-        consecutive_errors = 0;
-        if stop.load(Ordering::SeqCst) {
-            return;
-        }
-        metrics().server_connections.inc();
-        // Keep a handle so shutdown can sever the connection (which also
-        // unblocks the worker serving it); closed sockets accumulate only
-        // until the next shutdown, and a server's connection count is
-        // small (one per pooled client). A connection that cannot be
-        // cloned is dropped rather than served unseverable — shutdown
-        // must be able to unwedge every worker.
-        let Ok(clone) = stream.try_clone() else {
-            continue;
-        };
-        conns.lock().push(clone);
-        let handler = handler.clone();
-        let faults = faults.clone();
-        pool.submit(move || {
-            // A failed connection only loses that connection.
-            let _ = serve_connection(stream, id, &*handler, faults.as_deref(), read_deadline);
-        });
-    }
-}
-
-fn serve_connection(
-    stream: TcpStream,
-    id: ServerId,
-    handler: &dyn RequestHandler,
-    faults: Option<&crate::fault::FaultPlan>,
-    read_deadline: Option<Duration>,
-) -> Result<()> {
-    // Actively sever the socket on every exit path. Dropping our
-    // reader/writer clones is not enough: the accept loop holds another
-    // clone (for shutdown severing), so without an explicit shutdown a
-    // reaped or fault-truncated peer would never see EOF.
-    let sever = stream.try_clone()?;
-    let result = serve_connection_inner(stream, id, handler, faults, read_deadline);
-    let _ = sever.shutdown(std::net::Shutdown::Both);
-    result
-}
-
-fn serve_connection_inner(
-    stream: TcpStream,
-    id: ServerId,
-    handler: &dyn RequestHandler,
-    faults: Option<&crate::fault::FaultPlan>,
-    read_deadline: Option<Duration>,
-) -> Result<()> {
-    stream.set_nodelay(true)?;
-    // The read deadline doubles as the slow-loris guard: a peer that
-    // trickles bytes (or goes silent mid-frame) times the read out, and
-    // the connection is reaped instead of parking this worker forever.
-    stream.set_read_timeout(read_deadline)?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
-
-    // Handshake: client id in (classic or mux hello), server id out.
-    let hello = match read_frame(&mut reader) {
-        Ok(f) => f,
-        Err(SwarmError::Io(e)) => {
-            if matches!(
-                e.kind(),
-                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-            ) {
-                metrics().conns_reaped.inc();
-            }
-            return Ok(());
-        }
-        Err(e) => return Err(e),
-    };
-    let (client, is_mux) = parse_hello(&hello)?;
-    let mut w = ByteWriter::new();
-    id.encode(&mut w);
-    write_frame(&mut writer, w.as_slice())?;
-
-    loop {
-        let frame = match read_frame(&mut reader) {
-            Ok(f) => f,
-            Err(SwarmError::Io(e)) => {
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) {
-                    // Deadline hit: no request in flight on this runtime
-                    // by construction, so this is an idle or stalled peer.
-                    metrics().conns_reaped.inc();
-                    swarm_metrics::trace!(
-                        "net.deadline",
-                        "server {} reaping stalled connection (client {client})",
-                        id.raw()
-                    );
-                }
-                return Ok(()); // peer hung up or went silent
-            }
-            Err(e) => return Err(e),
-        };
-        // Shared decode: a Store's payload stays a view of this frame
-        // allocation all the way into the fragment store.
-        let frame = Bytes::from(frame);
-        let m = metrics();
-        m.server_requests.inc();
-        m.server_bytes_in.add(frame.len() as u64);
-        // Mux sessions prefix every frame with the request id; echo it on
-        // the response so a pipelining client can match replies.
-        let (mux_id, body) = if is_mux {
-            if frame.len() < 8 {
-                return Err(SwarmError::protocol("mux frame shorter than its id"));
-            }
-            let id = u64::from_le_bytes(frame[..8].try_into().unwrap());
-            (Some(id), frame.slice(8..))
-        } else {
-            (None, frame)
-        };
-        let span = m.server_request_us.span("net.server.request");
-        let response = match Request::decode_all_shared(&body) {
-            Ok(request) => handler.handle(client, request),
-            Err(e) => Response::from_error(&e),
-        };
-        drop(span);
-        let mut header = ByteWriter::new();
-        if let Some(mux_id) = mux_id {
-            header.put_raw(&mux_id.to_le_bytes());
-        }
-        let payload = response.encode_split(&mut header).unwrap_or(&[]);
-        m.server_bytes_out
-            .add((header.len() + payload.len()) as u64);
-        if faults.is_some_and(|p| p.take_truncate()) {
-            // Injected truncation: the request was processed, but only a
-            // prefix of the response frame goes out before the connection
-            // closes. The client's read fails mid-frame — the ack is lost
-            // and a retried store must survive the duplicate.
-            let mut full = Vec::new();
-            write_frame_vectored(&mut full, header.as_slice(), payload)?;
-            writer.write_all(&full[..full.len() / 2])?;
-            writer.flush()?;
-            swarm_metrics::trace!(
-                "net.fault",
-                "server {} truncating response frame ({} of {} bytes)",
-                id.raw(),
-                full.len() / 2,
-                full.len()
-            );
-            return Ok(());
-        }
-        write_frame_vectored(&mut writer, header.as_slice(), payload)?;
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Epoll runtime: listener + per-connection readiness state machines.
+// Server side: listener + per-connection readiness state machines.
 // ---------------------------------------------------------------------------
 
 struct ListenerSource {
@@ -582,7 +254,7 @@ struct ListenerSource {
 
 impl Source for ListenerSource {
     fn fd(&self) -> epoll::RawFd {
-        raw_fd(&self.listener)
+        self.listener.as_raw_fd()
     }
 
     fn interest(&self) -> epoll::Interest {
@@ -622,11 +294,16 @@ impl Source for ListenerSource {
                         self.consecutive_errors
                     );
                     if self.consecutive_errors >= ACCEPT_ERROR_LIMIT {
+                        swarm_metrics::trace!(
+                            "net.accept",
+                            "server {} giving up on dead listener",
+                            self.id.raw()
+                        );
                         return Ready::Close;
                     }
-                    // Brief blocking backoff mirrors the blocking accept
-                    // loop: under fd exhaustion, level-triggered epoll
-                    // would otherwise re-deliver readiness instantly.
+                    // Brief blocking backoff: under fd exhaustion the
+                    // level-triggered poller would otherwise re-deliver
+                    // readiness instantly.
                     std::thread::sleep(ACCEPT_ERROR_BACKOFF);
                     return Ready::Continue;
                 }
@@ -635,17 +312,10 @@ impl Source for ListenerSource {
     }
 }
 
-enum ConnMode {
-    Handshake,
-    Classic(ClientId),
-    Mux(ClientId),
-}
-
 /// A finished handler invocation, posted by a worker to the connection's
-/// mailbox. `seq` orders classic responses; mux responses go out in
-/// completion order (the id prefix lets the client match them).
+/// mailbox. Responses go out in completion order (the id prefix lets the
+/// client match them).
 struct Completion {
-    seq: u64,
     segs: Vec<Seg>,
     close_after: bool,
 }
@@ -658,16 +328,11 @@ struct ConnSource {
     admission: Arc<crate::admission::Admission>,
     handle: Handle,
     reader: FrameReader,
-    mode: ConnMode,
+    /// The peer's identity; `None` until its hello frame arrives.
+    client: Option<ClientId>,
     outbox: VecDeque<Seg>,
     front_off: usize,
     mailbox: Arc<Mutex<Vec<Completion>>>,
-    /// Sequence number assigned to the next request read off the wire.
-    next_seq: u64,
-    /// Next sequence allowed onto the wire (classic mode writes in
-    /// arrival order; workers may finish out of order).
-    next_write_seq: u64,
-    parked: BTreeMap<u64, Completion>,
     inflight: usize,
     read_deadline: Option<Duration>,
     last_activity: Instant,
@@ -693,13 +358,10 @@ impl ConnSource {
             admission,
             handle,
             reader: FrameReader::new(),
-            mode: ConnMode::Handshake,
+            client: None,
             outbox: VecDeque::new(),
             front_off: 0,
             mailbox: Arc::new(Mutex::new(Vec::new())),
-            next_seq: 0,
-            next_write_seq: 0,
-            parked: BTreeMap::new(),
             inflight: 0,
             read_deadline,
             last_activity: Instant::now(),
@@ -754,46 +416,37 @@ impl ConnSource {
 
     /// Handles one inbound frame. Returns false to close the connection.
     fn on_frame(&mut self, frame: Vec<u8>) -> bool {
-        let client = match self.mode {
-            ConnMode::Handshake => {
-                let Ok((client, is_mux)) = parse_hello(&frame) else {
-                    return false;
-                };
-                let mut w = ByteWriter::new();
-                self.id.encode(&mut w);
-                let Ok(fh) = frame_header_for(&[w.as_slice()]) else {
-                    return false;
-                };
-                let mut head = Vec::with_capacity(12 + w.len());
-                head.extend_from_slice(&fh);
-                head.extend_from_slice(w.as_slice());
-                self.outbox.push_back(Seg::Owned(head));
-                self.mode = if is_mux {
-                    ConnMode::Mux(client)
-                } else {
-                    ConnMode::Classic(client)
-                };
-                return true;
-            }
-            ConnMode::Classic(client) | ConnMode::Mux(client) => client,
+        let Some(client) = self.client else {
+            // Handshake: anything but the mux hello closes the connection.
+            let Ok(client) = parse_mux_hello(&frame) else {
+                return false;
+            };
+            let mut w = ByteWriter::new();
+            self.id.encode(&mut w);
+            let Ok(fh) = frame_header_for(&[w.as_slice()]) else {
+                return false;
+            };
+            let mut head = Vec::with_capacity(12 + w.len());
+            head.extend_from_slice(&fh);
+            head.extend_from_slice(w.as_slice());
+            self.outbox.push_back(Seg::Owned(head));
+            self.client = Some(client);
+            return true;
         };
 
         let m = metrics();
         m.server_requests.inc();
         m.server_bytes_in.add(frame.len() as u64);
+        if frame.len() < MUX_ID_PREFIX {
+            return false; // frame shorter than its request id
+        }
         let frame = Bytes::from(frame);
-        let (mux_id, body) = match self.mode {
-            ConnMode::Mux(_) => {
-                if frame.len() < 8 {
-                    return false; // mux frame shorter than its id
-                }
-                let id = u64::from_le_bytes(frame[..8].try_into().unwrap());
-                (Some(id), frame.slice(8..))
-            }
-            _ => (None, frame),
-        };
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        let mux_id = u64::from_le_bytes(
+            frame[..MUX_ID_PREFIX]
+                .try_into()
+                .expect("length checked above"),
+        );
+        let body = frame.slice(MUX_ID_PREFIX..);
         self.inflight += 1;
 
         // Reactor fast path: offer reads to the handler before paying the
@@ -806,7 +459,7 @@ impl ConnSource {
             if let Ok(request) = Request::decode_all_shared(&body) {
                 if let Some(response) = self.handler.try_handle_fast(client, &request) {
                     m.server_fast_reads.inc();
-                    let completion = encode_completion(self.id, None, mux_id, seq, response);
+                    let completion = encode_completion(self.id, None, mux_id, response);
                     self.mailbox.lock().push(completion);
                     self.drain_mailbox();
                     return true;
@@ -825,15 +478,8 @@ impl ConnSource {
         let rejectable = body.first() == Some(&crate::proto::tag::STORE);
         let cost = body.len() as u64;
         let outcome = self.admission.submit(client, cost, rejectable, move || {
-            let completion = run_request(
-                server,
-                &*handler,
-                faults.as_deref(),
-                client,
-                mux_id,
-                seq,
-                &body,
-            );
+            let completion =
+                run_request(server, &*handler, faults.as_deref(), client, mux_id, &body);
             mailbox.lock().push(completion);
             handle.notify();
         });
@@ -841,30 +487,19 @@ impl ConnSource {
             // Busy pushback: answered from the reactor thread, bypassing
             // the very queue that is full.
             let response = Response::from_error(&SwarmError::Busy(self.id));
-            let completion = encode_completion(self.id, None, mux_id, seq, response);
+            let completion = encode_completion(self.id, None, mux_id, response);
             self.mailbox.lock().push(completion);
             self.drain_mailbox();
         }
         true
     }
 
-    /// Drains worker completions into the outbox, preserving arrival
-    /// order for classic sessions.
+    /// Drains worker completions into the outbox.
     fn drain_mailbox(&mut self) {
         let done: Vec<Completion> = std::mem::take(&mut *self.mailbox.lock());
         for c in done {
             self.inflight = self.inflight.saturating_sub(1);
-            match self.mode {
-                ConnMode::Mux(_) => self.enqueue(c),
-                _ => {
-                    // Classic clients expect responses in request order.
-                    self.parked.insert(c.seq, c);
-                    while let Some(c) = self.parked.remove(&self.next_write_seq) {
-                        self.next_write_seq += 1;
-                        self.enqueue(c);
-                    }
-                }
-            }
+            self.enqueue(c);
         }
     }
 
@@ -894,8 +529,7 @@ fn run_request(
     handler: &dyn RequestHandler,
     faults: Option<&crate::fault::FaultPlan>,
     client: ClientId,
-    mux_id: Option<u64>,
-    seq: u64,
+    mux_id: u64,
     body: &Bytes,
 ) -> Completion {
     let m = metrics();
@@ -905,7 +539,7 @@ fn run_request(
         Err(e) => Response::from_error(&e),
     };
     drop(span);
-    encode_completion(server, faults, mux_id, seq, response)
+    encode_completion(server, faults, mux_id, response)
 }
 
 /// Encodes a computed response as write-ready segments. Shared by the
@@ -914,16 +548,12 @@ fn run_request(
 fn encode_completion(
     server: ServerId,
     faults: Option<&crate::fault::FaultPlan>,
-    mux_id: Option<u64>,
-    seq: u64,
+    mux_id: u64,
     response: Response,
 ) -> Completion {
     let m = metrics();
     let mut header = ByteWriter::new();
-    let id_bytes = mux_id.map(u64::to_le_bytes);
-    if let Some(b) = &id_bytes {
-        header.put_raw(b);
-    }
+    header.put_raw(&mux_id.to_le_bytes());
     let _ = response.encode_split(&mut header);
     // Re-borrow the payload as a shared view so the (possibly large) read
     // data rides to the socket without a copy.
@@ -938,10 +568,8 @@ fn encode_completion(
         .add((header.len() + payload.len()) as u64);
 
     let Ok(fh) = frame_header_for(&[header.as_slice(), &payload]) else {
-        // Response too large to frame: close without replying (the
-        // blocking runtime kills the connection the same way).
+        // Response too large to frame: close without replying.
         return Completion {
-            seq,
             segs: Vec::new(),
             close_after: true,
         };
@@ -962,7 +590,6 @@ fn encode_completion(
             server.raw()
         );
         return Completion {
-            seq,
             segs: vec![Seg::Owned(full)],
             close_after: true,
         };
@@ -973,7 +600,6 @@ fn encode_completion(
         segs.push(Seg::Shared(payload));
     }
     Completion {
-        seq,
         segs,
         close_after: false,
     }
@@ -981,7 +607,7 @@ fn encode_completion(
 
 impl Source for ConnSource {
     fn fd(&self) -> epoll::RawFd {
-        raw_fd(&self.stream)
+        self.stream.as_raw_fd()
     }
 
     fn interest(&self) -> epoll::Interest {
@@ -996,10 +622,8 @@ impl Source for ConnSource {
             return Ready::Close;
         }
         if readable && !self.pump_read() {
-            // Keep flushing completed responses if any are queued; a peer
-            // that half-closed after its last request still gets replies
-            // only if the write side survives — ours is gone with Close,
-            // matching the blocking runtime (connection == session).
+            // A peer that half-closed after its last request gets no more
+            // replies: the connection is the session.
             return Ready::Close;
         }
         // Reads answered on the fast path during pump_read are sitting in
@@ -1039,10 +663,6 @@ impl Source for ConnSource {
     }
 }
 
-fn raw_fd<T: std::os::fd::AsRawFd>(t: &T) -> epoll::RawFd {
-    t.as_raw_fd()
-}
-
 // ---------------------------------------------------------------------------
 // Client transport.
 // ---------------------------------------------------------------------------
@@ -1054,13 +674,10 @@ fn raw_fd<T: std::os::fd::AsRawFd>(t: &T) -> epoll::RawFd {
 /// [`TcpTransport::add_server`]), mirroring the prototype where clients
 /// know the cluster membership.
 ///
-/// With the epoll runtime (the platform default, see
-/// [`TcpTransport::set_runtime`]), all connections between one
-/// `(server, client)` pair share a single multiplexed socket: every
-/// [`Connection`] handed out is a lightweight handle onto that channel,
-/// and any number of calls proceed concurrently, matched by request id.
-/// With the blocking runtime each connection owns its socket and carries
-/// one call at a time.
+/// All connections between one `(server, client)` pair share a single
+/// multiplexed socket: every [`Connection`] handed out is a lightweight
+/// handle onto that channel, and any number of calls proceed
+/// concurrently, matched by request id.
 ///
 /// Calls time out after [`DEFAULT_CALL_TIMEOUT`] unless overridden with
 /// [`TcpTransport::set_call_timeout`], so a hung server surfaces as
@@ -1073,9 +690,8 @@ pub struct TcpTransport {
     /// reconstruction fan-out must not dial peers.
     peers: Mutex<HashMap<ServerId, PeerEntry>>,
     call_timeout: Mutex<Option<Duration>>,
-    runtime: Mutex<Runtime>,
     channels: Mutex<HashMap<(ServerId, ClientId), Arc<MuxChannel>>>,
-    /// Per-pair dial locks: concurrent `connect_mux` calls for the same
+    /// Per-pair dial locks: concurrent `connect` calls for the same
     /// `(server, client)` collapse to one socket without holding the
     /// `channels` map lock across the dial (one unreachable server must
     /// not stall connects to every other server).
@@ -1096,7 +712,6 @@ impl std::fmt::Debug for TcpTransport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TcpTransport")
             .field("servers", &*self.servers.lock())
-            .field("runtime", &self.runtime())
             .finish()
     }
 }
@@ -1114,7 +729,6 @@ impl TcpTransport {
             servers: Mutex::new(BTreeMap::new()),
             peers: Mutex::new(HashMap::new()),
             call_timeout: Mutex::new(Some(DEFAULT_CALL_TIMEOUT)),
-            runtime: Mutex::new(Runtime::default_for_platform()),
             channels: Mutex::new(HashMap::new()),
             dialing: Mutex::new(HashMap::new()),
         }
@@ -1136,18 +750,6 @@ impl TcpTransport {
     /// The currently configured per-call timeout.
     pub fn call_timeout(&self) -> Option<Duration> {
         *self.call_timeout.lock()
-    }
-
-    /// Selects the client runtime for subsequently opened connections:
-    /// `Epoll` multiplexes calls on one socket per `(server, client)`
-    /// pair; `Blocking` opens a socket per connection.
-    pub fn set_runtime(&self, runtime: Runtime) {
-        *self.runtime.lock() = runtime;
-    }
-
-    /// The currently configured client runtime.
-    pub fn runtime(&self) -> Runtime {
-        *self.runtime.lock()
     }
 
     /// Adds (or re-addresses) a server. Re-addressing closes any
@@ -1212,21 +814,47 @@ impl TcpTransport {
         }
         None
     }
+}
 
-    fn connect_mux(
-        &self,
-        reactor: &'static Reactor,
-        addr: SocketAddr,
-        server: ServerId,
-        client: ClientId,
-    ) -> Result<Box<dyn Connection>> {
+impl Drop for TcpTransport {
+    fn drop(&mut self) {
+        // The global client reactor outlives any transport; without this,
+        // its sources would hold the transport's sockets open forever.
+        for ch in self.channels.lock().values() {
+            ch.shutdown();
+        }
+    }
+}
+
+impl Transport for TcpTransport {
+    /// # Errors
+    ///
+    /// [`SwarmError::ServerUnavailable`] when the server is unknown,
+    /// unreachable, or garbles the handshake; [`SwarmError::Io`] when the
+    /// process-wide client reactor cannot start — retrying a dial cannot
+    /// fix that, so it is not dressed up as unavailability.
+    fn connect(&self, server: ServerId, client: ClientId) -> Result<Box<dyn Connection>> {
+        let addr = match self.servers.lock().get(&server) {
+            Some(addr) => *addr,
+            // Not a cluster member — maybe a published peer responder.
+            None => self
+                .peers
+                .lock()
+                .get(&server)
+                .map(|p| p.addr)
+                .ok_or(SwarmError::ServerUnavailable(server))?,
+        };
+        let reactor = crate::reactor::client_reactor()?;
         let timeout = self.call_timeout();
-        if let Some(channel) = self.live_channel(server, client) {
-            return Ok(Box::new(MuxConnection {
+        let connection = |channel| -> Result<Box<dyn Connection>> {
+            Ok(Box::new(MuxConnection {
                 server,
                 channel,
                 timeout,
-            }));
+            }))
+        };
+        if let Some(channel) = self.live_channel(server, client) {
+            return connection(channel);
         }
         // Serialize dials per pair, never transport-wide: concurrent
         // connects to the same pair collapse onto one socket, while a dial
@@ -1242,14 +870,10 @@ impl TcpTransport {
         let _dial_guard = pair_lock.lock();
         if let Some(channel) = self.live_channel(server, client) {
             // Lost the race; the winner's channel serves this pair.
-            return Ok(Box::new(MuxConnection {
-                server,
-                channel,
-                timeout,
-            }));
+            return connection(channel);
         }
         metrics().client_connects.inc();
-        swarm_metrics::trace!("net.connect", "client {client} -> server {server} (mux)");
+        swarm_metrics::trace!("net.connect", "client {client} -> server {server}");
         let stream = mux_dial(addr, server, client, timeout)?;
         let channel = MuxChannel::new(server);
         let ch2 = channel.clone();
@@ -1260,79 +884,7 @@ impl TcpTransport {
         self.channels
             .lock()
             .insert((server, client), channel.clone());
-        Ok(Box::new(MuxConnection {
-            server,
-            channel,
-            timeout,
-        }))
-    }
-}
-
-impl Drop for TcpTransport {
-    fn drop(&mut self) {
-        // The global client reactor outlives any transport; without this,
-        // its sources would hold the transport's sockets open forever.
-        for ch in self.channels.lock().values() {
-            ch.shutdown();
-        }
-    }
-}
-
-impl Transport for TcpTransport {
-    fn connect(&self, server: ServerId, client: ClientId) -> Result<Box<dyn Connection>> {
-        let addr = match self.servers.lock().get(&server) {
-            Some(addr) => *addr,
-            // Not a cluster member — maybe a published peer responder.
-            None => self
-                .peers
-                .lock()
-                .get(&server)
-                .map(|p| p.addr)
-                .ok_or(SwarmError::ServerUnavailable(server))?,
-        };
-        if self.runtime() == Runtime::Epoll {
-            // Fall back to the blocking stack only when the platform has
-            // no reactor at all; dial failures propagate (the server is
-            // genuinely unreachable either way).
-            if let Ok(reactor) = crate::reactor::client_reactor() {
-                return self.connect_mux(reactor, addr, server, client);
-            }
-        }
-        // Every connection-setup failure — dial, socket options, stream
-        // clone, or a garbled handshake reply — maps to ServerUnavailable
-        // so the writer's retry path always engages; only a *successful*
-        // handshake with the wrong identity is a protocol error.
-        let unavailable = |_| SwarmError::ServerUnavailable(server);
-        let stream = TcpStream::connect(addr).map_err(unavailable)?;
-        stream.set_nodelay(true).map_err(unavailable)?;
-        let timeout = self.call_timeout();
-        stream.set_read_timeout(timeout).map_err(unavailable)?;
-        stream.set_write_timeout(timeout).map_err(unavailable)?;
-        metrics().client_connects.inc();
-        swarm_metrics::trace!("net.connect", "client {client} -> server {server}");
-        let mut reader = BufReader::new(stream.try_clone().map_err(unavailable)?);
-        let mut writer = BufWriter::new(stream);
-
-        // A server that stalls mid-handshake is indistinguishable from a
-        // down one: surface frame I/O failures (including the socket
-        // timeouts set above) as ServerUnavailable so retry engages.
-        let mut w = ByteWriter::new();
-        client.encode(&mut w);
-        write_frame(&mut writer, w.as_slice())
-            .map_err(|_| SwarmError::ServerUnavailable(server))?;
-        let ack = read_frame(&mut reader).map_err(|_| SwarmError::ServerUnavailable(server))?;
-        let got = ServerId::decode_all(&ack).map_err(|_| SwarmError::ServerUnavailable(server))?;
-        if got != server {
-            return Err(SwarmError::protocol(format!(
-                "handshake: expected server {server}, got {got}"
-            )));
-        }
-
-        Ok(Box::new(TcpConnection {
-            server,
-            reader,
-            writer,
-        }))
+        connection(channel)
     }
 
     fn servers(&self) -> Vec<ServerId> {
@@ -1368,56 +920,6 @@ impl crate::transport::PeerHost for TcpTransport {
         self.close_channels_for(peer);
         // Dropping the entry shuts the responder down and joins it.
         self.peers.lock().remove(&peer);
-    }
-}
-
-struct TcpConnection {
-    server: ServerId,
-    reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
-}
-
-impl TcpConnection {
-    /// Ships one `header ++ payload` request frame and reads the reply.
-    /// The payload is borrowed all the way to the socket — this function
-    /// never copies it.
-    fn exchange(&mut self, header: &[u8], payload: &[u8]) -> Result<Response> {
-        let m = metrics();
-        let span = m.client_call_us.span("net.client.call");
-        // Any socket-level failure — including a read/write timeout on a
-        // hung server — becomes ServerUnavailable so the log layer's retry
-        // and reconnect machinery engages.
-        let unavailable = |server| {
-            metrics().client_call_errors.inc();
-            SwarmError::ServerUnavailable(server)
-        };
-        write_frame_vectored(&mut self.writer, header, payload)
-            .map_err(|_| unavailable(self.server))?;
-        m.client_bytes_out
-            .add((header.len() + payload.len()) as u64);
-        let frame = read_frame(&mut self.reader).map_err(|_| unavailable(self.server))?;
-        m.client_bytes_in.add(frame.len() as u64);
-        drop(span);
-        // Shared decode: Data/Located payloads alias the reply frame.
-        Response::decode_all_shared(&Bytes::from(frame))
-    }
-}
-
-impl Connection for TcpConnection {
-    fn call(&mut self, request: &Request) -> Result<Response> {
-        let mut header = ByteWriter::new();
-        let payload = request.encode_split(&mut header);
-        self.exchange(header.as_slice(), payload.unwrap_or(&[]))
-    }
-
-    fn call_prepared(&mut self, prepared: &PreparedRequest) -> Result<Response> {
-        // The header was encoded when the request was prepared; retries
-        // reuse it and the shared payload byte-for-byte.
-        self.exchange(prepared.header(), prepared.payload())
-    }
-
-    fn server(&self) -> ServerId {
-        self.server
     }
 }
 
@@ -1498,25 +1000,26 @@ impl Connection for MuxConnection {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::{read_frame, write_frame};
     use crate::handler::testing::EchoStore;
+    use crate::mux::encode_mux_hello;
+    use std::io::{BufReader, BufWriter, Read};
     use swarm_types::FragmentId;
 
-    fn spawn_echo(id: u32, runtime: Runtime) -> TcpServer {
+    fn spawn_echo(id: u32, config: ServerConfig) -> TcpServer {
         TcpServer::spawn_with_config(
             ServerId::new(id),
             "127.0.0.1:0",
             Arc::new(EchoStore::default()),
-            ServerConfig {
-                runtime,
-                ..ServerConfig::default()
-            },
+            config,
         )
         .unwrap()
     }
 
-    fn roundtrip_against(server: &TcpServer, client_runtime: Runtime) {
+    #[test]
+    fn tcp_roundtrip() {
+        let server = spawn_echo(0, ServerConfig::default());
         let transport = TcpTransport::with_servers([(server.id(), server.addr())]);
-        transport.set_runtime(client_runtime);
         let mut conn = transport.connect(server.id(), ClientId::new(5)).unwrap();
         assert_eq!(conn.call(&Request::Ping).unwrap(), Response::Ok);
 
@@ -1539,30 +1042,50 @@ mod tests {
         assert_eq!(resp, Response::Data(data[10..15].to_vec().into()));
     }
 
+    /// A peer that does not speak the mux session — a pre-mux client's
+    /// bare-client-id hello, or a frame too short to carry a request id
+    /// after a good handshake — loses its own connection and nothing
+    /// else: a mux client on the same server keeps getting `Ok`.
     #[test]
-    fn tcp_roundtrip() {
-        let server = TcpServer::spawn(
-            ServerId::new(0),
-            "127.0.0.1:0",
-            Arc::new(EchoStore::default()),
-        )
-        .unwrap();
-        roundtrip_against(&server, Runtime::default_for_platform());
-    }
+    fn non_mux_peers_are_closed_and_nobody_else_is() {
+        let server = spawn_echo(2, ServerConfig::default());
+        let transport = TcpTransport::with_servers([(server.id(), server.addr())]);
+        let mut healthy = transport.connect(server.id(), ClientId::new(1)).unwrap();
+        assert_eq!(healthy.call(&Request::Ping).unwrap(), Response::Ok);
 
-    /// Every client/server runtime combination speaks the same protocol:
-    /// the hello negotiation makes the pairs interoperable.
-    #[test]
-    fn runtime_matrix_interoperates() {
-        for server_rt in [Runtime::Blocking, Runtime::Epoll] {
-            if server_rt == Runtime::Epoll && !cfg!(target_os = "linux") {
-                continue;
+        let reads_eof = |mut stream: TcpStream| {
+            stream
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            let mut buf = [0u8; 16];
+            // EOF or a reset: the connection is gone either way. A
+            // timeout means the server kept it.
+            match stream.read(&mut buf) {
+                Ok(0) => true,
+                Ok(_) => false,
+                Err(e) => !matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ),
             }
-            let server = spawn_echo(1, server_rt);
-            for client_rt in [Runtime::Blocking, Runtime::Epoll] {
-                roundtrip_against(&server, client_rt);
-            }
-        }
+        };
+
+        // Pre-mux hello: the 4-byte client id with no MUX1 magic.
+        let mut classic = TcpStream::connect(server.addr()).unwrap();
+        let mut w = ByteWriter::new();
+        ClientId::new(77).encode(&mut w);
+        write_frame(&mut classic, w.as_slice()).unwrap();
+        assert!(reads_eof(classic), "bare-client-id hello must be refused");
+        assert_eq!(healthy.call(&Request::Ping).unwrap(), Response::Ok);
+
+        // Good handshake, then a frame shorter than the 8-byte request id.
+        let mut short = TcpStream::connect(server.addr()).unwrap();
+        write_frame(&mut short, &encode_mux_hello(ClientId::new(78))).unwrap();
+        let ack = read_frame(&mut short).unwrap();
+        assert_eq!(ServerId::decode_all(&ack).unwrap(), server.id());
+        write_frame(&mut short, &[1, 2, 3]).unwrap();
+        assert!(reads_eof(short), "id-less frame must close the connection");
+        assert_eq!(healthy.call(&Request::Ping).unwrap(), Response::Ok);
     }
 
     /// Peer responders published through [`PeerHost`] are dialable like
@@ -1593,7 +1116,7 @@ mod tests {
             }
         }
 
-        let server = spawn_echo(1, Runtime::default_for_platform());
+        let server = spawn_echo(1, ServerConfig::default());
         let transport = Arc::new(TcpTransport::with_servers([(server.id(), server.addr())]));
         let addr = BlockAddr::new(FragmentId::new(ClientId::new(7), 3), 128, 11);
         let peer = peer_server_id(ClientId::new(7));
@@ -1815,7 +1338,6 @@ mod tests {
     /// in-flight calls: a barrier handler refuses to answer any of the 8
     /// until all 8 have *arrived*, which is only possible if they share
     /// the socket and pipeline.
-    #[cfg(target_os = "linux")]
     #[test]
     fn pipelined_calls_share_one_connection() {
         struct BarrierHandler(std::sync::Barrier);
@@ -1831,7 +1353,6 @@ mod tests {
             "127.0.0.1:0",
             Arc::new(BarrierHandler(std::sync::Barrier::new(CALLS))),
             ServerConfig {
-                runtime: Runtime::Epoll,
                 workers: CALLS,
                 ..ServerConfig::default()
             },
@@ -1865,117 +1386,97 @@ mod tests {
         );
     }
 
-    /// Satellite regression: a connection that goes silent mid-frame is
-    /// reaped by the read deadline while a healthy connection on the same
-    /// server keeps serving. Covers both runtimes.
+    /// A connection that goes silent mid-frame is reaped by the read
+    /// deadline while a healthy connection on the same server keeps
+    /// serving.
     #[test]
     fn stalled_connection_is_reaped_while_healthy_conn_serves() {
-        for runtime in [Runtime::Blocking, Runtime::Epoll] {
-            if runtime == Runtime::Epoll && !cfg!(target_os = "linux") {
-                continue;
-            }
-            let server = TcpServer::spawn_with_config(
-                ServerId::new(4),
-                "127.0.0.1:0",
-                Arc::new(EchoStore::default()),
-                ServerConfig {
-                    runtime,
-                    read_deadline: Some(Duration::from_millis(150)),
-                    ..ServerConfig::default()
-                },
-            )
+        let server = spawn_echo(
+            4,
+            ServerConfig {
+                read_deadline: Some(Duration::from_millis(150)),
+                ..ServerConfig::default()
+            },
+        );
+
+        // Slow loris: real handshake, then 4 bytes of a frame header,
+        // then silence.
+        let mut loris = TcpStream::connect(server.addr()).unwrap();
+        write_frame(&mut loris, &encode_mux_hello(ClientId::new(99))).unwrap();
+        let ack = read_frame(&mut loris).unwrap();
+        assert_eq!(ServerId::decode_all(&ack).unwrap(), ServerId::new(4));
+        loris
+            .write_all(&swarm_types::constants::FRAME_MAGIC.to_le_bytes())
             .unwrap();
+        loris.flush().unwrap();
 
-            // Slow loris: real handshake, then 4 bytes of a frame header,
-            // then silence.
-            let mut loris = TcpStream::connect(server.addr()).unwrap();
-            write_frame(&mut loris, &{
-                let mut w = ByteWriter::new();
-                ClientId::new(99).encode(&mut w);
-                w.as_slice().to_vec()
-            })
+        let reaped_before = swarm_metrics::snapshot().counter("net.server.conns_reaped");
+
+        // Healthy client keeps getting served across the loris's
+        // reaping. Tests share one core, so this client may itself go
+        // quiet past the (short) deadline and be reaped — that is the
+        // deadline working as designed, and a real client redials; the
+        // assertion is that the *server* keeps answering throughout.
+        let transport = TcpTransport::with_servers([(ServerId::new(4), server.addr())]);
+        let mut conn = transport
+            .connect(ServerId::new(4), ClientId::new(1))
             .unwrap();
-            let ack = read_frame(&mut loris).unwrap();
-            assert_eq!(ServerId::decode_all(&ack).unwrap(), ServerId::new(4));
-            loris
-                .write_all(&swarm_types::constants::FRAME_MAGIC.to_le_bytes())
-                .unwrap();
-            loris.flush().unwrap();
-
-            let reaped_before = swarm_metrics::snapshot().counter("net.server.conns_reaped");
-
-            // Healthy client keeps getting served across the loris's
-            // reaping. Tests share one core, so this client may itself go
-            // quiet past the (short) deadline and be reaped — that is the
-            // deadline working as designed, and a real client redials; the
-            // assertion is that the *server* keeps answering throughout.
-            let transport = TcpTransport::with_servers([(ServerId::new(4), server.addr())]);
-            let mut conn = transport
-                .connect(ServerId::new(4), ClientId::new(1))
-                .unwrap();
-            let mut ping = move || {
-                let resp = match conn.call(&Request::Ping) {
-                    Ok(resp) => resp,
-                    Err(_) => {
-                        conn = transport
-                            .connect(ServerId::new(4), ClientId::new(1))
-                            .unwrap();
-                        conn.call(&Request::Ping).unwrap()
-                    }
-                };
-                assert_eq!(resp, Response::Ok);
-            };
-
-            // The loris is severed when its socket reads EOF/reset (a
-            // read *timeout* is not severance — keep waiting).
-            loris
-                .set_read_timeout(Some(Duration::from_millis(50)))
-                .unwrap();
-            let deadline = Instant::now() + Duration::from_secs(30);
-            let mut buf = [0u8; 16];
-            use std::io::Read;
-            loop {
-                ping();
-                match loris.read(&mut buf) {
-                    Ok(0) => break,
-                    Ok(n) => panic!("{runtime}: reaped conn sent {n} bytes"),
-                    Err(e)
-                        if matches!(
-                            e.kind(),
-                            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                        ) =>
-                    {
-                        assert!(
-                            Instant::now() < deadline,
-                            "{runtime}: stalled connection was never reaped"
-                        );
-                    }
-                    Err(_) => break, // reset is also a severed connection
+        let mut ping = move || {
+            let resp = match conn.call(&Request::Ping) {
+                Ok(resp) => resp,
+                Err(_) => {
+                    conn = transport
+                        .connect(ServerId::new(4), ClientId::new(1))
+                        .unwrap();
+                    conn.call(&Request::Ping).unwrap()
                 }
-            }
-            let reaped_after = swarm_metrics::snapshot().counter("net.server.conns_reaped");
-            assert!(reaped_after > reaped_before, "{runtime}: reap not counted");
-            // And the server still answers after the reap.
+            };
+            assert_eq!(resp, Response::Ok);
+        };
+
+        // The loris is severed when its socket reads EOF/reset (a
+        // read *timeout* is not severance — keep waiting).
+        loris
+            .set_read_timeout(Some(Duration::from_millis(50)))
+            .unwrap();
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let mut buf = [0u8; 16];
+        loop {
             ping();
+            match loris.read(&mut buf) {
+                Ok(0) => break,
+                Ok(n) => panic!("reaped conn sent {n} bytes"),
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                    ) =>
+                {
+                    assert!(
+                        Instant::now() < deadline,
+                        "stalled connection was never reaped"
+                    );
+                }
+                Err(_) => break, // reset is also a severed connection
+            }
         }
+        let reaped_after = swarm_metrics::snapshot().counter("net.server.conns_reaped");
+        assert!(reaped_after > reaped_before, "reap not counted");
+        // And the server still answers after the reap.
+        ping();
     }
 
     /// A healthy-but-idle pooled connection is also reaped (freeing
     /// server state); the client transparently redials on next use.
-    #[cfg(target_os = "linux")]
     #[test]
     fn idle_connection_reap_is_transparent_to_pool() {
-        let server = TcpServer::spawn_with_config(
-            ServerId::new(6),
-            "127.0.0.1:0",
-            Arc::new(EchoStore::default()),
+        let server = spawn_echo(
+            6,
             ServerConfig {
-                runtime: Runtime::Epoll,
                 read_deadline: Some(Duration::from_millis(100)),
                 ..ServerConfig::default()
             },
-        )
-        .unwrap();
+        );
         let transport = Arc::new(TcpTransport::with_servers([(
             ServerId::new(6),
             server.addr(),
@@ -1994,12 +1495,11 @@ mod tests {
         );
     }
 
-    /// A saturated epoll server with a bounded per-client backlog answers
+    /// A saturated server with a bounded per-client backlog answers
     /// excess stores with `Busy` pushback instead of queueing unboundedly;
     /// reads are never bounced.
-    #[cfg(target_os = "linux")]
     #[test]
-    fn saturated_epoll_server_bounces_stores_with_busy() {
+    fn saturated_server_bounces_stores_with_busy() {
         struct SlowStore;
         impl RequestHandler for SlowStore {
             fn handle(&self, _client: ClientId, _request: Request) -> Response {
@@ -2012,7 +1512,6 @@ mod tests {
             "127.0.0.1:0",
             Arc::new(SlowStore),
             ServerConfig {
-                runtime: Runtime::Epoll,
                 workers: 1,
                 admission: crate::admission::AdmissionConfig {
                     quantum: 4096,
@@ -2024,7 +1523,6 @@ mod tests {
         .unwrap();
         let throttled_before = swarm_metrics::snapshot().counter("server.client_throttled");
         let transport = TcpTransport::with_servers([(server.id(), server.addr())]);
-        transport.set_runtime(Runtime::Epoll);
         let mut conn = transport.connect(server.id(), ClientId::new(1)).unwrap();
         // Pipeline a burst of stores: with one worker, a 5 ms handler, and
         // a backlog of one, most of the burst must bounce.

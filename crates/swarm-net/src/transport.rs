@@ -15,7 +15,7 @@ use crate::proto::{PreparedRequest, Request, Response};
 /// inside `start_prepared` and hand back a `Ready` — callers get identical
 /// semantics (window degrades to 1 effective slot) with no special-casing.
 pub enum PendingCall {
-    /// The call already completed (blocking transports, or an error at
+    /// The call already completed (synchronous transports, or an error at
     /// submission time).
     Ready(Result<Response>),
     /// The call is in flight; the closure blocks until its response lands.
@@ -77,7 +77,7 @@ pub trait Connection: Send {
     /// Pipelined callers keep up to [`Connection::pipeline_width`] of the
     /// returned [`PendingCall`]s outstanding and harvest them in any
     /// order. The default completes the call synchronously (one effective
-    /// slot), which is correct for blocking and in-process transports; the
+    /// slot), which is correct for synchronous in-process transports; the
     /// mux transport overrides it to put many requests on the wire first.
     fn start_prepared(&mut self, prepared: &PreparedRequest) -> PendingCall {
         PendingCall::ready(self.call_prepared(prepared))

@@ -1,13 +1,11 @@
-//! Bounded worker pool for serving connections.
+//! Bounded worker pool for running request handlers.
 //!
-//! The original server spawned one OS thread per accepted connection —
-//! unbounded: a burst of clients (or a misbehaving one redialing in a
-//! loop) could exhaust threads and memory. [`WorkerPool`] caps server-side
-//! concurrency at a fixed number of eagerly spawned workers; accepted
-//! connections become jobs on an unbounded queue and wait for a free
-//! worker. Requests from different connections execute truly concurrently
-//! up to the pool width — which is what the sharded store and journal
-//! group commit in `swarm-server` are built to exploit.
+//! [`WorkerPool`] caps server-side concurrency at a fixed number of
+//! eagerly spawned workers, however many connections the reactor holds:
+//! decoded requests become jobs on a queue and wait for a free worker.
+//! Requests from different connections execute truly concurrently up to
+//! the pool width — which is what the sharded store and journal group
+//! commit in `swarm-server` are built to exploit.
 
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex};
@@ -23,8 +21,8 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 /// Jobs are queued unbounded and executed FIFO by the first free worker.
 /// Dropping the pool closes the queue and joins every worker after it
 /// finishes its current job — callers that need prompt shutdown must
-/// arrange for in-flight jobs to terminate (the TCP server severs its
-/// connections first, which unblocks workers parked in socket reads).
+/// arrange for in-flight jobs to terminate (TCP server jobs are single
+/// handler invocations and never wait on a socket).
 pub struct WorkerPool {
     sender: Option<Sender<Job>>,
     workers: Vec<JoinHandle<()>>,

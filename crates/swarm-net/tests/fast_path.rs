@@ -1,10 +1,7 @@
 //! Reactor fast-path integration: a handler that answers reads via
-//! `try_handle_fast` serves them inline on the epoll reactor thread,
+//! `try_handle_fast` serves them inline on the reactor thread,
 //! skipping the worker pool — and a read issued behind a slow store
-//! completes while that store is still running. Linux-only — the
-//! reactor needs epoll.
-
-#![cfg(target_os = "linux")]
+//! completes while that store is still running.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -12,7 +9,7 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 use swarm_net::tcp::{ServerConfig, TcpServer, TcpTransport};
 use swarm_net::transport::Transport;
-use swarm_net::{PreparedRequest, Request, RequestHandler, Response, Runtime};
+use swarm_net::{PreparedRequest, Request, RequestHandler, Response};
 use swarm_types::{ClientId, FragmentId, ServerId};
 
 /// How long the worker path dawdles per store — the clock the inline
@@ -70,12 +67,11 @@ fn inline_reads_answer_while_a_store_crawls_through_the_workers() {
         "127.0.0.1:0",
         Arc::new(SlowStore::default()),
         ServerConfig {
-            runtime: Runtime::Epoll,
             workers: 2,
             ..ServerConfig::default()
         },
     )
-    .expect("spawn epoll server");
+    .expect("spawn server");
     let transport = Arc::new(TcpTransport::with_servers([(
         ServerId::new(1),
         server.addr(),

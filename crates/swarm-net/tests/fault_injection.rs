@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use swarm_net::tcp::{TcpServer, TcpTransport};
+use swarm_net::tcp::{ServerConfig, TcpServer, TcpTransport};
 use swarm_net::{
     ConnectionPool, FaultHandler, FaultPlan, FaultTransport, MemTransport, Request, RequestHandler,
     Response, Transport,
@@ -231,9 +231,16 @@ fn tcp_server_side_truncation_tears_a_real_frame() {
     let server = ServerId::new(1);
     let store = Arc::new(CountingStore::default());
     let plan = Arc::new(FaultPlan::new());
-    let tcp_server =
-        TcpServer::spawn_with_faults(server, "127.0.0.1:0", store.clone(), Some(plan.clone()))
-            .unwrap();
+    let tcp_server = TcpServer::spawn_with_config(
+        server,
+        "127.0.0.1:0",
+        store.clone(),
+        ServerConfig {
+            faults: Some(plan.clone()),
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
 
     let tcp = TcpTransport::new();
     tcp.add_server(server, tcp_server.addr());

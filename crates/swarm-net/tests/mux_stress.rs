@@ -1,8 +1,6 @@
-//! Integration stress for the epoll runtime: request-id multiplexing
+//! Integration stress for the TCP session: request-id multiplexing
 //! under random pipelined interleavings, and a server holding 1000
-//! concurrent connections. Linux-only — the reactor needs epoll.
-
-#![cfg(target_os = "linux")]
+//! concurrent connections.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -11,7 +9,7 @@ use parking_lot::Mutex;
 use proptest::prelude::*;
 use swarm_net::tcp::{ServerConfig, TcpServer, TcpTransport};
 use swarm_net::transport::Transport;
-use swarm_net::{Request, RequestHandler, Response, Runtime};
+use swarm_net::{Request, RequestHandler, Response};
 use swarm_types::{ClientId, FragmentId, ServerId};
 
 /// Minimal in-memory fragment store: enough Store/Read/Ping to exercise
@@ -50,12 +48,11 @@ fn epoll_server(id: u32, workers: usize) -> TcpServer {
         "127.0.0.1:0",
         Arc::new(MapStore::default()),
         ServerConfig {
-            runtime: Runtime::Epoll,
             workers,
             ..ServerConfig::default()
         },
     )
-    .expect("spawn epoll server")
+    .expect("spawn server")
 }
 
 /// Deterministic payload for `(thread, call)` so a cross-matched response
@@ -198,9 +195,8 @@ fn epoll_server_handles_1000_concurrent_connections() {
 
     let server = epoll_server(2, 8);
     let transport = TcpTransport::with_servers([(ServerId::new(2), server.addr())]);
-    // Blocking client runtime: every connection is a real socket, so the
-    // server genuinely holds 1000 of them (the mux client would share 1).
-    transport.set_runtime(Runtime::Blocking);
+    // Channels are shared per (server, client) pair, so 1000 distinct
+    // client ids are 1000 real sockets the server genuinely holds.
     transport.set_call_timeout(Some(Duration::from_secs(60)));
 
     let mut conns = Vec::with_capacity(CONNS);
@@ -219,4 +215,5 @@ fn epoll_server_handles_1000_concurrent_connections() {
             Response::Ok
         );
     }
+    assert_eq!(transport.mux_channels(), CONNS, "one socket per client id");
 }
