@@ -1,29 +1,36 @@
-//! Word-wide kernel benchmarks: the slice-by-8 CRC32, the u64-wide
-//! parity XOR, and the SWAR GF(2^8) Reed–Solomon multiply-fold against
-//! their byte-at-a-time baselines, plus a full 4+2 two-erasure decode and
-//! end-to-end store throughput over the zero-copy request path.
+//! Word-wide kernel benchmarks: the CRC32 (the kernel the CPU picks and
+//! the portable slice-by-8 loop), the u64-wide parity XOR, and the SWAR
+//! GF(2^8) Reed–Solomon multiply-fold against their byte-at-a-time
+//! baselines, plus a full 4+2 two-erasure decode and end-to-end store
+//! throughput over the zero-copy request path.
 //!
 //! The baselines (`crc32_baseline`, `xor_into_baseline`) are the exact
-//! scalar loops the optimized kernels replaced; the ratio between the two
-//! rows of each group is the kernel speedup.
+//! scalar loops the optimized kernels replaced; the ratio between the
+//! rows of each group is the kernel speedup. `crc32/dispatch` equals
+//! `crc32/portable` on a CPU without a carry-less multiplier.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use swarm_bench::mem_cluster;
 use swarm_net::{PreparedRequest, Request, Transport};
 use swarm_types::{ClientId, FragmentId, ServerId};
 
-const MB: usize = 1_000_000;
 const MIB: usize = 1 << 20;
 
 fn bench_crc32(c: &mut Criterion) {
-    use swarm_types::{crc::crc32_baseline, crc32};
-    let buf: Vec<u8> = (0..MB).map(|i| (i % 251) as u8).collect();
+    use swarm_types::crc::{crc32_baseline, crc32_portable};
+    use swarm_types::crc32;
+    let buf: Vec<u8> = (0..MIB).map(|i| (i % 251) as u8).collect();
     assert_eq!(crc32(&buf), crc32_baseline(&buf));
-    let mut g = c.benchmark_group("crc32_1MB");
-    g.throughput(Throughput::Bytes(MB as u64));
-    g.bench_function("slice_by_8", |b| b.iter(|| crc32(&buf)));
-    g.bench_function("baseline_bytewise", |b| b.iter(|| crc32_baseline(&buf)));
-    g.finish();
+    assert_eq!(crc32_portable(&buf), crc32_baseline(&buf));
+    for (name, len) in [("crc32_1MiB", MIB), ("crc32_4KiB", 4096)] {
+        let buf = &buf[..len];
+        let mut g = c.benchmark_group(name);
+        g.throughput(Throughput::Bytes(len as u64));
+        g.bench_function("dispatch", |b| b.iter(|| crc32(buf)));
+        g.bench_function("portable", |b| b.iter(|| crc32_portable(buf)));
+        g.bench_function("baseline_bytewise", |b| b.iter(|| crc32_baseline(buf)));
+        g.finish();
+    }
 }
 
 fn bench_xor_into(c: &mut Criterion) {

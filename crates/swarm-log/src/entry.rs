@@ -95,11 +95,39 @@ impl Entry {
     /// Encoded size in bytes.
     pub fn encoded_len(&self) -> usize {
         match self {
-            Entry::Block { create, data, .. } => 1 + 2 + 4 + create.len() + 4 + data.len(),
-            Entry::Record { data, .. } => 1 + 2 + 2 + 4 + data.len(),
+            Entry::Block { create, data, .. } => Entry::block_encoded_len(create.len(), data.len()),
+            Entry::Record { data, .. } => Entry::record_encoded_len(data.len()),
             Entry::Delete { .. } => 1 + 2 + 16,
             Entry::Checkpoint { data, .. } => 1 + 2 + 4 + data.len(),
         }
+    }
+
+    /// Encoded size of a Block entry, from its field lengths alone.
+    pub fn block_encoded_len(create_len: usize, data_len: usize) -> usize {
+        1 + 2 + 4 + create_len + 4 + data_len
+    }
+
+    /// Encoded size of a Record entry, from its payload length alone.
+    pub fn record_encoded_len(data_len: usize) -> usize {
+        1 + 2 + 2 + 4 + data_len
+    }
+
+    /// Writes a Block entry from borrowed fields: the append path's way
+    /// of encoding one without first owning an [`Entry`].
+    pub(crate) fn encode_block(w: &mut ByteWriter, service: ServiceId, create: &[u8], data: &[u8]) {
+        w.put_u8(tag::BLOCK);
+        service.encode(w);
+        w.put_bytes(create);
+        w.put_bytes(data);
+    }
+
+    /// Writes a Record entry from borrowed fields (see
+    /// [`Entry::encode_block`]).
+    pub(crate) fn encode_record(w: &mut ByteWriter, service: ServiceId, kind: u16, data: &[u8]) {
+        w.put_u8(tag::RECORD);
+        service.encode(w);
+        w.put_u16(kind);
+        w.put_bytes(data);
     }
 
     /// Byte offset of a Block entry's data payload relative to the start of
@@ -116,22 +144,12 @@ impl Encode for Entry {
                 service,
                 create,
                 data,
-            } => {
-                w.put_u8(tag::BLOCK);
-                service.encode(w);
-                w.put_bytes(create);
-                w.put_bytes(data);
-            }
+            } => Entry::encode_block(w, *service, create, data),
             Entry::Record {
                 service,
                 kind,
                 data,
-            } => {
-                w.put_u8(tag::RECORD);
-                service.encode(w);
-                w.put_u16(*kind);
-                w.put_bytes(data);
-            }
+            } => Entry::encode_record(w, *service, *kind, data),
             Entry::Delete { service, addr } => {
                 w.put_u8(tag::DELETE);
                 service.encode(w);

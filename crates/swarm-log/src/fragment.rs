@@ -265,7 +265,8 @@ impl SealedFragment {
 #[derive(Debug)]
 pub struct FragmentBuilder {
     header: FragmentHeader,
-    buf: Vec<u8>,
+    /// `header || entries so far`; entries are encoded straight into it.
+    buf: ByteWriter,
     header_len: usize,
     capacity: usize,
     entries: u32,
@@ -283,8 +284,8 @@ impl FragmentBuilder {
             capacity > header_len,
             "fragment capacity {capacity} smaller than header {header_len}"
         );
-        let mut buf = Vec::with_capacity(capacity);
-        buf.resize(header_len, 0); // placeholder; rewritten at seal
+        let mut buf = ByteWriter::with_capacity(capacity);
+        buf.put_raw(&vec![0; header_len]); // placeholder; rewritten at seal
         FragmentBuilder {
             header,
             buf,
@@ -337,17 +338,18 @@ impl FragmentBuilder {
         if start < self.header_len || end > self.buf.len() {
             return None;
         }
-        Some(&self.buf[start..end])
+        Some(&self.buf.as_slice()[start..end])
     }
 
-    fn append_entry(&mut self, entry: &Entry) -> u32 {
-        let offset = self.buf.len() as u32;
-        let mut w = ByteWriter::with_capacity(entry.encoded_len());
-        entry.encode(&mut w);
-        debug_assert_eq!(w.len(), entry.encoded_len());
-        self.buf.extend_from_slice(w.as_slice());
+    /// Runs `encode` against the build buffer as one entry of `len`
+    /// encoded bytes, returning the entry's offset.
+    fn append_with(&mut self, len: usize, what: &str, encode: impl FnOnce(&mut ByteWriter)) -> u32 {
+        assert!(self.fits(len), "{what} does not fit");
+        let offset = self.buf.len();
+        encode(&mut self.buf);
+        debug_assert_eq!(self.buf.len(), offset + len);
         self.entries += 1;
-        offset
+        offset as u32
     }
 
     /// Appends a block entry, returning the address of its data payload.
@@ -357,13 +359,10 @@ impl FragmentBuilder {
     /// Panics if the entry does not fit — callers check [`Self::fits`]
     /// first (the log layer seals and rolls to a new fragment instead).
     pub fn append_block(&mut self, service: ServiceId, create: &[u8], data: &[u8]) -> BlockAddr {
-        let entry = Entry::Block {
-            service,
-            create: create.to_vec(),
-            data: data.to_vec(),
-        };
-        assert!(self.fits(entry.encoded_len()), "block does not fit");
-        let entry_offset = self.append_entry(&entry);
+        let len = Entry::block_encoded_len(create.len(), data.len());
+        let entry_offset = self.append_with(len, "block", |w| {
+            Entry::encode_block(w, service, create, data)
+        });
         let data_offset = entry_offset + Entry::block_data_offset(create.len()) as u32;
         BlockAddr::new(self.header.fid, data_offset, data.len() as u32)
     }
@@ -374,13 +373,10 @@ impl FragmentBuilder {
     ///
     /// Panics if the entry does not fit (see [`Self::append_block`]).
     pub fn append_record(&mut self, service: ServiceId, kind: u16, data: &[u8]) -> u32 {
-        let entry = Entry::Record {
-            service,
-            kind,
-            data: data.to_vec(),
-        };
-        assert!(self.fits(entry.encoded_len()), "record does not fit");
-        self.append_entry(&entry)
+        let len = Entry::record_encoded_len(data.len());
+        self.append_with(len, "record", |w| {
+            Entry::encode_record(w, service, kind, data)
+        })
     }
 
     /// Appends a block-deletion record.
@@ -390,8 +386,7 @@ impl FragmentBuilder {
     /// Panics if the entry does not fit (see [`Self::append_block`]).
     pub fn append_delete(&mut self, service: ServiceId, addr: BlockAddr) -> u32 {
         let entry = Entry::Delete { service, addr };
-        assert!(self.fits(entry.encoded_len()), "delete does not fit");
-        self.append_entry(&entry)
+        self.append_with(entry.encoded_len(), "delete", |w| entry.encode(w))
     }
 
     /// Appends a checkpoint entry and marks the fragment.
@@ -404,9 +399,9 @@ impl FragmentBuilder {
             service,
             data: data.to_vec(),
         };
-        assert!(self.fits(entry.encoded_len()), "checkpoint does not fit");
+        let offset = self.append_with(entry.encoded_len(), "checkpoint", |w| entry.encode(w));
         self.marked = true;
-        self.append_entry(&entry)
+        offset
     }
 
     /// Forces the fragment to be stored *marked* even without a checkpoint
@@ -419,7 +414,8 @@ impl FragmentBuilder {
     /// Finalizes the fragment: fills in body length/CRC and the header
     /// checksum.
     pub fn seal(mut self) -> SealedFragment {
-        let body = &self.buf[self.header_len..];
+        let mut buf = self.buf.into_bytes();
+        let body = &buf[self.header_len..];
         self.header.body_len = body.len() as u32;
         self.header.body_crc = crc32(body);
         if self.marked {
@@ -428,10 +424,10 @@ impl FragmentBuilder {
         let mut w = ByteWriter::with_capacity(self.header_len);
         self.header.encode(&mut w);
         debug_assert_eq!(w.len(), self.header_len);
-        self.buf[..self.header_len].copy_from_slice(w.as_slice());
+        buf[..self.header_len].copy_from_slice(w.as_slice());
         SealedFragment {
             header: self.header,
-            bytes: self.buf.into(),
+            bytes: buf.into(),
             marked: self.marked,
         }
     }
@@ -497,6 +493,7 @@ impl FragmentView {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use swarm_types::ClientId;
 
     fn header(fid_seq: u64) -> FragmentHeader {
@@ -647,5 +644,50 @@ mod tests {
         let view = FragmentView::parse(w.as_slice()).unwrap();
         assert!(view.header.is_parity());
         assert!(view.entries.is_empty());
+    }
+
+    proptest! {
+        /// Appending from borrowed fields writes exactly what encoding an
+        /// owned [`Entry`] would have, at the addresses a parse finds.
+        #[test]
+        fn prop_borrowed_appends_equal_entry_encode(
+            items in proptest::collection::vec(
+                (
+                    any::<bool>(),
+                    1u16..9,
+                    any::<u16>(),
+                    proptest::collection::vec(any::<u8>(), 0..12),
+                    proptest::collection::vec(any::<u8>(), 0..300),
+                ),
+                0..24,
+            ),
+        ) {
+            let mut b = FragmentBuilder::new(header(0), 16 * 1024);
+            let mut want = ByteWriter::new();
+            let mut addrs = Vec::new();
+            let mut entries = Vec::new();
+            for (is_block, service, kind, create, data) in items {
+                let service = ServiceId::new(service);
+                let entry = if is_block {
+                    addrs.push(Some(b.append_block(service, &create, &data)));
+                    Entry::Block { service, create, data }
+                } else {
+                    b.append_record(service, kind, &data);
+                    addrs.push(None);
+                    Entry::Record { service, kind, data }
+                };
+                entry.encode(&mut want);
+                entries.push(entry);
+            }
+            let sealed = b.seal();
+            let header_len = sealed.header.encoded_len();
+            prop_assert_eq!(&sealed.bytes[header_len..], want.as_slice());
+
+            let view = FragmentView::parse(&sealed.bytes).unwrap();
+            let parsed: Vec<_> = view.entries.iter().map(|e| e.block_addr).collect();
+            prop_assert_eq!(parsed, addrs);
+            let parsed: Vec<_> = view.entries.into_iter().map(|e| e.entry).collect();
+            prop_assert_eq!(parsed, entries);
+        }
     }
 }

@@ -771,12 +771,7 @@ impl Log {
                 "service id 0 is reserved for the log layer",
             ));
         }
-        let entry = Entry::Block {
-            service,
-            create: create.to_vec(),
-            data: data.to_vec(),
-        };
-        let need = entry.encoded_len();
+        let need = Entry::block_encoded_len(create.len(), data.len());
         let mut state = self.state.lock();
         let builder = self.ensure_builder(&mut state, need)?;
         let addr = builder.append_block(service, create, data);
@@ -799,12 +794,7 @@ impl Log {
                 "service id 0 is reserved for the log layer",
             ));
         }
-        let entry = Entry::Record {
-            service,
-            kind,
-            data: data.to_vec(),
-        };
-        let need = entry.encoded_len();
+        let need = Entry::record_encoded_len(data.len());
         let mut state = self.state.lock();
         let builder = self.ensure_builder(&mut state, need)?;
         let offset = builder.append_record(service, kind, data);

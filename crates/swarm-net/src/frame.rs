@@ -11,8 +11,10 @@
 //! ```
 //!
 //! The CRC covers the payload only; the magic catches stream
-//! desynchronization and non-Swarm peers. Frames are bounded so a bad
-//! length prefix cannot trigger a giant allocation.
+//! desynchronization and non-Swarm peers. Frames are bounded, and a
+//! receiver reserves memory only [`READ_AHEAD`] bytes ahead of what has
+//! actually arrived, so a bad length prefix cannot trigger a giant
+//! allocation.
 
 use std::io::{Read, Write};
 
@@ -22,6 +24,12 @@ use swarm_types::{Result, SwarmError};
 
 /// Maximum frame payload (16 MiB): a fragment plus protocol overhead.
 pub const MAX_FRAME_LEN: usize = 16 << 20;
+
+/// How far a [`FrameReader`]'s payload reservation may run ahead of the
+/// bytes it has received (256 KiB). The 12-byte header is unauthenticated:
+/// its length field alone must not be able to make a receiver reserve
+/// [`MAX_FRAME_LEN`].
+pub const READ_AHEAD: usize = 256 << 10;
 
 /// Writes one frame containing `payload` to `w`, flushing it.
 ///
@@ -124,6 +132,9 @@ pub struct FrameReader {
     /// Payload length/CRC parsed from the header (`None` until complete).
     want: Option<(usize, u32)>,
     payload: Vec<u8>,
+    /// Checksum of `payload` so far, folded in as each read lands (while
+    /// the bytes are still in cache) instead of in a second pass.
+    crc: Crc32,
 }
 
 impl FrameReader {
@@ -135,6 +146,12 @@ impl FrameReader {
     /// True when mid-frame (a reaped connection with `in_frame` lost data).
     pub fn in_frame(&self) -> bool {
         self.header_filled > 0 || self.want.is_some()
+    }
+
+    /// Bytes currently reserved for the partial frame's payload: at most
+    /// [`READ_AHEAD`] more than have arrived.
+    pub fn reserved(&self) -> usize {
+        self.payload.capacity()
     }
 
     /// Pumps bytes from `r` until a frame completes, the reader would
@@ -180,29 +197,33 @@ impl FrameReader {
                 }
                 let crc = u32::from_le_bytes(self.header[8..12].try_into().unwrap());
                 self.want = Some((len, crc));
-                self.payload = Vec::with_capacity(len.min(MAX_FRAME_LEN));
             }
 
             let (len, want_crc) = self.want.unwrap();
             while self.payload.len() < len {
-                // Bounded stack buffer: appends without pre-zeroing the
-                // whole (up to 16 MiB) payload allocation.
-                let mut chunk = [0u8; 16 * 1024];
-                let room = (len - self.payload.len()).min(chunk.len());
-                match r.read(&mut chunk[..room]) {
-                    Ok(0) => return Err(eof_mid_frame(self.payload.len(), len)),
-                    Ok(n) => self.payload.extend_from_slice(&chunk[..n]),
-                    Err(e) => match e.kind() {
-                        std::io::ErrorKind::WouldBlock => return Ok(FrameProgress::Blocked),
-                        std::io::ErrorKind::Interrupted => continue,
-                        _ => return Err(SwarmError::Io(e)),
-                    },
+                // Straight into the payload's spare capacity (`take` +
+                // `read_to_end` neither zero it nor read past `room`),
+                // which grows one bounded step at a time and only once
+                // the previous step is full, not on every wake-up.
+                let filled = self.payload.len();
+                if filled == self.payload.capacity() {
+                    self.payload.reserve_exact((len - filled).min(READ_AHEAD));
+                }
+                let room = (self.payload.capacity() - filled).min(len - filled);
+                let res = r.by_ref().take(room as u64).read_to_end(&mut self.payload);
+                // A failed read keeps what arrived before the failure.
+                self.crc.update(&self.payload[filled..]);
+                match res {
+                    Ok(n) if n < room => return Err(eof_mid_frame(self.payload.len(), len)),
+                    Ok(_) => {}
+                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                        return Ok(FrameProgress::Blocked)
+                    }
+                    Err(e) => return Err(SwarmError::Io(e)),
                 }
             }
 
-            let mut got_crc = Crc32::new();
-            got_crc.update(&self.payload);
-            let got_crc = got_crc.finish();
+            let got_crc = std::mem::take(&mut self.crc).finish();
             if got_crc != want_crc {
                 return Err(SwarmError::corrupt(format!(
                     "frame checksum mismatch: stored {want_crc:#010x}, computed {got_crc:#010x}"
@@ -222,49 +243,21 @@ fn eof_mid_frame(got: usize, want: usize) -> SwarmError {
     ))
 }
 
-/// Reads one frame from `r`, verifying magic and checksum.
+/// Reads one frame from the blocking reader `r`, verifying magic and
+/// checksum.
 ///
 /// # Errors
 ///
-/// Returns [`SwarmError::Io`] on reader failure (including a clean EOF
-/// mid-frame) and [`SwarmError::Corrupt`] on bad magic, oversized length,
-/// or checksum mismatch.
+/// Returns [`SwarmError::Io`] on reader failure (including EOF, at a
+/// frame boundary or mid-frame, and a read timeout) and
+/// [`SwarmError::Corrupt`] on bad magic, oversized length, or checksum
+/// mismatch.
 pub fn read_frame<R: Read>(mut r: R) -> Result<Vec<u8>> {
-    let mut header = [0u8; 12];
-    r.read_exact(&mut header)?;
-    let magic = u32::from_le_bytes(header[0..4].try_into().unwrap());
-    if magic != FRAME_MAGIC {
-        return Err(SwarmError::corrupt(format!(
-            "bad frame magic {magic:#010x}"
-        )));
+    match FrameReader::new().read_from(&mut r)? {
+        FrameProgress::Frame(payload) => Ok(payload),
+        FrameProgress::Eof => Err(eof_mid_frame(0, 12)),
+        FrameProgress::Blocked => Err(SwarmError::Io(std::io::ErrorKind::WouldBlock.into())),
     }
-    let len = u32::from_le_bytes(header[4..8].try_into().unwrap()) as usize;
-    if len > MAX_FRAME_LEN {
-        return Err(SwarmError::corrupt(format!(
-            "frame length {len} exceeds {MAX_FRAME_LEN}"
-        )));
-    }
-    let want_crc = u32::from_le_bytes(header[8..12].try_into().unwrap());
-    // Reserve + read_to_end instead of a zero-filled Vec: `read_exact`
-    // into `vec![0u8; len]` would scrub up to 16 MiB per frame before
-    // overwriting every byte. `take` bounds the read at `len`.
-    let mut payload = Vec::with_capacity(len);
-    (&mut r).take(len as u64).read_to_end(&mut payload)?;
-    if payload.len() != len {
-        return Err(SwarmError::Io(std::io::Error::new(
-            std::io::ErrorKind::UnexpectedEof,
-            format!("frame truncated: wanted {len} bytes, got {}", payload.len()),
-        )));
-    }
-    let mut got_crc = Crc32::new();
-    got_crc.update(&payload);
-    let got_crc = got_crc.finish();
-    if got_crc != want_crc {
-        return Err(SwarmError::corrupt(format!(
-            "frame checksum mismatch: stored {want_crc:#010x}, computed {got_crc:#010x}"
-        )));
-    }
-    Ok(payload)
 }
 
 #[cfg(test)]

@@ -18,6 +18,7 @@ use std::collections::{HashMap, VecDeque};
 use std::io::Write;
 use std::net::TcpStream;
 use std::os::fd::AsRawFd;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
@@ -80,7 +81,6 @@ impl Seg {
 type PendingSlot = Option<Result<Bytes>>;
 
 struct MuxState {
-    next_id: u64,
     /// Bulk frames (requests carrying a payload — stores). Each frame is
     /// a contiguous run of segments: `Owned(head)` then `Shared(payload)`.
     outbox: VecDeque<Seg>,
@@ -102,6 +102,11 @@ struct MuxState {
 /// response with that id.
 pub(crate) struct MuxChannel {
     server: ServerId,
+    /// Next request id. Outside `state` so a caller can number, checksum
+    /// and assemble its frame without the lock every response and every
+    /// send needs; frames may therefore reach the wire out of id order,
+    /// which is fine, responses match by id.
+    next_id: AtomicU64,
     state: Mutex<MuxState>,
     cv: Condvar,
     handle: OnceLock<Handle>,
@@ -111,8 +116,8 @@ impl MuxChannel {
     pub(crate) fn new(server: ServerId) -> Arc<MuxChannel> {
         Arc::new(MuxChannel {
             server,
+            next_id: AtomicU64::new(1),
             state: Mutex::new(MuxState {
-                next_id: 1,
                 outbox: VecDeque::new(),
                 priority: VecDeque::new(),
                 pending: HashMap::new(),
@@ -167,19 +172,21 @@ impl MuxChannel {
     /// with [`MuxChannel::finish`]; a caller may hold any number of
     /// outstanding ids, which is what pipelined stores ride on.
     pub(crate) fn begin(&self, header: &[u8], payload: &Bytes) -> Result<u64> {
-        let id = {
+        // Relaxed: the counter only hands out distinct numbers.
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        let id_bytes = id.to_le_bytes();
+        // The checksum walks the whole payload (up to 16 MiB): done here,
+        // before the lock.
+        let fh = frame_header_for(&[&id_bytes, header, payload])?;
+        let mut head = Vec::with_capacity(12 + MUX_ID_PREFIX + header.len());
+        head.extend_from_slice(&fh);
+        head.extend_from_slice(&id_bytes);
+        head.extend_from_slice(header);
+        {
             let mut st = self.state.lock();
             if st.dead {
                 return Err(SwarmError::ServerUnavailable(self.server));
             }
-            let id = st.next_id;
-            st.next_id += 1;
-            let id_bytes = id.to_le_bytes();
-            let fh = frame_header_for(&[&id_bytes, header, payload])?;
-            let mut head = Vec::with_capacity(12 + MUX_ID_PREFIX + header.len());
-            head.extend_from_slice(&fh);
-            head.extend_from_slice(&id_bytes);
-            head.extend_from_slice(header);
             if payload.is_empty() {
                 // Read/control frame: the priority lane, so it cannot
                 // queue behind a window's worth of store payloads.
@@ -193,8 +200,7 @@ impl MuxChannel {
             if inflight > st.inflight_peak {
                 st.inflight_peak = inflight;
             }
-            id
-        };
+        }
         if let Some(h) = self.handle.get() {
             h.notify();
         }
@@ -549,6 +555,82 @@ mod tests {
             // header and 8-byte id) names the fill of its own payload.
             assert_eq!(head[20], payload[0], "store frame torn apart");
         }
+    }
+
+    /// Regression: `begin` used to number and checksum its frame (up to
+    /// 16 MiB of CRC) while holding the lock `pump_read` needs to deliver
+    /// every response. The lock is held here the way `pump_read` holds it;
+    /// a store's `begin` must still get past its id allocation (the
+    /// checksum needs the id, and the lock is taken only after both), and
+    /// the answered call's `finish` must not wait for the store.
+    #[test]
+    fn begin_numbers_its_frame_outside_the_channel_lock() {
+        let ch = MuxChannel::new(ServerId::new(4));
+        let answered = ch.begin(b"read", &Bytes::new()).unwrap();
+        let mut st = ch.state.lock();
+        st.priority.clear();
+
+        let ch2 = ch.clone();
+        let store =
+            std::thread::spawn(move || ch2.begin(b"store", &Bytes::from(vec![7u8; 1 << 20])));
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while ch.next_id.load(Ordering::Relaxed) == answered + 1 {
+            assert!(Instant::now() < deadline, "begin is waiting for the lock");
+            std::thread::yield_now();
+        }
+        // The response for the first call lands (what pump_read does)…
+        *st.pending.get_mut(&answered).unwrap() = Some(Ok(Bytes::from(b"reply".to_vec())));
+        drop(st);
+        ch.cv.notify_all();
+        // …and its caller gets it whether or not the store has queued yet.
+        assert_eq!(&ch.finish(answered, None).unwrap()[..], b"reply");
+
+        let store_id = store.join().unwrap().unwrap();
+        assert_eq!(store_id, answered + 1);
+        let st = ch.state.lock();
+        let Some(Seg::Owned(head)) = st.outbox.front() else {
+            panic!("store head queued");
+        };
+        assert_eq!(head[12..20], store_id.to_le_bytes());
+        assert_eq!(st.outbox.len(), 2);
+    }
+
+    /// Format stability: the wire bytes of a `Store` frame built from
+    /// fixed inputs are pinned (frame header with its checksum, request
+    /// id, message header, payload), hashed with a function that shares
+    /// nothing with the CRC.
+    #[test]
+    fn store_frame_bytes_are_pinned() {
+        use crate::proto::{PreparedRequest, Request, StoreRange};
+        use swarm_types::{Aid, FragmentId};
+
+        let data: Vec<u8> = (0..70_000u32).map(|i| (i * 131 + 17) as u8).collect();
+        let prepared = PreparedRequest::new(Request::Store {
+            fid: FragmentId::new(ClientId::new(7), 42),
+            marked: true,
+            ranges: vec![StoreRange {
+                offset: 64,
+                len: 4096,
+                aid: Aid::new(9),
+            }],
+            data: Bytes::from(data),
+        });
+        let ch = MuxChannel::new(ServerId::new(2));
+        let id = ch.begin(prepared.header(), prepared.payload()).unwrap();
+        assert_eq!(id, 1, "a channel's first request id");
+        let mut st = ch.state.lock();
+        let (mut hash, mut total) = (0xcbf2_9ce4_8422_2325u64, 0usize);
+        while let Some(seg) = st.outbox.pop_front() {
+            for &b in seg.as_slice() {
+                hash = (hash ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+            total += seg.as_slice().len();
+        }
+        assert_eq!(
+            (total, hash),
+            (70_050, 0xc270_6e31_a18a_8db3),
+            "Store frame bytes changed"
+        );
     }
 
     /// Regression: re-waiting with the full timeout after every wakeup let

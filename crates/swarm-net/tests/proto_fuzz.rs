@@ -2,10 +2,11 @@
 //! and valid messages must survive frame + codec round trips bit-exactly.
 
 use proptest::prelude::*;
+use swarm_net::frame::{FrameProgress, FrameReader, MAX_FRAME_LEN, READ_AHEAD};
 use swarm_net::{
     read_frame, write_frame, write_frame_vectored, Request, Response, ServerStats, StoreRange,
 };
-use swarm_types::{Aid, ByteWriter, ClientId, Decode, Encode, FragmentId};
+use swarm_types::{Aid, ByteWriter, ClientId, Decode, Encode, FragmentId, SwarmError};
 
 fn arb_fid() -> impl Strategy<Value = FragmentId> {
     (0u32..100, 0u64..1_000_000).prop_map(|(c, s)| FragmentId::new(ClientId::new(c), s))
@@ -101,7 +102,127 @@ fn assert_vectored_framing_identical(header: &[u8], payload: &[u8], contiguous: 
     assert_eq!(old_wire, new_wire);
 }
 
+/// A non-blocking socket as the reactor sees one: `data` arrives in
+/// bursts of the given sizes, each burst is followed by a `WouldBlock`,
+/// and once the bursts run out there is nothing but `WouldBlock`.
+struct Dribble<'a> {
+    data: &'a [u8],
+    bursts: std::vec::IntoIter<usize>,
+    burst_left: usize,
+}
+
+impl<'a> Dribble<'a> {
+    fn new(data: &'a [u8], bursts: Vec<usize>) -> Self {
+        Dribble {
+            data,
+            bursts: bursts.into_iter(),
+            burst_left: 0,
+        }
+    }
+}
+
+impl std::io::Read for Dribble<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.burst_left.min(buf.len()).min(self.data.len());
+        if n == 0 {
+            self.burst_left = self.bursts.next().unwrap_or(0);
+            return Err(std::io::ErrorKind::WouldBlock.into());
+        }
+        buf[..n].copy_from_slice(&self.data[..n]);
+        self.data = &self.data[n..];
+        self.burst_left -= n;
+        Ok(n)
+    }
+}
+
+/// A 12-byte header is unauthenticated: claiming the largest legal frame
+/// and then sending one byte must not make the receiver reserve it.
+#[test]
+fn a_length_field_alone_reserves_no_more_than_the_read_ahead() {
+    let mut wire = Vec::new();
+    write_frame(&mut wire, b"x").unwrap();
+    wire[4..8].copy_from_slice(&(MAX_FRAME_LEN as u32).to_le_bytes());
+    let mut socket = Dribble::new(&wire, vec![12, 1]);
+    let mut reader = FrameReader::new();
+    for _ in 0..4 {
+        assert!(matches!(
+            reader.read_from(&mut socket).unwrap(),
+            FrameProgress::Blocked
+        ));
+    }
+    assert!(socket.data.is_empty(), "header and the one byte delivered");
+    assert!(reader.in_frame());
+    assert!(
+        reader.reserved() <= 1 + READ_AHEAD,
+        "reserved {} for 1 byte received",
+        reader.reserved()
+    );
+}
+
+/// A frame several read-ahead steps long, arriving in bursts that straddle
+/// the steps: the reservation trails the bytes received all the way, and
+/// the checksum folded burst by burst still matches.
+#[test]
+fn a_multi_step_frame_grows_with_its_bytes_and_verifies() {
+    let payload: Vec<u8> = (0..3 * READ_AHEAD as u32 + 4321)
+        .map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8)
+        .collect();
+    let mut wire = Vec::new();
+    write_frame(&mut wire, &payload).unwrap();
+    let mut socket = Dribble::new(&wire, vec![100_003; 9]);
+    let mut reader = FrameReader::new();
+    let got = loop {
+        match reader.read_from(&mut socket).unwrap() {
+            FrameProgress::Blocked => {
+                let received = wire.len() - socket.data.len();
+                assert!(reader.reserved() <= received + READ_AHEAD);
+            }
+            FrameProgress::Frame(got) => break got,
+            FrameProgress::Eof => panic!("eof mid-frame"),
+        }
+    };
+    assert_eq!(got, payload);
+}
+
 proptest! {
+    #[test]
+    fn dribbled_frames_verify_and_flipped_bits_do_not(
+        payload in proptest::collection::vec(any::<u8>(), 0..3000),
+        sizes in proptest::collection::vec(1usize..700, 1..40),
+        flip_at in any::<prop::sample::Index>(),
+        flip_bit in 0u8..8,
+    ) {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &payload).unwrap();
+        let pump = |wire: &[u8]| {
+            // The random dribbles, then whatever is left in one piece.
+            let mut bursts = sizes.clone();
+            bursts.push(wire.len());
+            let mut socket = Dribble::new(wire, bursts);
+            let mut reader = FrameReader::new();
+            loop {
+                match reader.read_from(&mut socket) {
+                    Ok(FrameProgress::Blocked) => {
+                        assert!(reader.reserved() <= payload.len().min(READ_AHEAD));
+                    }
+                    other => break other,
+                }
+            }
+        };
+        match pump(&wire) {
+            Ok(FrameProgress::Frame(got)) => prop_assert_eq!(got, payload),
+            other => prop_assert!(false, "intact frame: {other:?}"),
+        }
+        // Past the magic and length (a flip there is a different error,
+        // or a longer frame that never completes): checksum or payload.
+        let i = 8 + flip_at.index(wire.len() - 8);
+        wire[i] ^= 1 << flip_bit;
+        match pump(&wire) {
+            Err(SwarmError::Corrupt(_)) => {}
+            other => prop_assert!(false, "flipped bit {i}: {other:?}"),
+        }
+    }
+
     #[test]
     fn vectored_framing_matches_contiguous_for_requests(req in arb_request()) {
         let mut w = ByteWriter::new();

@@ -268,9 +268,11 @@ struct Journal {
     done: Condvar,
     /// Records in the on-disk journal (live + dead), for compaction.
     entries: AtomicU64,
-    /// `sync_data` calls issued by batch commits.
+    /// Syncs issued: one per batch commit and one per compaction, none
+    /// in [`Durability::None`].
     fsyncs: AtomicU64,
-    /// Batches written (equals fsyncs when the mode syncs).
+    /// Batches written (equals fsyncs between compactions when the mode
+    /// syncs).
     batches: AtomicU64,
 }
 
@@ -431,7 +433,11 @@ impl Journal {
             {
                 let mut f = File::create(&new_path)?;
                 f.write_all(records)?;
-                f.sync_all()?;
+                if self.durability.syncs() {
+                    f.sync_all()?;
+                    self.fsyncs.fetch_add(1, Ordering::Relaxed);
+                    metrics().journal_fsync.inc();
+                }
             }
             fs::rename(&new_path, self.dir.join(JOURNAL))?;
             let file = OpenOptions::new()
@@ -540,9 +546,10 @@ impl FileStore {
         self.durability
     }
 
-    /// Journal `sync_data` calls issued so far (one per committed batch
-    /// in syncing modes). With group commit, N concurrent stores advance
-    /// this by far less than N.
+    /// Journal syncs issued so far: one per committed batch and one per
+    /// compaction in syncing modes, none at all in [`Durability::None`].
+    /// With group commit, N concurrent stores advance this by far less
+    /// than N.
     pub fn journal_fsyncs(&self) -> u64 {
         self.journal.fsyncs.load(Ordering::Relaxed)
     }
@@ -1246,6 +1253,38 @@ mod tests {
         drop(s);
         let s = FileStore::open_with(&d.0, 0, false).unwrap();
         assert_eq!(s.fragment_count(), stores);
+    }
+
+    /// `Durability::None` promises no fsync, and journal compaction (which
+    /// holds the index lock, so every operation waits behind it) used to
+    /// issue one regardless. Enough store/delete churn to compact several
+    /// times: no sync is counted, and a reopen replays exactly the live
+    /// set out of the compacted journal.
+    #[test]
+    fn durability_none_never_syncs_even_when_compacting() {
+        let d = TempDir::new("nosync");
+        let s = FileStore::open_with_durability(&d.0, 0, Durability::None).unwrap();
+        let (pairs, keep) = (2_100u64, 8u64);
+        for i in 0..pairs {
+            s.store(fid(1, i), vec![i as u8; 64].into(), false).unwrap();
+            if i >= keep {
+                s.delete(fid(1, i - keep)).unwrap();
+            }
+        }
+        let appended = pairs + (pairs - keep);
+        assert!(
+            s.journal.entries.load(Ordering::Relaxed) < appended / 2,
+            "the journal was compacted along the way"
+        );
+        assert_eq!(s.journal_fsyncs(), 0);
+        drop(s);
+
+        let s = FileStore::open_with_durability(&d.0, 0, Durability::None).unwrap();
+        assert_eq!(s.fragment_count(), keep);
+        for i in pairs - keep..pairs {
+            assert_eq!(s.read(fid(1, i), 0, 64).unwrap(), vec![i as u8; 64]);
+        }
+        assert!(s.read(fid(1, pairs - keep - 1), 0, 1).is_err());
     }
 
     /// A store serialized against a concurrent delete of the same FID

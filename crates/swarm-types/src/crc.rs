@@ -2,12 +2,16 @@
 //! entry tables, and network frames.
 //!
 //! Implemented in-repo because Swarm defines its own on-disk format and
-//! the workspace keeps its dependency set minimal. Slice-by-8: eight
-//! precomputed tables let the hot loop fold one 64-bit word per step
-//! instead of one byte, which matters because every network frame CRCs
-//! its whole payload — at 1 MB fragments the checksum would otherwise
-//! show up next to the parity XOR in profiles. The tables are built by
-//! `const fn`, so there is no build script and no lazy initialization.
+//! the workspace keeps its dependency set minimal. Every wire byte is
+//! checksummed three times (fragment seal, frame header, frame receive),
+//! so the kernel is picked by the CPU, not by the caller: inputs of 64
+//! bytes or more go through the carry-less-multiply fold in `shims/simd`
+//! where the CPU has one, and whatever that leaves — the sub-16-byte
+//! tail, short inputs, every byte on other CPUs — goes through the
+//! portable slice-by-8 loop (eight precomputed tables fold one 64-bit
+//! word per step). Both compute the same polynomial, so which one ran is
+//! invisible on the wire and on disk. The tables are built by `const fn`,
+//! so there is no build script and no lazy initialization.
 
 /// The IEEE CRC32 polynomial in reversed bit order.
 const POLY: u32 = 0xedb8_8320;
@@ -97,7 +101,21 @@ impl Crc32 {
     }
 }
 
+/// Below this length the fold kernel declines (it starts from four
+/// 16-byte lanes), so the call is skipped.
+const FOLD_MIN: usize = 64;
+
 fn update(mut state: u32, data: &[u8]) -> u32 {
+    let mut done = 0;
+    if data.len() >= FOLD_MIN {
+        (state, done) = simd::crc32_fold(state, data);
+    }
+    update_portable(state, &data[done..])
+}
+
+/// Slice-by-8: the kernel for short inputs, fold tails, and CPUs without a
+/// carry-less multiplier.
+fn update_portable(mut state: u32, data: &[u8]) -> u32 {
     let mut chunks = data.chunks_exact(8);
     for chunk in &mut chunks {
         // Fold the running state into the low word, then look all eight
@@ -120,8 +138,16 @@ fn update(mut state: u32, data: &[u8]) -> u32 {
     state
 }
 
+/// [`crc32`] through the portable slice-by-8 loop alone, whatever the CPU
+/// offers: the `crc32/portable` row of `swarm-bench`'s kernel benchmark.
+/// Not an entry point; [`crc32`] picks the kernel itself.
+#[doc(hidden)]
+pub fn crc32_portable(data: &[u8]) -> u32 {
+    update_portable(0xffff_ffff, data) ^ 0xffff_ffff
+}
+
 /// Reference byte-at-a-time CRC32, kept for benchmarks and as a
-/// cross-check oracle for the slice-by-8 kernel.
+/// cross-check oracle for the faster kernels.
 ///
 /// Not used on any hot path; `swarm-bench` measures [`crc32`] against it
 /// and the kernel sanity tests assert they agree.
@@ -137,6 +163,7 @@ pub fn crc32_baseline(data: &[u8]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn known_vectors() {
@@ -183,6 +210,35 @@ mod tests {
                 let s = &data[start..end];
                 assert_eq!(crc32(s), crc32_baseline(s), "range {start}..{end}");
             }
+        }
+    }
+
+    proptest! {
+        /// The dispatching kernel, the portable loop called directly (so
+        /// both run whatever this machine's CPU offers) and the bytewise
+        /// oracle agree on any slice, fed whole or in pieces.
+        #[test]
+        fn prop_every_kernel_matches_baseline(
+            buf in proptest::collection::vec(any::<u8>(), 0..70 * 1024 + 1),
+            start in any::<proptest::sample::Index>(),
+            cuts in proptest::collection::vec(any::<proptest::sample::Index>(), 0..6),
+        ) {
+            // Any alignment class of the 16-byte lanes, without shortening
+            // the buffer much.
+            let data = &buf[start.index(64).min(buf.len())..];
+            let want = crc32_baseline(data);
+            prop_assert_eq!(crc32(data), want);
+            prop_assert_eq!(update_portable(0xffff_ffff, data) ^ 0xffff_ffff, want);
+
+            let mut cuts: Vec<usize> = cuts.iter().map(|c| c.index(data.len() + 1)).collect();
+            cuts.sort_unstable();
+            let mut inc = Crc32::new();
+            let mut from = 0;
+            for cut in cuts.into_iter().chain([data.len()]) {
+                inc.update(&data[from..cut]);
+                from = cut;
+            }
+            prop_assert_eq!(inc.finish(), want);
         }
     }
 }
