@@ -2,9 +2,8 @@
 //! bandwidth through the home fast path, degraded (reconstructing) reads
 //! with a server down, and the recovery rollforward scan with read-ahead.
 //!
-//! Each group measures the pooled, fan-out engine against the serial
-//! baseline (`set_fanout(false)`, `read_ahead(0)`) — the ratio between
-//! rows is the parallel-engine speedup on the same cluster.
+//! The recovery group measures read-ahead against `read_ahead(0)` on the
+//! same cluster.
 
 use std::sync::Arc;
 
@@ -19,13 +18,12 @@ const BLOCKS: usize = 64;
 
 /// A flushed log plus the addresses of its blocks, cache disabled so every
 /// read exercises the engine.
-fn seeded_log(servers: u32, fanout: bool) -> (Arc<swarm_net::MemTransport>, Log, Vec<BlockAddr>) {
+fn seeded_log(servers: u32) -> (Arc<swarm_net::MemTransport>, Log, Vec<BlockAddr>) {
     let transport = mem_cluster(servers);
     let config = log_config(1, servers)
         .fragment_size(32 * 1024)
         .cache_fragments(0);
     let log = Log::create(transport.clone(), config).unwrap();
-    log.engine().set_fanout(fanout);
     let mut addrs = Vec::with_capacity(BLOCKS);
     for i in 0..BLOCKS {
         addrs.push(
@@ -41,16 +39,14 @@ fn bench_sequential_read(c: &mut Criterion) {
     let mut g = c.benchmark_group("sequential_read");
     g.sample_size(20);
     g.throughput(Throughput::Bytes((BLOCKS * BLOCK) as u64));
-    for (name, fanout) in [("pooled_fanout", true), ("serial_baseline", false)] {
-        let (_t, log, addrs) = seeded_log(4, fanout);
-        g.bench_function(name, |b| {
-            b.iter(|| {
-                for addr in &addrs {
-                    criterion::black_box(log.read(*addr).unwrap());
-                }
-            });
+    let (_t, log, addrs) = seeded_log(4);
+    g.bench_function("pooled_fanout", |b| {
+        b.iter(|| {
+            for addr in &addrs {
+                criterion::black_box(log.read(*addr).unwrap());
+            }
         });
-    }
+    });
     g.finish();
 }
 
@@ -58,21 +54,19 @@ fn bench_degraded_read(c: &mut Criterion) {
     let mut g = c.benchmark_group("degraded_read");
     g.sample_size(10);
     g.throughput(Throughput::Bytes((BLOCKS * BLOCK) as u64));
-    for (name, fanout) in [("pooled_fanout", true), ("serial_baseline", false)] {
-        let (transport, log, addrs) = seeded_log(4, fanout);
-        // One server down: reads of its fragments reconstruct from the
-        // surviving stripe members on every iteration (cache is off and
-        // the fragment map entry is forgotten each round).
-        transport.set_down(swarm_types::ServerId::new(0), true);
-        g.bench_function(name, |b| {
-            b.iter(|| {
-                for addr in &addrs {
-                    log.forget_fragment(addr.fid);
-                    criterion::black_box(log.read(*addr).unwrap());
-                }
-            });
+    let (transport, log, addrs) = seeded_log(4);
+    // One server down: reads of its fragments reconstruct from the
+    // surviving stripe members on every iteration (cache is off and
+    // the fragment map entry is forgotten each round).
+    transport.set_down(swarm_types::ServerId::new(0), true);
+    g.bench_function("pooled_fanout", |b| {
+        b.iter(|| {
+            for addr in &addrs {
+                log.forget_fragment(addr.fid);
+                criterion::black_box(log.read(*addr).unwrap());
+            }
         });
-    }
+    });
     g.finish();
 }
 
@@ -81,7 +75,7 @@ fn bench_recovery_scan(c: &mut Criterion) {
     g.sample_size(10);
     g.throughput(Throughput::Bytes((BLOCKS * BLOCK) as u64));
     for (name, read_ahead) in [("read_ahead_4", 4usize), ("no_read_ahead", 0)] {
-        let (transport, log, _addrs) = seeded_log(4, read_ahead > 0);
+        let (transport, log, _addrs) = seeded_log(4);
         drop(log); // client crash: rollforward scans the whole log
         let config = log_config(1, 4)
             .fragment_size(32 * 1024)

@@ -11,8 +11,8 @@
 //! * `degraded` — one server held down, so reads touching it come back
 //!   via parity reconstruction, whose member fetches the window overlaps.
 //!
-//! The YCSB scoreboard (`BENCH_ycsb_{c,d,e}.json`) measures the same
-//! effects over real TCP.
+//! The repo benchmark's `point-read` and `degraded-read` workloads
+//! (`benchmark/README.md`) measure the same effects over real TCP.
 
 use std::sync::Arc;
 use std::time::Duration;

@@ -10,8 +10,9 @@
 //!
 //! The interesting comparison is within an appender count: the window-8
 //! row should approach `window x` lower wall time while the store
-//! latency, not client CPU, is the bottleneck. The YCSB scoreboard
-//! (`BENCH_ycsb_*.json`) measures the same effect over real TCP.
+//! latency, not client CPU, is the bottleneck. The repo benchmark's
+//! `ingest` workload (`benchmark/README.md`) measures the same effect
+//! over real TCP.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -108,7 +109,7 @@ fn config(client: u32, window: usize) -> LogConfig {
     )
     .expect("valid group")
     // One block per fragment: every append is a store, so the store
-    // channel is the measured bottleneck (matches the YCSB shape).
+    // channel is the measured bottleneck.
     .fragment_size(8 * 1024)
     .write_window(window)
     .queue_depth(window.max(2) * 2)

@@ -16,7 +16,7 @@ use swarm_log::{Log, LogConfig};
 use swarm_net::tcp::{TcpServer, TcpTransport};
 use swarm_server::{MemStore, StorageServer};
 use swarm_sim::{simulate_degraded_read, Calibration};
-use swarm_types::{ClientId, ServerId, ServiceId};
+use swarm_types::{ClientId, Geometry, ServerId, ServiceId};
 
 fn main() {
     let cal = Calibration::testbed_1999();
@@ -39,99 +39,35 @@ fn main() {
     println!("bounded ~2× worst case — and smaller stripe groups involve fewer servers in");
     println!("each rebuild, the paper's argument for groups smaller than the cluster.");
 
-    measure_real_stack();
-    measure_rs_two_down();
+    measure_real_stack(Geometry::new(3, 1).unwrap(), &[1]);
+    measure_real_stack(Geometry::new(4, 2).unwrap(), &[0, 1, 2]);
 }
 
-/// Degraded reads on the real stack over TCP loopback: the serial read
-/// engine (`set_fanout(false)`, one member fetch at a time) against the
-/// parallel fan-out. The sim above models the 1999 testbed; this measures
-/// this implementation.
-fn measure_real_stack() {
+/// Degraded reads on the real stack over TCP loopback (the sim above
+/// models the 1999 testbed; this measures this implementation): one
+/// cluster per row, with that many servers killed before the timed reads.
+/// Every read homed on a dead server runs the full locate + k-survivor
+/// fetch + GF(2^8) decode path; two down is the multi-failure case
+/// single parity cannot serve at all.
+fn measure_real_stack(geometry: Geometry, kills: &[usize]) {
     const BLOCK: usize = 8 * 1024;
     const BLOCKS: usize = 64;
     const ROUNDS: usize = 10;
+    let width = u32::from(geometry.width());
 
     let mut rows = Vec::new();
-    for (name, fanout) in [("serial baseline", false), ("parallel fan-out", true)] {
+    for &kill in kills {
         let transport = Arc::new(TcpTransport::new());
         let mut servers = Vec::new();
-        for i in 0..4u32 {
+        for i in 0..width {
             let handler = StorageServer::new(ServerId::new(i), MemStore::new()).into_shared();
             let server = TcpServer::spawn(ServerId::new(i), "127.0.0.1:0", handler).unwrap();
             transport.add_server(ServerId::new(i), server.addr());
             servers.push(server);
         }
-        let config = LogConfig::new(ClientId::new(1), (0..4).map(ServerId::new).collect())
+        let config = LogConfig::new(ClientId::new(1), (0..width).map(ServerId::new).collect())
             .unwrap()
-            .fragment_size(32 * 1024)
-            .cache_fragments(0);
-        let log = Log::create(transport.clone() as Arc<dyn swarm_net::Transport>, config).unwrap();
-        log.engine().set_fanout(fanout);
-        let svc = ServiceId::new(1);
-        let mut addrs = Vec::new();
-        for i in 0..BLOCKS {
-            addrs.push(
-                log.append_block(svc, b"", &vec![(i % 251) as u8; BLOCK])
-                    .unwrap(),
-            );
-        }
-        log.flush().unwrap();
-
-        // Kill one server process: every read of its fragments must
-        // reconstruct. Forgetting the fragment each round forces the
-        // locate + rebuild path instead of the home fast path.
-        let mut dead = servers.remove(0);
-        dead.shutdown();
-        drop(dead);
-
-        let start = Instant::now();
-        for _ in 0..ROUNDS {
-            for addr in &addrs {
-                log.forget_fragment(addr.fid);
-                let data = log.read(*addr).unwrap();
-                assert_eq!(data.len(), BLOCK);
-            }
-        }
-        let secs = start.elapsed().as_secs_f64();
-        let mb_s = (ROUNDS * BLOCKS * BLOCK) as f64 / 1e6 / secs;
-        rows.push(vec![name.to_string(), format!("{mb_s:.2}")]);
-    }
-    print_table(
-        "Real stack (TCP loopback, width 4, one server down): degraded reads",
-        &["read engine", "MB/s"],
-        &rows,
-    );
-}
-
-/// Reed–Solomon degraded reads on the real stack: a 4+2 stripe group
-/// with zero, one, and then two servers down at once. Every read with a
-/// dead home server runs the full locate + k-survivor fetch + GF(2^8)
-/// matrix decode path; the two-down row is the multi-failure case XOR
-/// parity cannot serve at all.
-fn measure_rs_two_down() {
-    const BLOCK: usize = 8 * 1024;
-    const BLOCKS: usize = 64;
-    const ROUNDS: usize = 10;
-    const WIDTH: u32 = 6;
-
-    let mut rows = Vec::new();
-    for (name, kill) in [
-        ("healthy (0 down)", 0usize),
-        ("degraded (1 down)", 1),
-        ("degraded (2 down)", 2),
-    ] {
-        let transport = Arc::new(TcpTransport::new());
-        let mut servers = Vec::new();
-        for i in 0..WIDTH {
-            let handler = StorageServer::new(ServerId::new(i), MemStore::new()).into_shared();
-            let server = TcpServer::spawn(ServerId::new(i), "127.0.0.1:0", handler).unwrap();
-            transport.add_server(ServerId::new(i), server.addr());
-            servers.push(server);
-        }
-        let config = LogConfig::new(ClientId::new(1), (0..WIDTH).map(ServerId::new).collect())
-            .unwrap()
-            .geometry(swarm_types::Geometry::new(4, 2).unwrap())
+            .geometry(geometry)
             .unwrap()
             .fragment_size(32 * 1024)
             .cache_fragments(0);
@@ -152,6 +88,8 @@ fn measure_rs_two_down() {
             drop(dead);
         }
 
+        // Forgetting the fragment each round forces the locate + rebuild
+        // path instead of the home fast path.
         let start = Instant::now();
         for _ in 0..ROUNDS {
             for (i, addr) in addrs.iter().enumerate() {
@@ -166,10 +104,10 @@ fn measure_rs_two_down() {
         }
         let secs = start.elapsed().as_secs_f64();
         let mb_s = (ROUNDS * BLOCKS * BLOCK) as f64 / 1e6 / secs;
-        rows.push(vec![name.to_string(), format!("{mb_s:.2}")]);
+        rows.push(vec![format!("{kill} down"), format!("{mb_s:.2}")]);
     }
     print_table(
-        "Real stack (TCP loopback, 4+2 Reed–Solomon): reads by failure count",
+        &format!("Real stack (TCP loopback, {geometry}): reads by failure count"),
         &["cluster state", "MB/s"],
         &rows,
     );

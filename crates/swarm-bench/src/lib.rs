@@ -10,9 +10,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod contention;
-pub mod ycsb;
-
 use std::sync::Arc;
 
 use swarm_net::MemTransport;

@@ -299,11 +299,10 @@ impl ReadEngine {
     }
 
     /// Fetches spec lists from several servers at once: one scoped thread
-    /// per server (serial in server order when the pool's fan-out is
-    /// disabled), each running its own window. Results are returned in
+    /// per server, each running its own window. Results are returned in
     /// job order.
     pub fn fetch_scatter(&self, jobs: Vec<(ServerId, Vec<ReadSpec>)>) -> Vec<Vec<Result<Bytes>>> {
-        if jobs.len() <= 1 || !self.pool.fanout_enabled() {
+        if jobs.len() <= 1 {
             return jobs
                 .into_iter()
                 .map(|(server, specs)| self.fetch_from(server, &specs))

@@ -134,13 +134,22 @@ fn find_stripe_header(pool: &Arc<ConnectionPool>, fid: FragmentId) -> Option<Fra
 /// members of the stripe are available, and [`SwarmError::Corrupt`] if
 /// the rebuilt bytes fail validation.
 pub fn reconstruct_fragment(engine: &ReadEngine, fid: FragmentId) -> Result<Bytes> {
-    let header =
-        find_stripe_header(engine.pool(), fid).ok_or_else(|| SwarmError::ReconstructionFailed {
-            fid,
-            reason: "no surviving stripe-mate located via broadcast".into(),
-        })?;
+    rebuild(engine, fid)?.ok_or_else(|| SwarmError::ReconstructionFailed {
+        fid,
+        reason: "no surviving stripe-mate located via broadcast".into(),
+    })
+}
+
+/// The rebuild under [`reconstruct_fragment`] and
+/// [`read_fragment_anywhere`]. `Ok(None)` means no member of `fid`'s
+/// stripe exists anywhere in the cluster — the stripe was never written
+/// or has been cleaned — which the two callers report differently.
+fn rebuild(engine: &ReadEngine, fid: FragmentId) -> Result<Option<Bytes>> {
+    let Some(header) = find_stripe_header(engine.pool(), fid) else {
+        return Ok(None);
+    };
     let my_index = (fid.seq() - header.stripe_first_seq) as u8;
-    reconstruct_rs(engine, fid, &header, my_index)
+    reconstruct_rs(engine, fid, &header, my_index).map(Some)
 }
 
 /// Fetches every stripe member except `exclude` in parallel and keeps the
@@ -157,15 +166,11 @@ fn fetch_survivors(
     let indices: Vec<u8> = (0..header.member_count).filter(|i| *i != exclude).collect();
     let mut out: Vec<(u8, Bytes)> = Vec::with_capacity(need);
     let mut reasons: Vec<String> = Vec::new();
-    if indices.len() <= 1 || !engine.pool().fanout_enabled() {
-        for &i in &indices {
-            if out.len() == need {
-                break;
-            }
-            match fetch_member(engine, header, i) {
-                Ok(bytes) => out.push((i, bytes)),
-                Err(e) => reasons.push(format!("member {i}: {e}")),
-            }
+    if let [i] = indices[..] {
+        // A 1+1 stripe has one other member: nothing to fan out.
+        match fetch_member(engine, header, i) {
+            Ok(bytes) => out.push((i, bytes)),
+            Err(e) => reasons.push(format!("member {i}: {e}")),
         }
     } else {
         std::thread::scope(|s| {
@@ -380,13 +385,68 @@ pub fn read_fragment_anywhere(engine: &ReadEngine, fid: FragmentId) -> Result<Op
             Err(e) => return Err(e),
         }
     }
-    match reconstruct_fragment(engine, fid) {
-        Ok(bytes) => Ok(Some(bytes)),
-        Err(SwarmError::ReconstructionFailed { reason, .. })
-            if reason.contains("no surviving stripe-mate") =>
-        {
-            Ok(None)
+    rebuild(engine, fid)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Log, LogConfig, DEFAULT_READ_WINDOW};
+    use swarm_net::MemTransport;
+    use swarm_server::{MemStore, StorageServer};
+    use swarm_types::{ClientId, Geometry, ServiceId};
+
+    /// [`read_fragment_anywhere`] tells "this fragment exists nowhere"
+    /// (`Ok(None)`: recovery, prefetch and the cleaner stop probing there)
+    /// from "it exists and cannot be rebuilt" (an error) by what the
+    /// rebuild found, not by the wording of an error message.
+    #[test]
+    fn past_the_head_is_none_and_a_stripe_beyond_repair_is_an_error() {
+        let transport = Arc::new(MemTransport::new());
+        for i in 0..5 {
+            let srv = StorageServer::new(ServerId::new(i), MemStore::new()).into_shared();
+            transport.register(ServerId::new(i), srv);
         }
-        Err(e) => Err(e),
+        let client = ClientId::new(1);
+        let config = LogConfig::new(client, (0..5).map(ServerId::new).collect())
+            .unwrap()
+            .geometry(Geometry::new(3, 2).unwrap())
+            .unwrap()
+            .fragment_size(4096);
+        let log = Log::create(transport.clone(), config).unwrap();
+        for i in 0..40u32 {
+            log.append_block(ServiceId::new(1), b"", &vec![i as u8; 700])
+                .unwrap();
+        }
+        log.flush().unwrap();
+        let pool = log.engine().clone();
+        let engine = ReadEngine::new(pool.clone(), DEFAULT_READ_WINDOW);
+        let fid = |seq| FragmentId::new(client, seq);
+
+        let head = (0u64..)
+            .find(|&seq| locate_fragment(&pool, fid(seq)).is_none())
+            .unwrap();
+        assert!(head >= 10, "log too short: {head} fragments");
+        for seq in [head, head + 1, head + 100] {
+            assert_eq!(read_fragment_anywhere(&engine, fid(seq)).unwrap(), None);
+            assert!(matches!(
+                reconstruct_fragment(&engine, fid(seq)),
+                Err(SwarmError::ReconstructionFailed { .. })
+            ));
+        }
+
+        // Stripe 0 loses members 0, 3 and 4: one more than m = 2. Member 1
+        // still answers a locate, so the stripe is known to exist.
+        let (_, header) = locate_fragment(&pool, fid(0)).unwrap();
+        for member in [0, 3, 4] {
+            transport.set_down(header.member_server(member), true);
+        }
+        assert!(matches!(
+            read_fragment_anywhere(&engine, fid(0)),
+            Err(SwarmError::ReconstructionFailed { .. })
+        ));
+        // Two losses are within m: the same call rebuilds.
+        transport.set_down(header.member_server(4), false);
+        assert!(read_fragment_anywhere(&engine, fid(0)).unwrap().is_some());
     }
 }

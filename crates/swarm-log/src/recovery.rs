@@ -444,9 +444,6 @@ fn read_checkpoint_dir(
     engine: &ReadEngine,
     anchor: FragmentId,
 ) -> Result<Option<Vec<(ServiceId, crate::log::LogPosition)>>> {
-    if std::env::var("SWARM_DISABLE_CKPT_DIR").is_ok() {
-        return Ok(None); // test hook: force the legacy backward walk
-    }
     let Some(bytes) = reconstruct::read_fragment_anywhere(engine, anchor)? else {
         return Ok(None);
     };

@@ -17,9 +17,9 @@
 //!   server processes.
 //!
 //! The paper locates stripe neighbours by *broadcast* (§2.3.3). Both
-//! transports expose the member set, and the [`broadcast`] helper simply
-//! queries every server — the same observable semantics on a switched
-//! network.
+//! transports expose the member set, and [`ConnectionPool::broadcast`]
+//! simply queries every server — the same observable semantics on a
+//! switched network.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -48,7 +48,6 @@ pub use proto::{
     StoreRange,
 };
 pub use transport::{
-    broadcast, peer_server_id, Connection, PeerHost, PeerTransport, PendingCall, Transport,
-    PEER_SERVER_BASE,
+    peer_server_id, Connection, PeerHost, PeerTransport, PendingCall, Transport, PEER_SERVER_BASE,
 };
 pub use workpool::WorkerPool;

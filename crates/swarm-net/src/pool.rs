@@ -68,7 +68,7 @@ fn pool_metrics() -> &'static PoolMetrics {
 
 /// Records a broadcast leg failure: counted so a half-deaf cluster shows
 /// up in `swarm-admin stats`, traced so the culprit server is named.
-pub(crate) fn note_broadcast_error(server: ServerId, err: &SwarmError) {
+fn note_broadcast_error(server: ServerId, err: &SwarmError) {
     pool_metrics().broadcast_errors.inc();
     swarm_metrics::trace!(
         "net.broadcast",
@@ -94,10 +94,6 @@ pub struct ConnectionPool {
     transport: Arc<dyn Transport>,
     client: ClientId,
     slots: Mutex<HashMap<ServerId, Slot>>,
-    /// When false, `broadcast`/`broadcast_first` run serially in server-id
-    /// order (benchmark baseline mode; the observable results are the
-    /// same).
-    fanout: AtomicBool,
 }
 
 impl std::fmt::Debug for ConnectionPool {
@@ -115,7 +111,6 @@ impl ConnectionPool {
             transport,
             client,
             slots: Mutex::new(HashMap::new()),
-            fanout: AtomicBool::new(true),
         }
     }
 
@@ -127,19 +122,6 @@ impl ConnectionPool {
     /// The client this pool authenticates as.
     pub fn client(&self) -> ClientId {
         self.client
-    }
-
-    /// Enables or disables parallel fan-out for broadcasts (on by
-    /// default). Serial mode exists so benchmarks can measure the fan-out
-    /// win in isolation.
-    pub fn set_fanout(&self, on: bool) {
-        self.fanout.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether parallel fan-out is enabled (see
-    /// [`ConnectionPool::set_fanout`]).
-    pub fn fanout_enabled(&self) -> bool {
-        self.fanout.load(Ordering::Relaxed)
     }
 
     /// Checks a connection to `server` out of the pool, dialing a fresh
@@ -266,16 +248,6 @@ impl ConnectionPool {
     /// traced.
     pub fn broadcast(&self, request: &Request) -> Vec<(ServerId, Response)> {
         let servers = self.transport.servers();
-        if !self.fanout.load(Ordering::Relaxed) {
-            let mut replies = Vec::new();
-            for server in servers {
-                match self.call(server, request) {
-                    Ok(resp) => replies.push((server, resp)),
-                    Err(e) => note_broadcast_error(server, &e),
-                }
-            }
-            return replies;
-        }
         let mut replies: Vec<(ServerId, Response)> = std::thread::scope(|s| {
             let handles: Vec<_> = servers
                 .into_iter()
@@ -319,16 +291,6 @@ impl ConnectionPool {
         accept: fn(&Response) -> bool,
     ) -> Option<(ServerId, Response)> {
         let servers = self.transport.servers();
-        if !self.fanout.load(Ordering::Relaxed) {
-            for server in servers {
-                match self.call(server, request) {
-                    Ok(resp) if accept(&resp) => return Some((server, resp)),
-                    Ok(_) => {}
-                    Err(e) => note_broadcast_error(server, &e),
-                }
-            }
-            return None;
-        }
         let total = servers.len();
         if total == 0 {
             return None;
@@ -624,17 +586,5 @@ mod tests {
             0,
             "a failed leg must not pool a connection"
         );
-    }
-
-    #[test]
-    fn serial_mode_matches_parallel_results() {
-        let t = cluster(3);
-        let p = pool(t.clone());
-        t.set_down(ServerId::new(2), true);
-        p.set_fanout(false);
-        let serial = p.broadcast(&Request::Ping);
-        p.set_fanout(true);
-        let parallel = p.broadcast(&Request::Ping);
-        assert_eq!(serial, parallel);
     }
 }

@@ -171,61 +171,3 @@ impl<T: PeerHost + ?Sized> PeerHost for Arc<T> {
 pub trait PeerTransport: Transport + PeerHost {}
 
 impl<T: Transport + PeerHost + ?Sized> PeerTransport for T {}
-
-/// Sends `request` to every server in the cluster and collects the replies
-/// that arrive, skipping servers that are down.
-///
-/// This is the paper's broadcast primitive (§2.3.3): "A client finds
-/// fragment N-1 and N+1 by broadcasting to all storage servers." Servers
-/// that cannot be reached are absent from the result — exactly the failure
-/// reconstruction is designed to tolerate — but every skipped server is
-/// counted in `net.broadcast_errors` and traced, so a half-deaf cluster
-/// shows up in stats instead of silently degrading.
-///
-/// This serial, connection-per-call helper is kept for one-shot callers;
-/// the read engine uses the parallel [`crate::ConnectionPool::broadcast`].
-pub fn broadcast<T: Transport + ?Sized>(
-    transport: &T,
-    client: ClientId,
-    request: &Request,
-) -> Vec<(ServerId, Response)> {
-    let mut replies = Vec::new();
-    for server in transport.servers() {
-        let conn = match transport.connect(server, client) {
-            Ok(conn) => conn,
-            Err(e) => {
-                crate::pool::note_broadcast_error(server, &e);
-                continue;
-            }
-        };
-        let mut conn = conn;
-        match conn.call(request) {
-            Ok(resp) => replies.push((server, resp)),
-            Err(e) => crate::pool::note_broadcast_error(server, &e),
-        }
-    }
-    replies
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::mem::MemTransport;
-    use crate::proto::Request;
-    use std::sync::Arc;
-
-    #[test]
-    fn broadcast_skips_down_servers() {
-        let transport = MemTransport::new();
-        for i in 0..3 {
-            transport.register(
-                ServerId::new(i),
-                Arc::new(crate::handler::testing::EchoStore::default()),
-            );
-        }
-        transport.set_down(ServerId::new(1), true);
-        let replies = broadcast(&transport, ClientId::new(0), &Request::Ping);
-        let ids: Vec<u32> = replies.iter().map(|(s, _)| s.raw()).collect();
-        assert_eq!(ids, vec![0, 2]);
-    }
-}

@@ -1,0 +1,76 @@
+#!/bin/sh
+# tools/bench-ab.sh PARENT_REF [PAIRS]: the one way this repo backs a
+# performance claim, or a statement that nothing regressed.
+#
+# Checks PARENT_REF out into a git worktree under target/, builds benchmark/
+# on both sides, and runs every BENCHMARK.json workload PAIRS times (default
+# 10) on the parent and on the working tree, the two runs of a pair back to
+# back and the side that goes first alternating from pair to pair. Then prints
+# `spread` for each side and `compare parent change`; exits non-zero when any
+# (metric, workload) pair reads `regress` or any run fails an operation.
+# Numbers compare on one box only (benchmark/README.md), so nothing here is
+# worth committing: parent.jsonl, change.jsonl and compare.txt stay in
+# target/bench-ab/.
+#
+#   tools/bench-ab.sh HEAD~1     # this commit against its parent, ~35 min
+#   tools/bench-ab.sh HEAD       # on a clean tree, A/A: what this box cannot resolve
+#   tools/bench-ab.sh HEAD 1     # dry run of the script itself, ~4 min
+set -eu
+
+die() { echo "bench-ab: $*" >&2; exit 2; }
+case $# in 1 | 2) ;; *) die "usage: tools/bench-ab.sh PARENT_REF [PAIRS]" ;; esac
+cd "$(git rev-parse --show-toplevel)"
+pairs=${2:-10}
+[ "$pairs" -ge 1 ] 2>/dev/null || die "PAIRS must be a positive number, got '$pairs'"
+sha=$(git rev-parse --verify --quiet "$1^{commit}") || die "cannot resolve '$1' to a commit"
+# Both sides must be measured by the same harness. Cargo.lock is exempt:
+# cargo itself rewrites it when a crate under ../crates gains a dependency.
+dirty=$(git status --porcelain -- BENCHMARK.json benchmark ':!benchmark/Cargo.lock')
+[ -z "$dirty" ] || die "benchmark/ or BENCHMARK.json has uncommitted changes"
+
+out=target/bench-ab
+tree=$out/parent
+cleanup() {
+    git worktree remove --force "$tree" 2>/dev/null || rm -rf "$tree"
+    git worktree prune
+}
+trap cleanup EXIT
+trap 'exit 130' INT TERM
+cleanup
+mkdir -p "$out"
+rm -f "$out/parent.jsonl" "$out/change.jsonl" "$out/compare.txt"
+git worktree add --quiet --detach "$tree" "$sha"
+
+cargo build --release --offline --quiet --manifest-path "$tree/benchmark/Cargo.toml"
+cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
+parent=$tree/benchmark/target/release/swarm-benchmark
+change=benchmark/target/release/swarm-benchmark
+workloads=$(awk '/"workloads"/ {w = 1} /"end_to_end"/ {w = 0}
+                 w && /"name"/ {gsub(/[",]/, ""); print $2}' BENCHMARK.json)
+
+run() { # side binary workload seed
+    echo "== pair $i/$pairs: $1 $3 seed $4"
+    "$2" --workload "$3" --seed "$4" --seconds 15 --trace 0 --out "$out/$1.jsonl" \
+        >"$out/run.log" 2>&1 || { cat "$out/run.log"; die "$1 $3 seed $4 failed"; }
+}
+i=1
+while [ "$i" -le "$pairs" ]; do
+    for w in $workloads; do
+        if [ $((i % 2)) -eq 1 ]; then
+            run parent "$parent" "$w" $((100 + i)); run change "$change" "$w" $((100 + i))
+        else
+            run change "$change" "$w" $((100 + i)); run parent "$parent" "$w" $((100 + i))
+        fi
+    done
+    i=$((i + 1))
+done
+
+echo "== spread: parent ($sha)"
+"$change" spread "$out/parent.jsonl"
+echo "== spread: change (working tree)"
+"$change" spread "$out/change.jsonl"
+echo "== compare parent change"
+rc=0
+"$change" compare "$out/parent.jsonl" "$out/change.jsonl" >"$out/compare.txt" || rc=$?
+cat "$out/compare.txt"
+exit "$rc"
