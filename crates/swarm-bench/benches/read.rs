@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use swarm_bench::{log_config, mem_cluster};
+use swarm_bench::{log_config, mem_cluster, next_random};
 use swarm_log::{recover, Log};
 use swarm_types::{BlockAddr, ServiceId};
 
@@ -64,6 +64,33 @@ fn bench_degraded_read(c: &mut Criterion) {
             for addr in &addrs {
                 log.forget_fragment(addr.fid);
                 criterion::black_box(log.read(*addr).unwrap());
+            }
+        });
+    });
+    // The shape a degraded block read has in service: random 4 KiB reads
+    // of blocks homed on the down server, the fragment map intact. The pool
+    // knows the home is down, so each read is `k` ranged survivor reads
+    // and a 4 KiB fold — no dial, no locate, no whole-fragment decode.
+    let (transport, log, addrs) = seeded_log(4);
+    let down = swarm_types::ServerId::new(0);
+    let lost: Vec<BlockAddr> = (addrs.into_iter())
+        .filter(|a| {
+            let home = swarm_log::reconstruct::locate_fragment(log.engine(), a.fid);
+            home.is_some_and(|(server, _)| server == down)
+        })
+        .collect();
+    assert!(!lost.is_empty(), "no block is homed on the down server");
+    transport.set_down(down, true);
+    const READS: u64 = 256;
+    g.throughput(Throughput::Bytes(READS * 4096));
+    g.bench_function("random_4k_ranged", |b| {
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        b.iter(|| {
+            for _ in 0..READS {
+                let r = next_random(&mut rng);
+                let addr = lost[(r >> 1) as usize % lost.len()];
+                let half = BlockAddr::new(addr.fid, addr.offset + 4096 * (r & 1) as u32, 4096);
+                criterion::black_box(log.read(half).unwrap());
             }
         });
     });

@@ -11,12 +11,12 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use swarm_bench::print_table;
+use swarm_bench::{next_random, print_table};
 use swarm_log::{Log, LogConfig};
 use swarm_net::tcp::{TcpServer, TcpTransport};
 use swarm_server::{MemStore, StorageServer};
 use swarm_sim::{simulate_degraded_read, Calibration};
-use swarm_types::{ClientId, Geometry, ServerId, ServiceId};
+use swarm_types::{BlockAddr, ClientId, Geometry, ServerId, ServiceId};
 
 fn main() {
     let cal = Calibration::testbed_1999();
@@ -46,9 +46,11 @@ fn main() {
 /// Degraded reads on the real stack over TCP loopback (the sim above
 /// models the 1999 testbed; this measures this implementation): one
 /// cluster per row, with that many servers killed before the timed reads.
-/// Every read homed on a dead server runs the full locate + k-survivor
-/// fetch + GF(2^8) decode path; two down is the multi-failure case
-/// single parity cannot serve at all.
+/// Two rows of reads per cluster: random 4 KiB reads with the fragment
+/// map intact (a read homed on a dead server decodes just its range from
+/// `k` survivors), and whole blocks with the fragment forgotten first
+/// (the full locate + whole-fragment rebuild path). Two down is the
+/// multi-failure case single parity cannot serve at all.
 fn measure_real_stack(geometry: Geometry, kills: &[usize]) {
     const BLOCK: usize = 8 * 1024;
     const BLOCKS: usize = 64;
@@ -88,6 +90,28 @@ fn measure_real_stack(geometry: Geometry, kills: &[usize]) {
             drop(dead);
         }
 
+        // Uniform random 4 KiB reads with the fragment map intact — the
+        // shape of the repo benchmark's `degraded-read`: a read homed on
+        // a live server is one RPC, one homed on a dead server is `k`
+        // ranged survivor reads and a 4 KiB fold.
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let reads = ROUNDS * BLOCKS * 4;
+        let start = Instant::now();
+        for _ in 0..reads {
+            let r = next_random(&mut rng);
+            let i = (r >> 1) as usize % BLOCKS;
+            let offset = addrs[i].offset + 4096 * (r & 1) as u32;
+            let data = log
+                .read(BlockAddr::new(addrs[i].fid, offset, 4096))
+                .unwrap();
+            assert!(
+                data.len() == 4096 && data.iter().all(|&b| b == (i % 251) as u8),
+                "degraded read returned wrong bytes"
+            );
+        }
+        let random_mb_s = (reads * 4096) as f64 / 1e6 / start.elapsed().as_secs_f64();
+        let decoded = log.stats().reconstructions as f64 / reads as f64;
+
         // Forgetting the fragment each round forces the locate + rebuild
         // path instead of the home fast path.
         let start = Instant::now();
@@ -104,11 +128,21 @@ fn measure_real_stack(geometry: Geometry, kills: &[usize]) {
         }
         let secs = start.elapsed().as_secs_f64();
         let mb_s = (ROUNDS * BLOCKS * BLOCK) as f64 / 1e6 / secs;
-        rows.push(vec![format!("{kill} down"), format!("{mb_s:.2}")]);
+        rows.push(vec![
+            format!("{kill} down"),
+            format!("{random_mb_s:.2}"),
+            format!("{:.0}%", decoded * 100.0),
+            format!("{mb_s:.2}"),
+        ]);
     }
     print_table(
         &format!("Real stack (TCP loopback, {geometry}): reads by failure count"),
-        &["cluster state", "MB/s"],
+        &[
+            "cluster state",
+            "random 4 KiB MB/s",
+            "decoded",
+            "forgotten whole-block MB/s",
+        ],
         &rows,
     );
 }

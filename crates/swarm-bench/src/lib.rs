@@ -62,6 +62,15 @@ pub fn log_config(client: u32, n: u32) -> swarm_log::LogConfig {
         .expect("valid group")
 }
 
+/// Steps `state` and returns 31 well-mixed bits: a fixed-seed generator
+/// for picking benchmark keys (Knuth's 64-bit LCG, high half).
+pub fn next_random(state: &mut u64) -> u64 {
+    *state = state
+        .wrapping_mul(6364136223846793005)
+        .wrapping_add(1442695040888963407);
+    *state >> 33
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

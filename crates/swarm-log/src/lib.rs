@@ -25,7 +25,7 @@
 //! | [`writer`] | §2.1.2 | pipelined per-server fragment writers |
 //! | [`log`] | §2.1 | the [`Log`] type: append / read / checkpoint / flush |
 //! | [`reader`] | §2.3 | windowed, batching pipelined read engine |
-//! | [`reconstruct`] | §2.3.3 | broadcast locate + XOR rebuild |
+//! | [`reconstruct`] | §2.3.3 | broadcast locate, stripe description, ranged `k`-survivor decode |
 //! | [`recovery`] | §2.1.3 | anchor, checkpoint discovery, rollforward |
 //!
 //! # Quick start

@@ -22,7 +22,7 @@ use swarm_types::{
 };
 
 use crate::entry::Entry;
-use crate::fragment::{FragmentBuilder, FragmentView};
+use crate::fragment::{FragmentBuilder, FragmentHeader, FragmentView};
 use crate::parity::ParityAccumulator;
 use crate::reader::ReadEngine;
 use crate::reconstruct;
@@ -33,6 +33,7 @@ struct LogMetrics {
     fragments_sealed: swarm_metrics::Counter,
     reads: swarm_metrics::Counter,
     reconstructions: swarm_metrics::Counter,
+    degraded_reads: swarm_metrics::Counter,
     seal_us: swarm_metrics::Histogram,
     submit_us: swarm_metrics::Histogram,
     flush_us: swarm_metrics::Histogram,
@@ -50,6 +51,7 @@ fn metrics() -> &'static LogMetrics {
         fragments_sealed: swarm_metrics::counter("log.fragments_sealed"),
         reads: swarm_metrics::counter("log.reads"),
         reconstructions: swarm_metrics::counter("log.reconstructions"),
+        degraded_reads: swarm_metrics::counter("log.degraded_reads"),
         seal_us: swarm_metrics::histogram("log.seal_us"),
         submit_us: swarm_metrics::histogram("log.submit_us"),
         flush_us: swarm_metrics::histogram("log.flush_us"),
@@ -121,7 +123,8 @@ pub struct LogStats {
     pub reads: u64,
     /// Reads served from the client fragment cache or open builder.
     pub cache_hits: u64,
-    /// Fragments rebuilt from parity on the read path.
+    /// Reads answered by a decode of the stripe's survivors (a whole
+    /// fragment rebuilt, or just the addressed range).
     pub reconstructions: u64,
 }
 
@@ -302,14 +305,21 @@ impl ReadSource {
 /// pipeline instead of copying it. A hit refreshes the entry's position
 /// so hot fragments survive eviction (the order deque is short — the
 /// cache holds at most `cache_fragments` entries — so the linear refresh
-/// is cheaper than a linked structure would be).
-struct FragCache {
+/// is cheaper than a linked structure would be). The degraded read path
+/// keeps its stripe descriptions in a second one, keyed by each stripe's
+/// first member and bounded by [`STRIPE_INFO_CACHE`].
+struct FragCache<V = Bytes> {
     capacity: usize,
-    map: HashMap<FragmentId, Bytes>,
+    map: HashMap<FragmentId, V>,
     order: std::collections::VecDeque<FragmentId>,
 }
 
-impl FragCache {
+/// Stripe descriptions ([`reconstruct::stripe_info`] headers, ~100 B)
+/// the degraded read path remembers, so such a read costs no `Locate`.
+/// Small enough that [`FragCache`]'s linear refresh is a 4 KiB scan.
+const STRIPE_INFO_CACHE: usize = 256;
+
+impl<V: Clone> FragCache<V> {
     fn new(capacity: usize) -> Self {
         FragCache {
             capacity,
@@ -318,8 +328,8 @@ impl FragCache {
         }
     }
 
-    fn get(&mut self, fid: FragmentId) -> Option<Bytes> {
-        let bytes = self.map.get(&fid).map(Bytes::share)?;
+    fn get(&mut self, fid: FragmentId) -> Option<V> {
+        let bytes = self.map.get(&fid).cloned()?;
         if self.order.back() != Some(&fid) {
             if let Some(pos) = self.order.iter().position(|f| *f == fid) {
                 self.order.remove(pos);
@@ -335,7 +345,7 @@ impl FragCache {
         self.map.contains_key(&fid)
     }
 
-    fn insert(&mut self, fid: FragmentId, bytes: Bytes) {
+    fn insert(&mut self, fid: FragmentId, bytes: V) {
         if self.capacity == 0 {
             return;
         }
@@ -421,6 +431,8 @@ pub struct Log {
     /// Client fragment cache. Outside `state` so background prefetch can
     /// fill it without contending with appends.
     cache: Arc<Mutex<FragCache>>,
+    /// Stripe descriptions learnt by degraded reads.
+    stripes: Mutex<FragCache<Arc<FragmentHeader>>>,
     /// One background prefetch run at a time.
     prefetch_busy: Arc<AtomicBool>,
     /// Whole-fragment fetches in flight (prefetch mode), so the
@@ -501,6 +513,7 @@ impl Log {
             reader,
             engine,
             cache,
+            stripes: Mutex::new(FragCache::new(STRIPE_INFO_CACHE)),
             prefetch_busy: Arc::new(AtomicBool::new(false)),
             inflight: Arc::new(Inflight::default()),
             state: Mutex::new(LogState {
@@ -945,16 +958,17 @@ impl Log {
     // Read path
     // ------------------------------------------------------------------
 
-    /// Reads the bytes at `addr`, transparently reconstructing the
-    /// enclosing fragment if its server is unavailable (§2.3.3). The
-    /// returned [`Bytes`] aliases the fragment's buffer (cache entry or
-    /// decoded wire frame) — no copy is made.
+    /// Reads the bytes at `addr`, transparently decoding them from the
+    /// stripe's survivors if the fragment's server is unavailable
+    /// (§2.3.3). Unless rebuilt, the returned [`Bytes`] aliases the
+    /// fragment's buffer (cache entry or decoded wire frame) — no copy is
+    /// made.
     ///
     /// # Errors
     ///
-    /// Returns [`SwarmError::ReconstructionFailed`] when more than one
-    /// member of the fragment's stripe is gone, or the underlying
-    /// transport/server errors otherwise.
+    /// Returns [`SwarmError::ReconstructionFailed`] when more than `m`
+    /// members of the fragment's `k + m` stripe are gone, or the
+    /// underlying transport/server errors otherwise.
     pub fn read(&self, addr: BlockAddr) -> Result<Bytes> {
         let start = std::time::Instant::now();
         let (source, result) = self.read_inner(addr);
@@ -1011,9 +1025,19 @@ impl Log {
         }
 
         // Fast path: direct range read from the fragment's home server
-        // through the pipelined read engine.
+        // through the pipelined read engine — or, when the home does not
+        // answer, the same range decoded from the stripe's survivors.
+        // Knowing the home is down only reorders the two attempts; what
+        // neither serves falls through to locate + rebuild.
         let home = self.state.lock().fragment_map.get(&addr.fid).copied();
         if let Some(server) = home {
+            let home_first = self.engine.should_try(server);
+            if !home_first {
+                metrics().degraded_reads.inc();
+                if let Some(data) = self.read_degraded(addr) {
+                    return (ReadSource::Reconstruct, Ok(data));
+                }
+            }
             match self
                 .reader
                 .read_one(server, addr.fid, addr.offset, addr.len)
@@ -1021,6 +1045,9 @@ impl Log {
                 Ok(data) => return (ReadSource::Home, Ok(data)),
                 Err(e) if e.is_unavailability() => {}
                 Err(e) => return (ReadSource::Home, Err(e)),
+            }
+            if let Some(data) = home_first.then(|| self.read_degraded(addr)).flatten() {
+                return (ReadSource::Reconstruct, Ok(data));
             }
         }
 
@@ -1054,6 +1081,44 @@ impl Log {
             self.cache.lock().insert(addr.fid, bytes);
         }
         (ReadSource::Reconstruct, data)
+    }
+
+    /// Decodes the bytes at `addr` from the other members of its stripe
+    /// without touching its home ([`reconstruct::rebuild_range`]). The
+    /// stripe's description comes from the cache or one direct `Locate` to
+    /// a parity mate, placed by this log's stripe plan for the block's
+    /// writer (`addr` may be another client's, read through a cooperative
+    /// cache). `None` — no such mate, too few survivors, a bad range —
+    /// leaves the read to the slow path.
+    fn read_degraded(&self, addr: BlockAddr) -> Option<Bytes> {
+        let _span = metrics().reconstruct_us.span("log.reconstruct");
+        let group = &self.config.group;
+        let stripe_seq = StripePlan::stripe_of(addr.fid.seq(), group.width());
+        let plan = group.plan(addr.fid.client(), stripe_seq);
+        let lost = (addr.fid.seq() - plan.first_seq) as u8;
+        let end = addr.offset.checked_add(addr.len)?;
+        if lost >= plan.parity_index() {
+            return None; // parity holds no blocks
+        }
+        let key = plan.member_fid(0);
+        let cached = self.stripes.lock().get(key);
+        let stripe = match cached {
+            Some(stripe) => stripe,
+            None => {
+                let mate = plan.header(lost);
+                let found = Arc::new(reconstruct::stripe_info(&self.engine, &mate)?);
+                self.stripes.lock().insert(key, found.clone());
+                found
+            }
+        };
+        if stripe.member_fid(lost) != addr.fid {
+            return None; // not this block's stripe: nothing validates a decode
+        }
+        let data =
+            reconstruct::rebuild_range(&self.reader, &stripe, lost, addr.offset..end).ok()?;
+        metrics().reconstructions.inc();
+        self.state.lock().stats.reconstructions += 1;
+        Some(data)
     }
 
     /// Reads several addresses at once — the scan path. Builder and
@@ -1110,7 +1175,11 @@ impl Log {
                 match state.fragment_map.get(&addr.fid).copied() {
                     Some(server) => match jobs.iter_mut().find(|(s, _)| *s == server) {
                         Some((_, list)) => list.push((i, addr)),
-                        None => jobs.push((server, vec![(i, addr)])),
+                        None if self.engine.should_try(server) => {
+                            jobs.push((server, vec![(i, addr)]))
+                        }
+                        // Home known down: the one-address path decodes.
+                        None => fallback.push(i),
                     },
                     None => fallback.push(i),
                 }

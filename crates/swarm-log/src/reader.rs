@@ -298,6 +298,41 @@ impl ReadEngine {
             .expect("one spec yields one result")
     }
 
+    /// One ranged read from each of several servers, every request started
+    /// as a [`PendingCall`] from the calling thread before the first reply
+    /// is awaited: one round trip to the slowest server, no thread. Results
+    /// are in job order; a call that fails on a pooled connection is
+    /// replayed on a fresh dial, as in [`ReadEngine::run`].
+    pub fn fetch_each(&self, jobs: &[(ServerId, ReadSpec)]) -> Vec<Result<Bytes>> {
+        let started: Vec<Result<_>> = jobs
+            .iter()
+            .map(|&(server, ReadSpec { fid, offset, len })| {
+                let prepared = PreparedRequest::new(Request::Read { fid, offset, len });
+                let mut conn = self.pool.checkout(server)?;
+                let pending = conn.start_prepared(&prepared);
+                Ok((server, prepared, conn, pending))
+            })
+            .collect();
+        let finish = |started: Result<(_, PreparedRequest, Box<dyn Connection>, PendingCall)>| {
+            let (server, prepared, conn, pending) = started?;
+            let response = match pending.wait() {
+                Ok(response) => {
+                    self.pool.checkin(conn);
+                    response
+                }
+                Err(_) => {
+                    metrics().retries.inc();
+                    self.pool.redial_call(server, prepared.request())?
+                }
+            };
+            match response.into_result()? {
+                Response::Data(bytes) => Ok(bytes),
+                other => Err(SwarmError::protocol(format!("unexpected reply {other:?}"))),
+            }
+        };
+        started.into_iter().map(finish).collect()
+    }
+
     /// Fetches spec lists from several servers at once: one scoped thread
     /// per server, each running its own window. Results are returned in
     /// job order.

@@ -12,27 +12,52 @@
 //!
 //! All functions here read through a [`ReadEngine`] (and its shared
 //! [`ConnectionPool`]): locates use the pool's first-positive-wins
-//! broadcast, member fetches ride the engine's window and the mux
-//! priority lane, and stripe members — which by construction live on
-//! *different* servers — are fetched in parallel.
+//! broadcast, and stripe members — which by construction live on
+//! *different* servers — are read in parallel, `k` ranged reads started
+//! as pending calls from the calling thread.
 //!
-//! There is one rebuild path for every geometry. A `k + m` stripe
-//! tolerates up to `m` concurrent member losses: the fetch fans out to
-//! every other member, the first `k` arrivals win, and the lost fragment
-//! is a GF(2^8) linear combination of those survivors
-//! ([`crate::gf::decode_rows`]). The paper's single-parity stripe is the
-//! `m = 1` case: coding row 0 is all ones, every coefficient comes out 1,
-//! and [`crate::gf::mul_into`] folds a coefficient-1 member with plain
-//! XOR — the same bytes and the same kernel as §2.3.3's rebuild.
+//! There is one decode routine for every geometry and every caller,
+//! [`rebuild_range`]. A `k + m` stripe tolerates up to `m` concurrent
+//! member losses, and both RS and XOR parity are bytewise linear: bytes
+//! `[a, b)` of a lost member's symbol are a GF(2^8) linear combination
+//! ([`crate::gf::decode_rows`]) of bytes `[a, b)` of any `k` survivors'
+//! symbols. A degraded block read ([`crate::Log::read`] with the home
+//! down) decodes exactly the addressed bytes; the whole-fragment rebuild
+//! is the same call over the member's full length, followed by
+//! validation. The paper's single-parity stripe is the `m = 1` case:
+//! every coefficient comes out 1 and [`crate::gf::mul_into`] folds a
+//! coefficient-1 member with plain XOR — §2.3.3's rebuild.
+//!
+//! What the paper gets from a broadcast per rebuild — who is in the
+//! stripe, and where — is remembered instead: [`stripe_info`] turns one
+//! parity mate's header into the stripe's description, the log caches it,
+//! and survivors are chosen with [`ConnectionPool::should_try`], so a
+//! server known to be down is neither dialed nor searched for while `k`
+//! other members answer.
 
 use std::sync::Arc;
 
-use swarm_net::{ConnectionPool, Request, Response};
+use swarm_net::{ConnectionPool, ReadSpec, Request, Response};
 use swarm_types::{Bytes, FragmentId, Result, ServerId, SwarmError, MAX_PARITY};
 
 use crate::fragment::{parse_header, FragmentHeader, LOCATE_HEADER_LEN};
 use crate::gf;
 use crate::reader::ReadEngine;
+
+fn locate_request(fid: FragmentId) -> Request {
+    Request::Locate {
+        fid,
+        header_len: LOCATE_HEADER_LEN,
+    }
+}
+
+/// The header in a positive `Locate` reply, if it parses.
+fn located(resp: Response) -> Option<FragmentHeader> {
+    match resp.into_result().ok()? {
+        Response::Located(Some(prefix)) => parse_header(&prefix).ok(),
+        _ => None,
+    }
+}
 
 /// Broadcasts a `Locate` for `fid`, returning the first server that holds
 /// it plus its parsed header. First positive reply wins; a hit on one
@@ -41,27 +66,15 @@ pub fn locate_fragment(
     pool: &Arc<ConnectionPool>,
     fid: FragmentId,
 ) -> Option<(ServerId, FragmentHeader)> {
-    let request = Request::Locate {
-        fid,
-        header_len: LOCATE_HEADER_LEN,
-    };
+    let request = locate_request(fid);
     let (server, resp) =
         pool.broadcast_first(&request, |r| matches!(r, Response::Located(Some(_))))?;
-    if let Response::Located(Some(prefix)) = resp {
-        if let Ok(header) = parse_header(&prefix) {
-            return Some((server, header));
-        }
+    if let Some(header) = located(resp) {
+        return Some((server, header));
     }
     // The winning prefix failed to parse (corrupt header): fall back to a
     // full broadcast and accept any server whose copy parses.
-    for (server, resp) in pool.broadcast(&request) {
-        if let Ok(Response::Located(Some(prefix))) = resp.into_result() {
-            if let Ok(header) = parse_header(&prefix) {
-                return Some((server, header));
-            }
-        }
-    }
-    None
+    (pool.broadcast(&request).into_iter()).find_map(|(server, resp)| Some((server, located(resp)?)))
 }
 
 /// Fetches the complete bytes of a fragment from a specific server. The
@@ -125,7 +138,7 @@ fn find_stripe_header(pool: &Arc<ConnectionPool>, fid: FragmentId) -> Option<Fra
 }
 
 /// Reconstructs the complete bytes of fragment `fid` from the surviving
-/// members of its stripe, fetching them in parallel.
+/// members of its stripe.
 ///
 /// # Errors
 ///
@@ -140,238 +153,249 @@ pub fn reconstruct_fragment(engine: &ReadEngine, fid: FragmentId) -> Result<Byte
     })
 }
 
-/// The rebuild under [`reconstruct_fragment`] and
-/// [`read_fragment_anywhere`]. `Ok(None)` means no member of `fid`'s
-/// stripe exists anywhere in the cluster — the stripe was never written
-/// or has been cleaned — which the two callers report differently.
+/// The whole-fragment rebuild under [`reconstruct_fragment`] and
+/// [`read_fragment_anywhere`]: [`rebuild_range`] over the member's full
+/// symbol, then validation (a data member must parse, checksums and all,
+/// and name itself `fid`) or, for a parity member, a re-encoded header.
+/// `Ok(None)` means no member of `fid`'s stripe exists anywhere in the
+/// cluster — the stripe was never written or has been cleaned — which the
+/// two callers report differently.
 fn rebuild(engine: &ReadEngine, fid: FragmentId) -> Result<Option<Bytes>> {
-    let Some(header) = find_stripe_header(engine.pool(), fid) else {
+    let Some(mate) = find_stripe_header(engine.pool(), fid) else {
         return Ok(None);
     };
-    let my_index = (fid.seq() - header.stripe_first_seq) as u8;
-    reconstruct_rs(engine, fid, &header, my_index).map(Some)
+    let failed = |reason: String| SwarmError::ReconstructionFailed { fid, reason };
+    let stripe = stripe_info(engine.pool(), &mate)
+        .or_else(|| cold_stripe_info(engine.pool(), &mate))
+        .ok_or_else(|| failed("no surviving member names the stripe's member lengths".into()))?;
+    let my_index = (fid.seq() - stripe.stripe_first_seq) as u8;
+    let symbol_len = symbol_of(&stripe, my_index).1;
+    let symbol = rebuild_range(engine, &stripe, my_index, 0..symbol_len)?;
+    if !stripe.is_parity_member(my_index) {
+        let view = crate::fragment::FragmentView::parse(&symbol)
+            .map_err(|e| failed(format!("rebuilt bytes failed validation: {e}")))?;
+        if view.header.fid != fid {
+            return Err(failed(format!(
+                "rebuilt fragment identifies as {}",
+                view.header.fid
+            )));
+        }
+        return Ok(Some(symbol));
+    }
+    // A parity member's symbol is its body; its header is a function of
+    // the stripe and that body.
+    let parity_header = FragmentHeader {
+        flags: crate::fragment::FLAG_PARITY,
+        fid,
+        my_index,
+        body_len: symbol.len() as u32,
+        body_crc: swarm_types::crc32(&symbol),
+        ..stripe
+    };
+    let mut w = swarm_types::ByteWriter::with_capacity(parity_header.encoded_len() + symbol.len());
+    use swarm_types::Encode;
+    parity_header.encode(&mut w);
+    w.put_raw(&symbol);
+    Ok(Some(Bytes::from(w.into_bytes())))
 }
 
-/// Fetches every stripe member except `exclude` in parallel and keeps the
-/// first `need` that arrive — the tolerant fan-out under the decode,
-/// where any `k` of the `k + m - 1` other members suffice.
-/// Unavailable members are skipped, not fatal; fewer than `need` total is
-/// a [`SwarmError::ReconstructionFailed`] naming every failure.
-fn fetch_survivors(
-    engine: &ReadEngine,
-    header: &FragmentHeader,
-    exclude: u8,
-    need: usize,
-) -> Result<Vec<(u8, Bytes)>> {
-    let indices: Vec<u8> = (0..header.member_count).filter(|i| *i != exclude).collect();
-    let mut out: Vec<(u8, Bytes)> = Vec::with_capacity(need);
-    let mut reasons: Vec<String> = Vec::new();
-    if let [i] = indices[..] {
-        // A 1+1 stripe has one other member: nothing to fan out.
-        match fetch_member(engine, header, i) {
-            Ok(bytes) => out.push((i, bytes)),
-            Err(e) => reasons.push(format!("member {i}: {e}")),
-        }
-    } else {
-        std::thread::scope(|s| {
-            let (tx, rx) = std::sync::mpsc::channel();
-            for &i in &indices {
-                let tx = tx.clone();
-                s.spawn(move || {
-                    let _ = tx.send((i, fetch_member(engine, header, i)));
-                });
-            }
-            drop(tx);
-            for (i, result) in rx {
-                match result {
-                    Ok(bytes) => {
-                        out.push((i, bytes));
-                        if out.len() == need {
-                            // Dropping the receiver lets the laggards'
-                            // sends fail; the scope still joins them.
-                            break;
-                        }
-                    }
-                    Err(e) => reasons.push(format!("member {i}: {e}")),
-                }
-            }
-        });
+/// Asks `server` alone for `fid`'s header.
+fn locate_at(pool: &ConnectionPool, server: ServerId, fid: FragmentId) -> Option<FragmentHeader> {
+    located(pool.call(server, &locate_request(fid)).ok()?)
+}
+
+/// Does parity header `h` describe `mate`'s stripe: the same writer, the
+/// same member table, and a stored length for every data member?
+fn describes(h: &FragmentHeader, mate: &FragmentHeader) -> bool {
+    h.is_parity()
+        && h.member_lens.len() == h.data_count() as usize
+        && h.fid == mate.member_fid(h.my_index)
+        && (h.stripe_first_seq, h.member_count, h.parity_index)
+            == (mate.stripe_first_seq, mate.member_count, mate.parity_index)
+}
+
+/// Completes `mate` — any member's header, or the owning log's plan for
+/// the stripe — into what [`rebuild_range`] needs: the member table plus
+/// every data member's stored length, which is a parity member's header.
+/// One direct `Locate` to a parity mate; no broadcast, and no dial that
+/// [`ConnectionPool::should_try`] advises against.
+pub fn stripe_info(pool: &ConnectionPool, mate: &FragmentHeader) -> Option<FragmentHeader> {
+    if describes(mate, mate) {
+        return Some(mate.clone());
     }
-    if out.len() < need {
+    (mate.parity_index..mate.member_count).find_map(|i| {
+        let home = mate.member_server(i);
+        let header = pool
+            .should_try(home)
+            .then(|| locate_at(pool, home, mate.member_fid(i)));
+        header.flatten().filter(|h| describes(h, mate))
+    })
+}
+
+/// [`stripe_info`] by search, for the whole-fragment rebuild: parity mates
+/// are looked for cluster-wide, and when none survives (only parity was
+/// lost) each data member's own header gives its length.
+fn cold_stripe_info(pool: &Arc<ConnectionPool>, mate: &FragmentHeader) -> Option<FragmentHeader> {
+    let anywhere = |i: u8| Some(locate_fragment(pool, mate.member_fid(i))?.1);
+    let parity = (mate.parity_index..mate.member_count)
+        .find_map(|i| anywhere(i).filter(|h| describes(h, mate)));
+    if parity.is_some() {
+        return parity;
+    }
+    let member_lens = (0..mate.parity_index)
+        .map(|i| {
+            let h = locate_at(pool, mate.member_server(i), mate.member_fid(i))
+                .or_else(|| anywhere(i))?;
+            (h.encoded_len() as u32).checked_add(h.body_len)
+        })
+        .collect::<Option<Vec<u32>>>()?;
+    Some(FragmentHeader {
+        member_lens,
+        ..mate.clone()
+    })
+}
+
+/// Where stripe member `i`'s symbol — the bytes the code is computed over
+/// — starts within its stored fragment, and how long it is. A data
+/// member's symbol is its stored bytes from offset 0; a parity member's is
+/// its body, after a header whose length is a function of the geometry,
+/// spanning the longest data member.
+fn symbol_of(stripe: &FragmentHeader, i: u8) -> (u32, u32) {
+    if stripe.is_parity_member(i) {
+        let body = stripe.member_lens.iter().copied().max().unwrap_or(0);
+        // `stripe` carries a full length table, so it encodes to exactly a
+        // parity header's length whichever member it came from.
+        (stripe.encoded_len() as u32, body)
+    } else {
+        (0, stripe.member_lens[i as usize])
+    }
+}
+
+/// The coefficient per survivor that recombines their symbols into member
+/// `lost`'s: a [`gf::decode_rows`] row for a data member; for a parity
+/// member its [`gf::coding_row`] composed with the survivor inverse, so no
+/// intermediate data rebuild is materialized.
+fn decode_coefficients(k: usize, survivors: &[usize], lost: usize) -> Option<Vec<u8>> {
+    if lost < k {
+        return gf::decode_rows(k, survivors, &[lost])?.pop();
+    }
+    let inverse = gf::decode_rows(k, survivors, &(0..k).collect::<Vec<_>>())?;
+    let target = gf::coding_row(k, lost - k);
+    let coefficient =
+        |s: usize| (target.iter().zip(&inverse)).fold(0, |acc, (&t, row)| acc ^ gf::mul(t, row[s]));
+    Some((0..k).map(coefficient).collect())
+}
+
+/// Rebuilds bytes `range` of member `lost`'s symbol (see `symbol_of`)
+/// from the same range of `k` other members of `stripe`, a
+/// [`stripe_info`] header — the one decode routine (module docs).
+///
+/// Survivors whose homes are not known down are asked first, `k` ranged
+/// reads in flight at once; a failed one is topped up from the remaining
+/// members, and only when fewer than `k` answer at their homes is a
+/// failed member looked for cluster-wide. Members shorter than the range
+/// are read as far as they go (the code treats the rest as zeros). Each
+/// reply has its wire frame's CRC behind it, as a healthy ranged read has.
+///
+/// # Errors
+///
+/// [`SwarmError::RangeOutOfBounds`] if `range` runs past the lost
+/// member's true length, [`SwarmError::ReconstructionFailed`] if fewer
+/// than `k` survivors are available.
+pub fn rebuild_range(
+    engine: &ReadEngine,
+    stripe: &FragmentHeader,
+    lost: u8,
+    range: std::ops::Range<u32>,
+) -> Result<Bytes> {
+    let k = stripe.data_count() as usize;
+    if stripe.member_lens.len() != k || lost >= stripe.member_count {
+        return Err(SwarmError::corrupt("not a stripe description"));
+    }
+    let fid = stripe.member_fid(lost);
+    let stored = symbol_of(stripe, lost).1;
+    if range.start > range.end || range.end > stored {
+        let addr =
+            swarm_types::BlockAddr::new(fid, range.start, range.end.wrapping_sub(range.start));
+        return Err(SwarmError::RangeOutOfBounds { addr, stored });
+    }
+    let spec = |i: u8| {
+        let (base, len) = symbol_of(stripe, i);
+        let end = range.end.min(len);
+        let start = range.start.min(end);
+        ReadSpec {
+            fid: stripe.member_fid(i),
+            offset: base.saturating_add(start),
+            len: end - start,
+        }
+    };
+    let pool = engine.pool();
+    // Drawn lazily: the reader `should_try` elects as a probe does dial.
+    let mut fresh = (0..stripe.member_count).filter(|i| *i != lost);
+    let mut suspects: Vec<u8> = Vec::new();
+    let mut draw = || loop {
+        match fresh.next() {
+            Some(i) if pool.should_try(stripe.member_server(i)) => return Some(i),
+            Some(i) => suspects.push(i),
+            None => return suspects.pop(),
+        }
+    };
+    let mut survivors: Vec<(usize, Bytes)> = Vec::with_capacity(k);
+    let mut failures: Vec<(u8, SwarmError)> = Vec::new();
+    while survivors.len() < k {
+        let asked: Vec<u8> = std::iter::from_fn(&mut draw)
+            .take(k - survivors.len())
+            .collect();
+        if asked.is_empty() {
+            break;
+        }
+        let jobs: Vec<_> = asked
+            .iter()
+            .map(|&i| (stripe.member_server(i), spec(i)))
+            .collect();
+        for (&i, result) in asked.iter().zip(engine.fetch_each(&jobs)) {
+            match result {
+                Ok(bytes) => survivors.push((i as usize, bytes)),
+                Err(e) => failures.push((i, e)),
+            }
+        }
+    }
+    for (i, e) in &failures {
+        if survivors.len() == k || !e.is_unavailability() {
+            continue;
+        }
+        let ReadSpec { fid, offset, len } = spec(*i);
+        if let Some((server, _)) = locate_fragment(pool, fid) {
+            if let Ok(bytes) = engine.read_one(server, fid, offset, len) {
+                survivors.push((*i as usize, bytes));
+            }
+        }
+    }
+    if survivors.len() < k {
+        let reasons: Vec<String> = failures
+            .iter()
+            .map(|(i, e)| format!("member {i}: {e}"))
+            .collect();
         return Err(SwarmError::ReconstructionFailed {
-            fid: header.member_fid(exclude),
+            fid,
             reason: format!(
-                "only {} of the {} survivors needed are available ({})",
-                out.len(),
-                need,
+                "only {} of the {k} survivors needed are available ({})",
+                survivors.len(),
                 reasons.join("; ")
             ),
         });
     }
-    Ok(out)
-}
-
-/// Rebuilds any member of a `k + m` stripe from the first `k` surviving
-/// members to arrive.
-///
-/// Data members come back as a [`gf::decode_rows`] combination of the
-/// survivors' symbols (a data member's symbol is its full stored bytes, a
-/// parity member's is its body). A lost parity is re-encoded through the
-/// same inversion: its [`gf::coding_row`] composed with the survivor
-/// inverse gives one coefficient per survivor, so no intermediate data
-/// rebuild is materialized.
-fn reconstruct_rs(
-    engine: &ReadEngine,
-    fid: FragmentId,
-    header: &FragmentHeader,
-    my_index: u8,
-) -> Result<Bytes> {
-    let k = header.data_count() as usize;
-    let survivors = fetch_survivors(engine, header, my_index, k)?;
-
-    // Split each survivor into its symbol (full bytes for data members,
-    // body for parity members) and harvest a parity's member-length table
-    // for trimming.
-    let mut lens_from_parity: Option<Vec<u32>> = None;
-    let mut symbols: Vec<(usize, Bytes, usize)> = Vec::with_capacity(k); // (member, bytes, body offset)
-    for (i, bytes) in survivors {
-        if header.is_parity_member(i) {
-            let ph = parse_header(&bytes)?;
-            if !ph.is_parity() {
-                return Err(SwarmError::corrupt(format!(
-                    "member {i} of {} is not a parity fragment",
-                    header.stripe
-                )));
-            }
-            if lens_from_parity.is_none() {
-                lens_from_parity = Some(ph.member_lens.clone());
-            }
-            let body = ph.encoded_len();
-            symbols.push((i as usize, bytes, body));
-        } else {
-            symbols.push((i as usize, bytes, 0));
-        }
-    }
-    let survivor_indices: Vec<usize> = symbols.iter().map(|(i, _, _)| *i).collect();
-
-    // True stored length of each data member: a surviving parity's table,
-    // or — when all k data members survived (only a parity was lost) —
-    // their own lengths.
-    let data_len = |i: usize| -> Result<usize> {
-        if let Some(lens) = &lens_from_parity {
-            return Ok(*lens
-                .get(i)
-                .ok_or_else(|| SwarmError::corrupt("parity member_lens table too short"))?
-                as usize);
-        }
-        symbols
-            .iter()
-            .find(|(s, _, _)| *s == i)
-            .map(|(_, bytes, _)| bytes.len())
-            .ok_or_else(|| SwarmError::corrupt("no parity survivor names the lost member's length"))
-    };
-
-    let mut rebuilt: Vec<u8> = Vec::new();
-    if my_index < header.parity_index {
-        // Lost data member: one decode row recombines the survivors.
-        // (Rebuilding data means at most k-1 data survivors, so the k
-        // survivors always include a parity and `data_len` never misses.)
-        let rows = gf::decode_rows(k, &survivor_indices, &[my_index as usize])
-            .ok_or_else(|| SwarmError::corrupt("survivor matrix is singular"))?;
-        for ((_, bytes, body), &c) in symbols.iter().zip(&rows[0]) {
-            gf::mul_into(&mut rebuilt, &bytes[*body..], c);
-        }
-        let true_len = data_len(my_index as usize)?;
-        // Shorter-than-true folds only happen when every longer survivor
-        // carried a zero coefficient — the symbol really is zero there.
-        rebuilt.resize(true_len.max(rebuilt.len()), 0);
-        rebuilt.truncate(true_len);
-
-        let view = crate::fragment::FragmentView::parse(&rebuilt).map_err(|e| {
-            SwarmError::ReconstructionFailed {
-                fid,
-                reason: format!("rebuilt bytes failed validation: {e}"),
-            }
-        })?;
-        if view.header.fid != fid {
-            return Err(SwarmError::ReconstructionFailed {
-                fid,
-                reason: format!("rebuilt fragment identifies as {}", view.header.fid),
-            });
-        }
-        return Ok(Bytes::from(rebuilt));
-    }
-
-    // Lost parity member: compose its coding row with the survivor
-    // inverse to get coefficients directly over the survivors.
-    let row_j = (my_index - header.parity_index) as usize;
-    let all_data: Vec<usize> = (0..k).collect();
-    let inverse = gf::decode_rows(k, &survivor_indices, &all_data)
+    let indices: Vec<usize> = survivors.iter().map(|(i, _)| *i).collect();
+    let coefficients = decode_coefficients(k, &indices, lost as usize)
         .ok_or_else(|| SwarmError::corrupt("survivor matrix is singular"))?;
-    let target = gf::coding_row(k, row_j);
-    let coeffs: Vec<u8> = (0..k)
-        .map(|s| {
-            let mut acc = 0u8;
-            for (i, &t) in target.iter().enumerate() {
-                acc ^= gf::mul(t, inverse[i][s]);
-            }
-            acc
-        })
-        .collect();
-    for ((_, bytes, body), &c) in symbols.iter().zip(&coeffs) {
-        gf::mul_into(&mut rebuilt, &bytes[*body..], c);
+    let mut rebuilt = Vec::with_capacity(range.len());
+    for ((_, bytes), &c) in survivors.iter().zip(&coefficients) {
+        gf::mul_into(&mut rebuilt, bytes, c);
     }
-
-    // Parity bodies span the longest member; their headers carry the
-    // member-length table.
-    let mut lens = Vec::with_capacity(k);
-    for i in 0..k {
-        lens.push(data_len(i)? as u32);
-    }
-    let body_len = lens.iter().map(|l| *l as usize).max().unwrap_or(0);
-    rebuilt.resize(body_len.max(rebuilt.len()), 0);
-    rebuilt.truncate(body_len);
-
-    let parity_header = FragmentHeader {
-        flags: crate::fragment::FLAG_PARITY,
-        fid,
-        stripe: header.stripe,
-        stripe_first_seq: header.stripe_first_seq,
-        member_count: header.member_count,
-        my_index,
-        parity_index: header.parity_index,
-        body_len: rebuilt.len() as u32,
-        body_crc: swarm_types::crc32(&rebuilt),
-        group: header.group.clone(),
-        member_lens: lens,
-    };
-    let mut w = swarm_types::ByteWriter::with_capacity(parity_header.encoded_len() + rebuilt.len());
-    use swarm_types::Encode;
-    parity_header.encode(&mut w);
-    w.put_raw(&rebuilt);
-    Ok(Bytes::from(w.into_bytes()))
-}
-
-/// Fetches stripe member `i`, trying its home server first and falling
-/// back to a broadcast locate (the member may have been re-homed or its
-/// header map stale).
-fn fetch_member(engine: &ReadEngine, header: &FragmentHeader, i: u8) -> Result<Bytes> {
-    let fid = header.member_fid(i);
-    let home = header.member_server(i);
-    match fetch_fragment(engine, home, fid) {
-        Ok(bytes) => Ok(bytes),
-        Err(e) if e.is_unavailability() => {
-            if let Some((server, _)) = locate_fragment(engine.pool(), fid) {
-                fetch_fragment(engine, server, fid)
-            } else {
-                Err(SwarmError::ReconstructionFailed {
-                    fid,
-                    reason: format!("stripe member {i} unavailable ({e})"),
-                })
-            }
-        }
-        Err(e) => Err(e),
-    }
+    // Shorter-than-asked folds only happen when every longer survivor is
+    // itself short there — the symbol really is zero.
+    rebuilt.resize(range.len(), 0);
+    Ok(Bytes::from(rebuilt))
 }
 
 /// Reads the complete bytes of `fid` from wherever they are, falling back

@@ -19,8 +19,16 @@
 //! * Failed dials put the server in a short backoff window; the next dial
 //!   to that server waits out the remainder of the window first. Backoff
 //!   rate-limits connection attempts to an unhealthy server without ever
-//!   *skipping* one, so a server that comes back is observed immediately
-//!   — semantics identical to dial-per-call, just cheaper.
+//!   skipping a dial *that is asked for*: `checkout`, `call` and
+//!   `redial_call` always dial, so the write path, recovery and the
+//!   cleaner observe a server that comes back immediately. A failed dial
+//!   also drops the server's idle connections — same dead process.
+//! * [`ConnectionPool::should_try`] says what the slot already knows — a
+//!   server whose last dial failed is down — so that a caller with another
+//!   way to its answer (a degraded read, survivor selection) may decline
+//!   to ask. One caller per [`PROBE_PERIOD`] is told to try anyway: no
+//!   background thread, no ping; any successful dial, the writer's
+//!   included, clears the suspicion at once.
 //! * [`ConnectionPool::broadcast`] queries every server in parallel and
 //!   returns the replies in server-id order. Servers that fail are
 //!   counted (`net.broadcast_errors`) and traced, never silently absent.
@@ -48,12 +56,17 @@ const BACKOFF_BASE: Duration = Duration::from_micros(500);
 /// only spaces dials out, so the cap bounds the latency a recovered
 /// server can add to the first request after it comes back.
 const BACKOFF_CAP: Duration = Duration::from_millis(4);
+/// How often [`ConnectionPool::should_try`] lets one caller through to a
+/// server whose last dial failed. Bounds both the dials a dead server
+/// costs its readers and how long a recovered one keeps being read around.
+pub const PROBE_PERIOD: Duration = Duration::from_millis(100);
 
 struct PoolMetrics {
     hits: swarm_metrics::Counter,
     connects: swarm_metrics::Counter,
     reconnects: swarm_metrics::Counter,
     broadcast_errors: swarm_metrics::Counter,
+    probes: swarm_metrics::Counter,
 }
 
 fn pool_metrics() -> &'static PoolMetrics {
@@ -63,6 +76,7 @@ fn pool_metrics() -> &'static PoolMetrics {
         connects: swarm_metrics::counter("net.pool_connects"),
         reconnects: swarm_metrics::counter("net.pool_reconnects"),
         broadcast_errors: swarm_metrics::counter("net.broadcast_errors"),
+        probes: swarm_metrics::counter("net.pool_probes"),
     })
 }
 
@@ -83,6 +97,8 @@ struct Slot {
     idle: Vec<Box<dyn Connection>>,
     consecutive_failures: u32,
     retry_at: Option<Instant>,
+    /// While down: when `should_try` next elects a probe.
+    probe_at: Option<Instant>,
 }
 
 /// A per-client pool of cached server connections with health tracking.
@@ -164,13 +180,37 @@ impl ConnectionPool {
             Err(e) => {
                 let mut slots = self.slots.lock();
                 let slot = slots.entry(server).or_default();
+                // Its idle connections are to the process that just died:
+                // each would cost its next user a failed call and a redial.
+                slot.idle.clear();
+                let exp = slot.consecutive_failures.min(3);
                 slot.consecutive_failures = slot.consecutive_failures.saturating_add(1);
-                let exp = slot.consecutive_failures.min(4);
                 let backoff = BACKOFF_BASE.saturating_mul(1 << exp).min(BACKOFF_CAP);
-                slot.retry_at = Some(Instant::now() + backoff);
+                let now = Instant::now();
+                slot.retry_at = Some(now + backoff);
+                slot.probe_at = Some(now + PROBE_PERIOD);
                 Err(e)
             }
         }
+    }
+
+    /// Is `server` worth asking? `true` unless its last dial failed; then
+    /// `true` for exactly one caller per [`PROBE_PERIOD`] — the elected
+    /// probe, whose dial clears the suspicion or renews it — and `false`
+    /// for everyone else. Advice only: the pool never refuses a dial.
+    pub fn should_try(&self, server: ServerId) -> bool {
+        let mut slots = self.slots.lock();
+        let down = |slot: &&mut Slot| slot.consecutive_failures > 0;
+        let Some(slot) = slots.get_mut(&server).filter(down) else {
+            return true;
+        };
+        let now = Instant::now();
+        if slot.probe_at.is_some_and(|at| now < at) {
+            return false;
+        }
+        slot.probe_at = Some(now + PROBE_PERIOD);
+        pool_metrics().probes.inc();
+        true
     }
 
     /// Number of idle connections currently cached for `server`. A
@@ -445,6 +485,23 @@ mod tests {
             p.call(ServerId::new(0), &Request::Ping).unwrap(),
             Response::Ok
         );
+    }
+
+    /// Regression: a refused dial used to leave the slot's idle
+    /// connections in place, so after a server died each of the next four
+    /// checkouts popped a dead socket, failed its call and redialed.
+    #[test]
+    fn refused_dial_drops_the_idle_connections() {
+        let t = cluster(1);
+        let p = pool(t.clone());
+        let s = ServerId::new(0);
+        let (a, b) = (p.checkout(s).unwrap(), p.checkout(s).unwrap());
+        p.checkin(a);
+        p.checkin(b);
+        assert_eq!(p.idle_count(s), 2);
+        t.set_down(s, true);
+        assert!(p.redial_call(s, &Request::Ping).is_err());
+        assert_eq!(p.idle_count(s), 0);
     }
 
     #[test]

@@ -136,6 +136,38 @@ fn read_engine_metrics_track_pool_and_read_sources() {
     );
 }
 
+/// Down-knowledge (DESIGN.md §11): a read whose home is known down skips
+/// it (`log.degraded_reads`) and is decoded from the survivors
+/// (`log.reconstructions`); once a probe period has passed, one read is
+/// elected to ask the home again (`net.pool_probes`).
+#[test]
+fn degraded_read_metrics_count_skipped_homes_and_probes() {
+    let svc = ServiceId::new(9);
+    let transport = cluster(3);
+    let log = Log::create(transport.clone(), config(3)).unwrap();
+    let addr = log.append_block(svc, b"", &[5u8; 3000]).unwrap();
+    log.flush().unwrap();
+    let (holder, _) = swarm_log::reconstruct::locate_fragment(log.engine(), addr.fid).unwrap();
+    transport.set_down(holder, true);
+
+    let before = swarm_metrics::snapshot();
+    // Finds the home down, then reads around it.
+    assert_eq!(log.read(addr).unwrap(), vec![5u8; 3000]);
+    assert_eq!(log.read(addr).unwrap(), vec![5u8; 3000]);
+    std::thread::sleep(swarm_net::pool::PROBE_PERIOD);
+    assert_eq!(log.read(addr).unwrap(), vec![5u8; 3000]);
+    let after = swarm_metrics::snapshot();
+
+    for name in ["log.degraded_reads", "net.pool_probes"] {
+        assert!(
+            after.counter(name) > before.counter(name),
+            "{name} did not move"
+        );
+    }
+    assert!(after.counter("log.reconstructions") >= before.counter("log.reconstructions") + 3);
+    assert_eq!(log.stats().reconstructions, 3);
+}
+
 /// The pipelined write engine's instruments (DESIGN.md §15) are visible
 /// through the same snapshot `swarm-admin stats` prints: the
 /// `log.store_inflight` gauge exists (and is back to zero once flush
