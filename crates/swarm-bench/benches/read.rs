@@ -1,9 +1,10 @@
 //! Read-path benchmarks over the parallel read engine: sequential read
 //! bandwidth through the home fast path, degraded (reconstructing) reads
-//! with a server down, and the recovery rollforward scan with read-ahead.
+//! with a server down, and the recovery rollforward scan.
 //!
-//! The recovery group measures read-ahead against `read_ahead(0)` on the
-//! same cluster.
+//! The recovery group measures the scan at the default read window (8
+//! fragments located and fetched per batch) against `read_window(1)` on
+//! the same cluster.
 
 use std::sync::Arc;
 
@@ -101,13 +102,13 @@ fn bench_recovery_scan(c: &mut Criterion) {
     let mut g = c.benchmark_group("recovery_scan");
     g.sample_size(10);
     g.throughput(Throughput::Bytes((BLOCKS * BLOCK) as u64));
-    for (name, read_ahead) in [("read_ahead_4", 4usize), ("no_read_ahead", 0)] {
+    for (name, read_window) in [("read_window_8", 8usize), ("read_window_1", 1)] {
         let (transport, log, _addrs) = seeded_log(4);
         drop(log); // client crash: rollforward scans the whole log
         let config = log_config(1, 4)
             .fragment_size(32 * 1024)
             .cache_fragments(0)
-            .read_ahead(read_ahead);
+            .read_window(read_window);
         g.bench_function(name, |b| {
             b.iter(|| {
                 let (log, replay) = recover(

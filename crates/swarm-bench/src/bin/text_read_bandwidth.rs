@@ -75,8 +75,7 @@ fn measure_real_stack() {
             .unwrap()
             .fragment_size(64 * 1024)
             .cache_fragments(if prefetch { 8 } else { 0 })
-            .prefetch(prefetch)
-            .read_ahead(if prefetch { 4 } else { 0 });
+            .prefetch(prefetch);
         let log = Log::create(transport.clone() as Arc<dyn swarm_net::Transport>, config).unwrap();
         let svc = ServiceId::new(1);
         let mut addrs = Vec::new();

@@ -12,7 +12,8 @@
 //! Exit status is 0 iff every seed passed on every requested transport.
 //! Each failing seed prints its invariant violations and a one-line
 //! replay command carrying the full option set (transport, store,
-//! geometry, write/read windows).
+//! geometry, write/read windows). A panic on any thread fails the run it
+//! happened in; its message and backtrace are among the violations.
 
 use std::process::ExitCode;
 
@@ -198,6 +199,7 @@ fn main() -> ExitCode {
             }
         },
     };
+    swarm_chaos::install_panic_hook();
     let mut failed = 0usize;
     let mut ran = 0usize;
 
@@ -257,6 +259,7 @@ fn main() -> ExitCode {
                                             let mut dump = schedule.dump();
                                             dump.push_str("\n# failures:\n");
                                             for f in &report.failures {
+                                                let f = f.replace('\n', "\n# ");
                                                 dump.push_str(&format!("# {f}\n"));
                                             }
                                             std::fs::write(&path, dump)

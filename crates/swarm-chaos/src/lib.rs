@@ -28,6 +28,10 @@
 //!      blocks stay readable at their possibly-moved addresses after every
 //!      cleaning pass).
 //!
+//! A panic on any thread during a run is an invariant violation like any
+//! other ([`install_panic_hook`]): the run fails and its report carries
+//! the message and a backtrace.
+//!
 //! A failing seed prints a one-line replay command; because neither the
 //! schedule nor the verdict depends on wall-clock time or unseeded
 //! randomness, rerunning that command reproduces the failure.
@@ -40,5 +44,5 @@ pub mod runner;
 pub mod schedule;
 
 pub use cluster::{Cluster, StoreKind, TransportKind};
-pub use runner::{RunOptions, RunReport, Runner};
+pub use runner::{install_panic_hook, RunOptions, RunReport, Runner};
 pub use schedule::{ChaosEvent, DownSet, Schedule, ScheduleConfig};

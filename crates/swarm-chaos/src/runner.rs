@@ -16,6 +16,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Duration;
@@ -206,6 +207,37 @@ impl FromStr for RunOptions {
             clients: clients.unwrap_or(1),
         })
     }
+}
+
+/// Panics recorded by [`install_panic_hook`]'s hook and not yet claimed
+/// by a run.
+static PANICS: std::sync::Mutex<Vec<String>> = std::sync::Mutex::new(Vec::new());
+
+/// Makes a panicked thread a failed run: every panic, on any thread, is
+/// recorded with its thread's name and a backtrace, and
+/// [`Runner::run_with_options`] moves what was recorded during a run into
+/// that run's [`RunReport::failures`]. The previous hook still runs, so
+/// the message reaches stderr as before. For the binary, which runs one
+/// schedule at a time: a test process would blame whichever run ends next
+/// for any test's panic.
+pub fn install_panic_hook() {
+    let previous = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let thread = std::thread::current();
+        let report = format!(
+            "thread '{}' {info}\n{}",
+            thread.name().unwrap_or("<unnamed>"),
+            std::backtrace::Backtrace::force_capture()
+        );
+        panics().push(report);
+        previous(info);
+    }));
+}
+
+/// A thread that panicked holding the lock left the list whole: a push or
+/// a take is one step.
+fn panics() -> std::sync::MutexGuard<'static, Vec<String>> {
+    PANICS.lock().unwrap_or_else(|held| held.into_inner())
 }
 
 /// The outcome of replaying one schedule on one transport.
@@ -491,31 +523,51 @@ impl Runner {
     ) -> Result<RunReport> {
         let mut runner =
             Runner::new_with_options(schedule, kind, store, write_window, read_window)?;
-        for (i, event) in schedule.events.iter().enumerate() {
-            if runner.failures.len() >= MAX_FAILURES {
-                runner
-                    .failures
-                    .push(format!("[{i}] aborting: too many failures"));
-                break;
+        // A panic on this thread fails the run, not the sweep; the hook
+        // (when installed) has its message and backtrace.
+        let stepped = catch_unwind(AssertUnwindSafe(|| {
+            for (i, event) in schedule.events.iter().enumerate() {
+                if runner.failures.len() >= MAX_FAILURES {
+                    runner
+                        .failures
+                        .push(format!("[{i}] aborting: too many failures"));
+                    break;
+                }
+                if runner.rigs.iter().any(|r| r.log.is_none()) {
+                    break; // unrecoverable (crash recovery itself failed)
+                }
+                runner.step(i, event);
             }
-            if runner.rigs.iter().any(|r| r.log.is_none()) {
-                break; // unrecoverable (crash recovery itself failed)
-            }
-            runner.step(i, event);
+        }));
+        if stepped.is_err() {
+            runner.failures.push("the run panicked".into());
         }
+        // Tear the clients and the cluster down first: every thread they
+        // own is joined, so a panic on any of them has been recorded.
+        let Runner {
+            cluster,
+            rigs,
+            mut failures,
+            verified_reads,
+            acked_blocks,
+            ..
+        } = runner;
+        drop(rigs);
+        drop(cluster);
+        failures.extend(std::mem::take(&mut *panics()));
         Ok(RunReport {
             seed: schedule.seed,
             transport: kind,
             store,
             hash: schedule.hash(),
             events: schedule.events.len(),
-            verified_reads: runner.verified_reads,
-            acked_blocks: runner.acked_blocks,
+            verified_reads,
+            acked_blocks,
             write_window,
             read_window,
             parity: schedule.parity,
             clients: schedule.clients,
-            failures: runner.failures,
+            failures,
         })
     }
 

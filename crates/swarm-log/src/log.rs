@@ -11,7 +11,6 @@
 //! cleaner (crate `swarm-cleaner`) reclaims dead stripes.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
@@ -162,13 +161,10 @@ pub struct LogConfig {
     /// Prefetch whole fragments on read misses (default off — the
     /// paper's prototype did not prefetch, §3.4; enabling this is the
     /// optimization the paper says "would greatly improve the
-    /// performance of reads that miss in the client cache").
+    /// performance of reads that miss in the client cache"). A miss
+    /// fetches its whole fragment and one background pass reads the next
+    /// two ahead of it.
     pub prefetch: bool,
-    /// Fragments to read ahead of a miss when `prefetch` is on (and
-    /// during recovery rollforward): while fragment `seq` is being
-    /// parsed, fragments `seq+1..=seq+read_ahead` are fetched in the
-    /// background. Default 2.
-    pub read_ahead: usize,
     /// Attempts per fragment store before the writer reports the server
     /// lost (default [`crate::writer::STORE_RETRIES`]).
     pub store_retries: usize,
@@ -195,7 +191,6 @@ impl LogConfig {
             read_window: crate::reader::DEFAULT_READ_WINDOW,
             cache_fragments: 16,
             prefetch: false,
-            read_ahead: 2,
             store_retries: crate::writer::STORE_RETRIES,
             retry_backoff: crate::writer::RETRY_BACKOFF,
         })
@@ -253,12 +248,6 @@ impl LogConfig {
         self
     }
 
-    /// Sets the read-ahead depth for prefetch mode and recovery scans.
-    pub fn read_ahead(mut self, fragments: usize) -> LogConfig {
-        self.read_ahead = fragments;
-        self
-    }
-
     /// Sets the writer's store retry count.
     pub fn store_retries(mut self, retries: usize) -> LogConfig {
         self.store_retries = retries;
@@ -313,6 +302,9 @@ struct FragCache<V = Bytes> {
     map: HashMap<FragmentId, V>,
     order: std::collections::VecDeque<FragmentId>,
 }
+
+/// Fragments a prefetch-mode miss reads ahead of itself.
+const READ_AHEAD: u64 = 2;
 
 /// Stripe descriptions ([`reconstruct::stripe_info`] headers, ~100 B)
 /// the degraded read path remembers, so such a read costs no `Locate`.
@@ -433,8 +425,9 @@ pub struct Log {
     cache: Arc<Mutex<FragCache>>,
     /// Stripe descriptions learnt by degraded reads.
     stripes: Mutex<FragCache<Arc<FragmentHeader>>>,
-    /// One background prefetch run at a time.
-    prefetch_busy: Arc<AtomicBool>,
+    /// The one background read-ahead pass (prefetch mode), joined before
+    /// the next one starts and when the log is dropped.
+    read_ahead: Mutex<Option<std::thread::JoinHandle<()>>>,
     /// Whole-fragment fetches in flight (prefetch mode), so the
     /// foreground read and the read-ahead thread never fetch the same
     /// fragment twice.
@@ -514,7 +507,7 @@ impl Log {
             engine,
             cache,
             stripes: Mutex::new(FragCache::new(STRIPE_INFO_CACHE)),
-            prefetch_busy: Arc::new(AtomicBool::new(false)),
+            read_ahead: Mutex::new(None),
             inflight: Arc::new(Inflight::default()),
             state: Mutex::new(LogState {
                 next_seq,
@@ -1006,7 +999,7 @@ impl Log {
         }
 
         // Prefetch mode: pull the whole fragment into the client cache on
-        // a miss — and read the next `read_ahead` fragments in the
+        // a miss — and read the next `READ_AHEAD` fragments in the
         // background — so sequential block reads become cache hits (the
         // optimization §3.4 names but the prototype lacked).
         if self.config.prefetch {
@@ -1141,8 +1134,10 @@ impl Log {
         let m = metrics();
         let mut out: Vec<Option<Bytes>> = Vec::new();
         out.resize_with(addrs.len(), || None);
-        // (server, [(index into addrs/out, addr)]) jobs for the engine.
-        let mut jobs: Vec<(ServerId, Vec<(usize, BlockAddr)>)> = Vec::new();
+        // (index into addrs/out, the read at its home) for the engine.
+        let mut jobs: Vec<(usize, (ServerId, swarm_net::ReadSpec))> = Vec::new();
+        // `should_try`, asked once per home: it may elect this scan the probe.
+        let mut homes: Vec<(ServerId, bool)> = Vec::new();
         let mut fallback: Vec<usize> = Vec::new();
         {
             let mut state = self.state.lock();
@@ -1172,50 +1167,43 @@ impl Log {
                     out[i] = Some(slice_fragment(&bytes, addr)?);
                     continue;
                 }
-                match state.fragment_map.get(&addr.fid).copied() {
-                    Some(server) => match jobs.iter_mut().find(|(s, _)| *s == server) {
-                        Some((_, list)) => list.push((i, addr)),
-                        None if self.engine.should_try(server) => {
-                            jobs.push((server, vec![(i, addr)]))
-                        }
-                        // Home known down: the one-address path decodes.
-                        None => fallback.push(i),
-                    },
-                    None => fallback.push(i),
+                let Some(server) = state.fragment_map.get(&addr.fid).copied() else {
+                    fallback.push(i);
+                    continue;
+                };
+                let try_home = match homes.iter().find(|(s, _)| *s == server) {
+                    Some(&(_, known)) => known,
+                    None => {
+                        let asked = self.engine.should_try(server);
+                        homes.push((server, asked));
+                        asked
+                    }
+                };
+                if try_home {
+                    let spec = swarm_net::ReadSpec {
+                        fid: addr.fid,
+                        offset: addr.offset,
+                        len: addr.len,
+                    };
+                    jobs.push((i, (server, spec)));
+                } else {
+                    // Home known down: the one-address path decodes.
+                    fallback.push(i);
                 }
             }
         }
-        if !jobs.is_empty() {
-            let specs: Vec<(ServerId, Vec<swarm_net::ReadSpec>)> = jobs
-                .iter()
-                .map(|(server, list)| {
-                    (
-                        *server,
-                        list.iter()
-                            .map(|(_, addr)| swarm_net::ReadSpec {
-                                fid: addr.fid,
-                                offset: addr.offset,
-                                len: addr.len,
-                            })
-                            .collect(),
-                    )
-                })
-                .collect();
-            for ((_, list), results) in jobs.iter().zip(self.reader.fetch_scatter(specs)) {
-                for ((i, _), result) in list.iter().zip(results) {
-                    match result {
-                        Ok(bytes) => {
-                            m.reads.inc();
-                            let mut state = self.state.lock();
-                            state.stats.reads += 1;
-                            out[*i] = Some(bytes);
-                        }
-                        // Home gone or mapping stale: the one-address
-                        // path will locate or reconstruct.
-                        Err(e) if e.is_unavailability() => fallback.push(*i),
-                        Err(e) => return Err(e),
-                    }
+        let reads: Vec<_> = jobs.iter().map(|(_, job)| *job).collect();
+        for (&(i, _), result) in jobs.iter().zip(self.reader.fetch_scatter(&reads)) {
+            match result {
+                Ok(bytes) => {
+                    m.reads.inc();
+                    self.state.lock().stats.reads += 1;
+                    out[i] = Some(bytes);
                 }
+                // Home gone or mapping stale: the one-address path will
+                // locate or reconstruct.
+                Err(e) if e.is_unavailability() => fallback.push(i),
+                Err(e) => return Err(e),
             }
         }
         for i in fallback {
@@ -1232,69 +1220,42 @@ impl Log {
     /// (prefetch mode). At most one read-ahead runs at a time; fragments
     /// already cached are skipped without touching their recency.
     fn spawn_read_ahead(&self, fid: FragmentId) {
-        let k = self.config.read_ahead as u64;
-        if k == 0 {
-            return;
-        }
-        if self.prefetch_busy.swap(true, Ordering::AcqRel) {
+        let mut pass = self.read_ahead.lock();
+        if pass.as_ref().is_some_and(|running| !running.is_finished()) {
             return;
         }
         let reader = self.reader.clone();
         let cache = Arc::clone(&self.cache);
-        let busy = Arc::clone(&self.prefetch_busy);
         let inflight = Arc::clone(&self.inflight);
         let client = self.config.client;
         // Snapshot the known homes up front: the thread must not hold
         // (or race on) the log state lock, and a direct home fetch avoids
         // a cluster-wide locate broadcast per prefetched fragment.
-        let homes: Vec<Option<ServerId>> = {
+        let ahead: Vec<(FragmentId, Option<ServerId>)> = {
             let state = self.state.lock();
-            (fid.seq() + 1..=fid.seq() + k)
-                .map(|seq| {
-                    state
-                        .fragment_map
-                        .get(&FragmentId::new(client, seq))
-                        .copied()
-                })
+            (fid.seq() + 1..=fid.seq() + READ_AHEAD)
+                .map(|seq| FragmentId::new(client, seq))
+                .map(|next| (next, state.fragment_map.get(&next).copied()))
                 .collect()
         };
-        // One background thread pulls the whole window through the read
-        // engine: fragments sharing a home server ride one windowed,
-        // batched pass instead of the old one-fragment-at-a-time chain
-        // of detached fetches.
-        std::thread::spawn(move || {
+        let next = std::thread::spawn(move || {
             // Claim the uncached fragments so the foreground read (and
             // any later read-ahead) never duplicates a fetch in flight.
-            let mut claimed: Vec<(FragmentId, Option<ServerId>)> = Vec::new();
+            let mut claimed = ahead;
             {
                 let cache = cache.lock();
                 let mut fetching = inflight.fetching.lock();
-                for (i, home) in homes.into_iter().enumerate() {
-                    let next = FragmentId::new(client, fid.seq() + 1 + i as u64);
-                    if cache.contains(next) || fetching.contains(&next) {
-                        continue;
-                    }
-                    fetching.insert(next);
-                    claimed.push((next, home));
-                }
+                claimed.retain(|(next, _)| !cache.contains(*next) && fetching.insert(*next));
             }
-            let mut by_home: Vec<(ServerId, Vec<FragmentId>)> = Vec::new();
-            for (next, home) in &claimed {
-                if let Some(server) = home {
-                    match by_home.iter_mut().find(|(s, _)| s == server) {
-                        Some((_, list)) => list.push(*next),
-                        None => by_home.push((*server, vec![*next])),
-                    }
-                }
-            }
-            let mut fetched: HashMap<FragmentId, Bytes> = HashMap::new();
-            for (server, fids) in by_home {
-                for (f, result) in fids.iter().zip(reader.fetch_whole(server, &fids)) {
-                    if let Ok(Some(bytes)) = result {
-                        fetched.insert(*f, bytes);
-                    }
-                }
-            }
+            // Everything with a known home rides one windowed, batched
+            // pass of the read engine, all homes at once.
+            let homed: Vec<(ServerId, FragmentId)> = (claimed.iter())
+                .filter_map(|&(next, home)| Some((home?, next)))
+                .collect();
+            let mut fetched: HashMap<FragmentId, Bytes> = (homed.iter())
+                .zip(reader.fetch_whole(&homed))
+                .filter_map(|(&(_, next), result)| Some((next, result.ok()??)))
+                .collect();
             // Fill the cache in sequence order; anything the home pass
             // missed (unknown home, stale map, server down) goes through
             // locate/reconstruct, and the first fragment that exists
@@ -1302,7 +1263,7 @@ impl Log {
             for (next, _) in &claimed {
                 match fetched.remove(next) {
                     Some(bytes) => cache.lock().insert(*next, bytes),
-                    None => match fetch_whole_fragment(&reader, None, *next) {
+                    None => match reconstruct::read_fragment_anywhere(&reader, *next) {
                         Ok(Some(bytes)) => cache.lock().insert(*next, bytes),
                         _ => break,
                     },
@@ -1315,8 +1276,11 @@ impl Log {
                 }
             }
             inflight.done.notify_all();
-            busy.store(false, Ordering::Release);
         });
+        if let Some(finished) = pass.replace(next) {
+            // Best effort: a pass that panicked said so on its way out.
+            let _ = finished.join();
+        }
     }
 
     /// Client-side operation counters.
@@ -1432,6 +1396,14 @@ impl Log {
         match &state.builder {
             Some(b) => b.fid().seq(),
             None => state.next_seq,
+        }
+    }
+}
+
+impl Drop for Log {
+    fn drop(&mut self) {
+        if let Some(pass) = self.read_ahead.lock().take() {
+            let _ = pass.join();
         }
     }
 }

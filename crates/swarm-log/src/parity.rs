@@ -70,25 +70,9 @@ pub struct ParityAccumulator {
     members: Vec<(FragmentId, u32)>,
 }
 
-impl Default for ParityAccumulator {
-    fn default() -> Self {
-        ParityAccumulator::new()
-    }
-}
-
 impl ParityAccumulator {
-    /// Starts an empty single-parity (XOR) accumulator — the paper's
-    /// configuration (one per in-flight stripe).
-    pub fn new() -> Self {
-        ParityAccumulator {
-            rows: vec![Vec::new()],
-            coding: Vec::new(),
-            members: Vec::new(),
-        }
-    }
-
-    /// Starts an accumulator for a `data + parity` stripe. `parity == 1`
-    /// is identical to [`ParityAccumulator::new`].
+    /// Starts an accumulator for a `data + parity` stripe, one per
+    /// in-flight stripe. `parity == 1` is the paper's single XOR parity.
     pub fn with_geometry(data: usize, parity: usize) -> Self {
         debug_assert!(data >= 1 && parity >= 1);
         ParityAccumulator {
@@ -280,7 +264,7 @@ mod tests {
             data_fragment(1, 1, 4, &[2u8; 500]),
             data_fragment(2, 2, 4, &[3u8; 50]),
         ];
-        let mut acc = ParityAccumulator::new();
+        let mut acc = ParityAccumulator::with_geometry(3, 1);
         for f in &frags {
             acc.add(f);
         }
@@ -303,7 +287,7 @@ mod tests {
         // The 1-client/2-server minimum configuration (§3.4): stripe =
         // one data fragment + parity ⇒ parity body == data bytes.
         let f = data_fragment(0, 0, 2, b"mirrored payload");
-        let mut acc = ParityAccumulator::new();
+        let mut acc = ParityAccumulator::with_geometry(1, 1);
         acc.add(&f);
         let parity = build_one(acc, header(1, 1, 2));
         let body_start = parity.header.encoded_len();
@@ -368,7 +352,7 @@ mod tests {
             data_fragment(2, 2, 6, &[13u8; 199]),
             data_fragment(3, 3, 6, &[17u8; 64]),
         ];
-        let mut xor = ParityAccumulator::new();
+        let mut xor = ParityAccumulator::with_geometry(4, 1);
         let mut rs = ParityAccumulator::with_geometry(4, 2);
         for f in &frags {
             xor.add(f);
@@ -468,7 +452,7 @@ mod tests {
                 .map(|(i, p)| data_fragment(i as u64, i as u8, count, p))
                 .collect();
             let lost = lost_idx % frags.len();
-            let mut acc = ParityAccumulator::new();
+            let mut acc = ParityAccumulator::with_geometry(frags.len(), 1);
             for f in &frags {
                 acc.add(f);
             }

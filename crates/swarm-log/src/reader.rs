@@ -6,12 +6,13 @@
 //! idle while the server seeked. [`ReadEngine`] closes that gap two ways:
 //!
 //! * **Windowing** — up to [`LogConfig::read_window`]
-//!   (`crate::log::LogConfig`) read RPCs stay outstanding per server via
-//!   [`Connection::start_prepared`]/[`PendingCall`], exactly the
-//!   fill/harvest discipline the writer uses for stores. On a multiplexed
-//!   transport the window rides one socket; synchronous transports complete
-//!   each call inside `start_prepared`, so the window degrades to 1
-//!   transparently (clamped by [`Connection::pipeline_width`]).
+//!   (`crate::log::LogConfig`) read RPCs stay outstanding per server,
+//!   across however many servers a fetch touches, through the pool's one
+//!   fan-out loop ([`ConnectionPool::fan_out`]): pending calls started and
+//!   harvested by the calling thread, no thread per server. On a
+//!   multiplexed transport a server's window rides one socket;
+//!   synchronous transports complete each call as it is started, so the
+//!   window degrades to 1 transparently.
 //! * **Batching** — runs of reads against one server collapse into
 //!   [`Request::ReadBatch`] RPCs ([`BATCH_CHUNK`] fragments per call), so
 //!   a scan or stripe fetch is a single round trip per server. Batch
@@ -20,21 +21,16 @@
 //!   window of 1 MiB writes (the YCSB-B head-of-line fix).
 //!
 //! A transport-level failure mid-window poisons every sibling call on the
-//! shared channel; each affected request is then replayed through
-//! [`ConnectionPool::call`], which redials once — so a bounced connection
-//! costs a retry, never a wrong result.
+//! shared channel; the fan-out replays each affected request on a fresh
+//! dial — so a bounced connection costs a retry, never a wrong result.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::Instant;
 
 use swarm_net::proto::wire_error;
-use swarm_net::{
-    Connection, ConnectionPool, PendingCall, PreparedRequest, ReadSpec, Request, Response,
-};
+use swarm_net::{ConnectionPool, ReadSpec, Request, Response};
 use swarm_types::{Bytes, FragmentId, Result, ServerId, SwarmError};
 
-use crate::fragment::{parse_header, LOCATE_HEADER_LEN};
+use crate::fragment::{parse_header, FragmentHeader, LOCATE_HEADER_LEN};
 
 /// Outstanding read RPCs the engine keeps on the wire per server
 /// (default; see `LogConfig::read_window`). 1 reproduces the paper's
@@ -47,26 +43,15 @@ pub const DEFAULT_READ_WINDOW: usize = 8;
 pub const BATCH_CHUNK: usize = 16;
 
 struct ReaderMetrics {
-    /// Read RPCs currently on the wire across all servers (gauge).
-    read_inflight: swarm_metrics::Gauge,
-    /// Window occupancy sampled after each read is started (histogram
-    /// over counts, not microseconds).
-    window_occupancy: swarm_metrics::Histogram,
-    read_rpc_us: swarm_metrics::Histogram,
     batches: swarm_metrics::Counter,
     batched_reads: swarm_metrics::Counter,
-    retries: swarm_metrics::Counter,
 }
 
 fn metrics() -> &'static ReaderMetrics {
     static M: std::sync::OnceLock<ReaderMetrics> = std::sync::OnceLock::new();
     M.get_or_init(|| ReaderMetrics {
-        read_inflight: swarm_metrics::gauge("log.read_inflight"),
-        window_occupancy: swarm_metrics::histogram("log.read_window_occupancy"),
-        read_rpc_us: swarm_metrics::histogram("log.read_rpc_us"),
         batches: swarm_metrics::counter("log.read_batches"),
         batched_reads: swarm_metrics::counter("log.batched_reads"),
-        retries: swarm_metrics::counter("log.read_retries"),
     })
 }
 
@@ -124,165 +109,64 @@ impl ReadEngine {
         self.window
     }
 
-    /// Issues `requests` to `server`, keeping up to the window outstanding,
-    /// and returns the responses in request order. Completions are
-    /// harvested oldest-first; on a multiplexed transport they may finish
-    /// out of order on the wire, which is invisible here. A request whose
-    /// channel died is replayed through the pool's one-redial `call`.
-    pub fn run(&self, server: ServerId, requests: Vec<Request>) -> Vec<Result<Response>> {
+    /// Issues `jobs` through the pool's fan-out at this engine's window:
+    /// responses in job order (see [`ConnectionPool::fan_out`]).
+    pub fn run(&self, jobs: Vec<(ServerId, Request)>) -> Vec<Result<Response>> {
+        self.pool.fan_out(self.window, jobs)
+    }
+
+    /// One ranged read per job, from any number of servers at once. Per
+    /// server, runs of reads collapse into `ReadBatch` RPCs of up to
+    /// [`BATCH_CHUNK`]; every server's RPCs ride its own window in one
+    /// fan-out. Results are in job order. Each `Ok` is a shared view of its
+    /// reply frame — no copy. Per-read failures (a missing fragment
+    /// mid-scan) are per-element `Err`s; they do not poison the rest of
+    /// their batch.
+    pub fn fetch_scatter(&self, jobs: &[(ServerId, ReadSpec)]) -> Vec<Result<Bytes>> {
         let m = metrics();
-        let n = requests.len();
-        let mut results: Vec<Option<Result<Response>>> = Vec::new();
-        results.resize_with(n, || None);
-        let mut queue: VecDeque<(usize, PreparedRequest)> = requests
-            .into_iter()
-            .enumerate()
-            .map(|(i, r)| (i, PreparedRequest::new(r)))
-            .collect();
-        // The bool marks a synthesized failure (checkout itself failed, no
-        // call ever hit the wire) vs. a call started on a live channel.
-        let mut inflight: VecDeque<(usize, PreparedRequest, PendingCall, Instant, bool)> =
-            VecDeque::new();
-        let mut conn: Option<Box<dyn Connection>> = None;
-        let mut dial_failed = false;
-        while !queue.is_empty() || !inflight.is_empty() {
-            // Fill: start reads until the window is full. The effective
-            // width re-clamps to the live connection each round, so a
-            // synchronous transport (pipeline_width 1) degrades to serial.
-            loop {
-                if conn.is_none() && !dial_failed {
-                    conn = match self.pool.checkout(server) {
-                        Ok(c) => Some(c),
-                        Err(_) => {
-                            // Remember the failure for this window pass:
-                            // the per-request fallback below redials (with
-                            // the pool's backoff) instead of this loop
-                            // hammering the dead server once per fill.
-                            dial_failed = true;
-                            None
-                        }
-                    };
-                }
-                let width = conn
-                    .as_ref()
-                    .map(|c| self.window.min(c.pipeline_width().max(1)))
-                    .unwrap_or(1);
-                if inflight.len() >= width {
-                    break;
-                }
-                let Some((i, prepared)) = queue.pop_front() else {
-                    break;
-                };
-                let (pending, synthesized) = match &mut conn {
-                    Some(c) => (c.start_prepared(&prepared), false),
-                    None => (
-                        PendingCall::ready(Err(SwarmError::ServerUnavailable(server))),
-                        true,
-                    ),
-                };
-                m.read_inflight.add(1);
-                inflight.push_back((i, prepared, pending, Instant::now(), synthesized));
-                m.window_occupancy.record_us(inflight.len() as u64);
+        // Job indices per server, in job order.
+        let mut homes: Vec<(ServerId, Vec<usize>)> = Vec::new();
+        for (job, &(server, _)) in jobs.iter().enumerate() {
+            match homes.iter_mut().find(|(s, _)| *s == server) {
+                Some((_, list)) => list.push(job),
+                None => homes.push((server, vec![job])),
             }
-            // Harvest the oldest outstanding read.
-            let Some((i, prepared, pending, started, synthesized)) = inflight.pop_front() else {
-                break;
-            };
-            let result = match pending.wait() {
-                Ok(resp) => Ok(resp),
-                Err(e) if synthesized => Err(e),
-                Err(_) => {
-                    // The shared channel (and every sibling read on it)
-                    // may be dead: drop it and replay this request on a
-                    // fresh dial — the pool's idle connections are likely
-                    // just as stale. Siblings repair themselves the same
-                    // way as they are harvested.
-                    conn = None;
-                    dial_failed = false;
-                    m.retries.inc();
-                    self.pool.redial_call(server, prepared.request())
+        }
+        let chunks: Vec<(ServerId, &[usize])> = (homes.iter())
+            .flat_map(|(server, list)| list.chunks(BATCH_CHUNK).map(|chunk| (*server, chunk)))
+            .collect();
+        let requests = chunks.iter().map(|&(server, chunk)| {
+            let request = match *chunk {
+                [job] => {
+                    let ReadSpec { fid, offset, len } = jobs[job].1;
+                    Request::Read { fid, offset, len }
+                }
+                _ => {
+                    m.batches.inc();
+                    m.batched_reads.add(chunk.len() as u64);
+                    let reads = chunk.iter().map(|&job| jobs[job].1).collect();
+                    Request::ReadBatch { reads }
                 }
             };
-            m.read_inflight.add(-1);
-            m.read_rpc_us.record(started.elapsed());
-            results[i] = Some(result);
+            (server, request)
+        });
+        let responses = self.run(requests.collect());
+        let mut out: Vec<Option<Result<Bytes>>> = Vec::new();
+        out.resize_with(jobs.len(), || None);
+        for ((_, chunk), resp) in chunks.into_iter().zip(responses) {
+            for (&job, result) in chunk.iter().zip(unpack(chunk.len(), resp)) {
+                out[job] = Some(result);
+            }
         }
-        if let Some(c) = conn {
-            self.pool.checkin(c);
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("every request harvested"))
+        out.into_iter()
+            .map(|r| r.expect("every job answered"))
             .collect()
     }
 
-    /// Fetches `specs` from `server`: runs of reads collapse into
-    /// `ReadBatch` RPCs of up to [`BATCH_CHUNK`], the RPCs ride the
-    /// window, and the results come back in spec order. Each `Ok` is a
-    /// shared view of its reply frame — no copy. Per-read failures (a
-    /// missing fragment mid-scan) are per-element `Err`s; they do not
-    /// poison the rest of the batch.
+    /// [`ReadEngine::fetch_scatter`] with every spec on one server.
     pub fn fetch_from(&self, server: ServerId, specs: &[ReadSpec]) -> Vec<Result<Bytes>> {
-        let m = metrics();
-        let mut requests = Vec::new();
-        for chunk in specs.chunks(BATCH_CHUNK.max(1)) {
-            if chunk.len() == 1 {
-                requests.push(Request::Read {
-                    fid: chunk[0].fid,
-                    offset: chunk[0].offset,
-                    len: chunk[0].len,
-                });
-            } else {
-                m.batches.inc();
-                m.batched_reads.add(chunk.len() as u64);
-                requests.push(Request::ReadBatch {
-                    reads: chunk.to_vec(),
-                });
-            }
-        }
-        let responses = self.run(server, requests);
-        let mut out = Vec::with_capacity(specs.len());
-        for (chunk, resp) in specs.chunks(BATCH_CHUNK.max(1)).zip(responses) {
-            match resp {
-                Ok(Response::Data(bytes)) if chunk.len() == 1 => out.push(Ok(bytes)),
-                Ok(Response::Batch(reply)) => {
-                    let results = reply.into_results();
-                    if results.len() == chunk.len() {
-                        out.extend(results);
-                    } else {
-                        for _ in chunk {
-                            out.push(Err(SwarmError::protocol(format!(
-                                "batch reply carried {} results for {} reads",
-                                results.len(),
-                                chunk.len()
-                            ))));
-                        }
-                    }
-                }
-                Ok(other) => match other.into_result() {
-                    Err(e) => {
-                        for _ in 0..chunk.len().saturating_sub(1) {
-                            out.push(Err(clone_error(&e)));
-                        }
-                        out.push(Err(e));
-                    }
-                    Ok(r) => {
-                        for _ in chunk {
-                            out.push(Err(SwarmError::protocol(format!(
-                                "unexpected read reply {r:?}"
-                            ))));
-                        }
-                    }
-                },
-                Err(e) => {
-                    for _ in 0..chunk.len().saturating_sub(1) {
-                        out.push(Err(clone_error(&e)));
-                    }
-                    out.push(Err(e));
-                }
-            }
-        }
-        out
+        let jobs: Vec<_> = specs.iter().map(|&spec| (server, spec)).collect();
+        self.fetch_scatter(&jobs)
     }
 
     /// One ranged read — a single-spec [`ReadEngine::fetch_from`].
@@ -298,113 +182,91 @@ impl ReadEngine {
             .expect("one spec yields one result")
     }
 
-    /// One ranged read from each of several servers, every request started
-    /// as a [`PendingCall`] from the calling thread before the first reply
-    /// is awaited: one round trip to the slowest server, no thread. Results
-    /// are in job order; a call that fails on a pooled connection is
-    /// replayed on a fresh dial, as in [`ReadEngine::run`].
-    pub fn fetch_each(&self, jobs: &[(ServerId, ReadSpec)]) -> Vec<Result<Bytes>> {
-        let started: Vec<Result<_>> = jobs
-            .iter()
-            .map(|&(server, ReadSpec { fid, offset, len })| {
-                let prepared = PreparedRequest::new(Request::Read { fid, offset, len });
-                let mut conn = self.pool.checkout(server)?;
-                let pending = conn.start_prepared(&prepared);
-                Ok((server, prepared, conn, pending))
+    /// Asks each job's server for its fragment's header: one windowed pass
+    /// of `Locate`s. `Ok(None)` means that server does not hold that
+    /// fragment.
+    pub fn locate_each(
+        &self,
+        jobs: &[(ServerId, FragmentId)],
+    ) -> Vec<Result<Option<FragmentHeader>>> {
+        let locates = jobs.iter().map(|&(server, fid)| {
+            let header_len = LOCATE_HEADER_LEN;
+            (server, Request::Locate { fid, header_len })
+        });
+        (self.run(locates.collect()).into_iter())
+            .map(|resp| match resp?.into_result()? {
+                Response::Located(Some(prefix)) => parse_header(&prefix).map(Some),
+                Response::Located(None) => Ok(None),
+                other => Err(SwarmError::protocol(format!(
+                    "unexpected locate reply {other:?}"
+                ))),
             })
-            .collect();
-        let finish = |started: Result<(_, PreparedRequest, Box<dyn Connection>, PendingCall)>| {
-            let (server, prepared, conn, pending) = started?;
-            let response = match pending.wait() {
-                Ok(response) => {
-                    self.pool.checkin(conn);
-                    response
-                }
-                Err(_) => {
-                    metrics().retries.inc();
-                    self.pool.redial_call(server, prepared.request())?
-                }
-            };
-            match response.into_result()? {
-                Response::Data(bytes) => Ok(bytes),
-                other => Err(SwarmError::protocol(format!("unexpected reply {other:?}"))),
-            }
-        };
-        started.into_iter().map(finish).collect()
+            .collect()
     }
 
-    /// Fetches spec lists from several servers at once: one scoped thread
-    /// per server, each running its own window. Results are returned in
-    /// job order.
-    pub fn fetch_scatter(&self, jobs: Vec<(ServerId, Vec<ReadSpec>)>) -> Vec<Vec<Result<Bytes>>> {
-        if jobs.len() <= 1 {
-            return jobs
-                .into_iter()
-                .map(|(server, specs)| self.fetch_from(server, &specs))
-                .collect();
-        }
-        std::thread::scope(|s| {
-            let handles: Vec<_> = jobs
-                .into_iter()
-                .map(|(server, specs)| s.spawn(move || self.fetch_from(server, &specs)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("scatter read worker panicked"))
-                .collect()
-        })
-    }
-
-    /// Fetches the complete bytes of `fids` from `server`: one windowed
-    /// pass of `Locate`s learns each fragment's length, then the bodies
-    /// come back through batched reads. `Ok(None)` means the server does
-    /// not hold that fragment (end of log, or a stale home mapping — the
-    /// caller decides whether to locate elsewhere).
-    pub fn fetch_whole(&self, server: ServerId, fids: &[FragmentId]) -> Vec<Result<Option<Bytes>>> {
-        let locates: Vec<Request> = fids
-            .iter()
-            .map(|&fid| Request::Locate {
-                fid,
-                header_len: LOCATE_HEADER_LEN,
+    /// Fetches the complete bytes of each job's fragment from its server:
+    /// [`ReadEngine::locate_each`] learns the lengths, then the bodies come
+    /// back through batched reads, both passes across all the servers at
+    /// once. `Ok(None)` means the server does not hold that fragment (end
+    /// of log, or a stale home mapping — the caller decides whether to
+    /// locate elsewhere).
+    pub fn fetch_whole(&self, jobs: &[(ServerId, FragmentId)]) -> Vec<Result<Option<Bytes>>> {
+        let mut bodies: Vec<(usize, (ServerId, ReadSpec))> = Vec::new();
+        let mut out: Vec<Result<Option<Bytes>>> = (jobs.iter().zip(self.locate_each(jobs)))
+            .enumerate()
+            .map(|(slot, (&(server, fid), located))| {
+                let header = located?;
+                bodies.extend(header.map(|h| (slot, (server, whole_fragment(fid, &h)))));
+                Ok(None)
             })
             .collect();
-        let mut out: Vec<Option<Result<Option<Bytes>>>> = Vec::new();
-        out.resize_with(fids.len(), || None);
-        let mut specs: Vec<(usize, ReadSpec)> = Vec::new();
-        for (i, resp) in self.run(server, locates).into_iter().enumerate() {
-            match resp.and_then(Response::into_result) {
-                Ok(Response::Located(Some(prefix))) => match parse_header(&prefix) {
-                    Ok(header) => specs.push((
-                        i,
-                        ReadSpec {
-                            fid: fids[i],
-                            offset: 0,
-                            len: header.encoded_len() as u32 + header.body_len,
-                        },
-                    )),
-                    Err(e) => out[i] = Some(Err(e)),
-                },
-                Ok(Response::Located(None)) => out[i] = Some(Ok(None)),
-                Ok(other) => {
-                    out[i] = Some(Err(SwarmError::protocol(format!(
-                        "unexpected locate reply {other:?}"
-                    ))))
-                }
-                Err(e) => out[i] = Some(Err(e)),
-            }
-        }
-        let spec_list: Vec<ReadSpec> = specs.iter().map(|(_, s)| *s).collect();
-        for ((i, _), result) in specs.iter().zip(self.fetch_from(server, &spec_list)) {
-            out[*i] = Some(match result {
+        let reads: Vec<_> = bodies.iter().map(|(_, job)| *job).collect();
+        for (&(slot, _), result) in bodies.iter().zip(self.fetch_scatter(&reads)) {
+            out[slot] = match result {
                 Ok(bytes) => Ok(Some(bytes)),
                 // Deleted between locate and read: absent, not fatal.
                 Err(SwarmError::FragmentNotFound(_)) => Ok(None),
                 Err(e) => Err(e),
-            });
+            };
         }
-        out.into_iter()
-            .map(|r| r.expect("every fid resolved"))
-            .collect()
+        out
+    }
+}
+
+/// The read that returns all of fragment `fid`, whose header is `header`.
+pub(crate) fn whole_fragment(fid: FragmentId, header: &FragmentHeader) -> ReadSpec {
+    ReadSpec {
+        fid,
+        offset: 0,
+        len: header.encoded_len() as u32 + header.body_len,
+    }
+}
+
+/// Spreads the reply to a read RPC that carried `n` reads into one result
+/// per read.
+fn unpack(n: usize, resp: Result<Response>) -> Vec<Result<Bytes>> {
+    let protocol = |detail: String| {
+        let errors = (0..n).map(|_| Err(SwarmError::protocol(detail.clone())));
+        errors.collect()
+    };
+    match resp.and_then(Response::into_result) {
+        Ok(Response::Data(bytes)) if n == 1 => vec![Ok(bytes)],
+        Ok(Response::Batch(reply)) => {
+            let results = reply.into_results();
+            if results.len() == n {
+                return results;
+            }
+            protocol(format!(
+                "batch reply carried {} results for {n} reads",
+                results.len()
+            ))
+        }
+        Ok(other) => protocol(format!("unexpected read reply {other:?}")),
+        Err(e) => {
+            let mut errors: Vec<_> = (1..n).map(|_| Err(clone_error(&e))).collect();
+            errors.push(Err(e));
+            errors
+        }
     }
 }
 
@@ -517,24 +379,20 @@ mod tests {
             store(&pool, server, 100 + server as u64, vec![server as u8; 32]);
         }
         let engine = ReadEngine::new(pool, 8);
-        let jobs: Vec<(ServerId, Vec<ReadSpec>)> = (0..3u32)
+        // Two passes over the servers, interleaved: 2, 1, 0, 2, 1, 0.
+        let jobs: Vec<(ServerId, ReadSpec)> = (0..6u32)
+            .map(|i| 2 - i % 3)
             .map(|server| {
-                (
-                    ServerId::new(server),
-                    vec![ReadSpec {
-                        fid: fid(100 + server as u64),
-                        offset: 0,
-                        len: 32,
-                    }],
-                )
+                let spec = ReadSpec {
+                    fid: fid(100 + server as u64),
+                    offset: 0,
+                    len: 32,
+                };
+                (ServerId::new(server), spec)
             })
             .collect();
-        let results = engine.fetch_scatter(jobs);
-        for (server, per_server) in results.into_iter().enumerate() {
-            assert_eq!(
-                per_server[0].as_ref().unwrap().as_slice(),
-                &[server as u8; 32][..]
-            );
+        for ((server, _), result) in jobs.iter().zip(engine.fetch_scatter(&jobs)) {
+            assert_eq!(result.unwrap().as_slice(), &[server.raw() as u8; 32][..]);
         }
     }
 }

@@ -13,8 +13,8 @@
 //! All functions here read through a [`ReadEngine`] (and its shared
 //! [`ConnectionPool`]): locates use the pool's first-positive-wins
 //! broadcast, and stripe members — which by construction live on
-//! *different* servers — are read in parallel, `k` ranged reads started
-//! as pending calls from the calling thread.
+//! *different* servers — are read at once, `k` ranged reads in one
+//! fan-out ([`ReadEngine::fetch_scatter`]).
 //!
 //! There is one decode routine for every geometry and every caller,
 //! [`rebuild_range`]. A `k + m` stripe tolerates up to `m` concurrent
@@ -77,6 +77,30 @@ pub fn locate_fragment(
     (pool.broadcast(&request).into_iter()).find_map(|(server, resp)| Some((server, located(resp)?)))
 }
 
+/// [`locate_fragment`] for a batch: every fragment is asked of every
+/// server in one windowed pass, and of the servers
+/// [`ConnectionPool::should_try`] advises against in a second pass only
+/// if the first did not find it. The holder with the lowest id wins.
+pub fn locate_fragments(
+    engine: &ReadEngine,
+    fids: &[FragmentId],
+) -> Vec<Option<(ServerId, FragmentHeader)>> {
+    let mut found: Vec<Option<(ServerId, FragmentHeader)>> = vec![None; fids.len()];
+    for servers in engine.pool().fresh_then_suspects() {
+        let missing = (0..fids.len()).filter(|&i| found[i].is_none());
+        let asked: Vec<(usize, ServerId)> = missing
+            .flat_map(|i| servers.iter().map(move |&server| (i, server)))
+            .collect();
+        let jobs: Vec<_> = asked.iter().map(|&(i, server)| (server, fids[i])).collect();
+        for (&(i, server), located) in asked.iter().zip(engine.locate_each(&jobs)) {
+            if let (None, Ok(Some(header))) = (&found[i], located) {
+                found[i] = Some((server, header));
+            }
+        }
+    }
+    found
+}
+
 /// Fetches the complete bytes of a fragment from a specific server. The
 /// locate and the body read ride the engine's window (and its priority
 /// lane on the mux, so a reconstruction is not stuck behind queued store
@@ -88,7 +112,7 @@ pub fn locate_fragment(
 /// Propagates transport and server errors ([`SwarmError::FragmentNotFound`],
 /// [`SwarmError::ServerUnavailable`], …) and validates the header.
 pub fn fetch_fragment(engine: &ReadEngine, server: ServerId, fid: FragmentId) -> Result<Bytes> {
-    match engine.fetch_whole(server, &[fid]).pop().expect("one fid") {
+    match engine.fetch_whole(&[(server, fid)]).pop().expect("one job") {
         Ok(Some(bytes)) => Ok(bytes),
         Ok(None) => Err(SwarmError::FragmentNotFound(fid)),
         Err(e) => Err(e),
@@ -353,7 +377,7 @@ pub fn rebuild_range(
             .iter()
             .map(|&i| (stripe.member_server(i), spec(i)))
             .collect();
-        for (&i, result) in asked.iter().zip(engine.fetch_each(&jobs)) {
+        for (&i, result) in asked.iter().zip(engine.fetch_scatter(&jobs)) {
             match result {
                 Ok(bytes) => survivors.push((i as usize, bytes)),
                 Err(e) => failures.push((i, e)),

@@ -37,17 +37,15 @@
 //! [`Replay::checkpoint_data`] and [`Replay::records_for`] to each
 //! service.
 
-use std::collections::HashMap;
-use std::sync::{mpsc, Arc};
+use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
 use swarm_net::{ConnectionPool, Request, Response, Transport};
-use swarm_types::{
-    BlockAddr, Bytes, ClientId, FragmentId, Result, ServerId, ServiceId, SwarmError,
-};
+use swarm_types::{BlockAddr, Bytes, FragmentId, Result, ServerId, ServiceId, SwarmError};
 
 use crate::entry::Entry;
 use crate::log::{Log, LogConfig, LogPosition};
-use crate::reader::ReadEngine;
+use crate::reader::{whole_fragment, ReadEngine};
 use crate::reconstruct;
 
 struct RecoveryMetrics {
@@ -147,7 +145,7 @@ pub fn recover(
     // afterwards so new reads start on already-warm connections.
     let pool = Arc::new(ConnectionPool::new(transport.clone(), client));
     // Every whole-fragment read below — checkpoint discovery and the
-    // rollforward read-ahead — rides the configured read window.
+    // rollforward scan — rides the configured read window.
     let engine = ReadEngine::new(Arc::clone(&pool), config.read_window);
 
     let anchor = find_anchor(&pool);
@@ -169,16 +167,25 @@ pub fn recover(
     };
     let anchor_seq = anchor.map(|a| a.seq()).unwrap_or(0);
 
-    // Rollforward, pipelined: while fragment `seq` is parsed, fragments
-    // `seq+1..=seq+K` are already being fetched in the background. A
-    // larger read window deepens the recovery read-ahead along with it.
-    let depth = config.read_ahead.max(config.read_window) as u64;
-    let mut ahead = ReadAhead::new(engine, depth);
+    // Rollforward, a read window at a time: the next `read_window`
+    // fragments are located and fetched as one batch, then parsed in order.
+    let mut window: VecDeque<Fetched> = VecDeque::new();
     let mut seq = scan_start;
     loop {
         let fid = FragmentId::new(client, seq);
-        let fetch = ahead.next(seq, client)?;
-        let Some(bytes) = fetch.bytes else {
+        if window.is_empty() {
+            let ahead = seq..seq + engine.window() as u64;
+            let fids: Vec<_> = ahead.map(|s| FragmentId::new(client, s)).collect();
+            window = fetch_window(&engine, &fids).into();
+        }
+        let fetch = window.pop_front().expect("a window holds a fragment");
+        let bytes = match fetch.body {
+            Some(Ok(bytes)) => Some(bytes),
+            Some(Err(e)) if !e.is_unavailability() => return Err(e),
+            // Held by a server that cannot serve it, or by none: rebuild.
+            _ => try_reconstruct(&engine, fid)?,
+        };
+        let Some(bytes) = bytes else {
             // Below the anchor a missing fragment is a *cleaned* stripe
             // (the cleaner only reclaims regions older than every
             // checkpoint that matters) — skip it. At or beyond the
@@ -331,85 +338,34 @@ pub fn recover(
     Ok((log, replay))
 }
 
-/// One fetched (or missing) fragment from the rollforward pipeline.
-struct FragmentFetch {
-    /// The server a broadcast locate found the fragment on, if any.
+/// One fragment of a rollforward window.
+struct Fetched {
+    /// The server a cluster-wide locate found the fragment on, if any.
     home: Option<ServerId>,
-    /// The fragment bytes; `None` when the fragment neither exists nor
-    /// can be reconstructed (end of log, torn tail, or cleaned stripe).
-    bytes: Option<Bytes>,
+    /// What that server's read returned; `None` when no server has it.
+    body: Option<Result<Bytes>>,
 }
 
-/// Locate → fetch → reconstruct for one fragment, exactly the rollforward
-/// semantics: a located-but-unfetchable fragment falls back to rebuild,
-/// and "cannot be reconstructed" is a `None`, not an error.
-fn fetch_anywhere_with_home(engine: &ReadEngine, fid: FragmentId) -> Result<FragmentFetch> {
-    let located = reconstruct::locate_fragment(engine.pool(), fid);
-    match located {
-        Some((server, _)) => match reconstruct::fetch_fragment(engine, server, fid) {
-            Ok(b) => Ok(FragmentFetch {
-                home: Some(server),
-                bytes: Some(b),
-            }),
-            Err(e) if e.is_unavailability() => Ok(FragmentFetch {
-                home: Some(server),
-                bytes: try_reconstruct(engine, fid)?,
-            }),
-            Err(e) => Err(e),
-        },
-        None => Ok(FragmentFetch {
-            home: None,
-            bytes: try_reconstruct(engine, fid)?,
-        }),
-    }
-}
-
-/// The rollforward read-ahead pipeline: keeps fetches for the next `depth`
-/// fragments in flight on background threads while the caller parses the
-/// current one.
-struct ReadAhead {
-    engine: ReadEngine,
-    depth: u64,
-    inflight: HashMap<u64, mpsc::Receiver<Result<FragmentFetch>>>,
-}
-
-impl ReadAhead {
-    fn new(engine: ReadEngine, depth: u64) -> ReadAhead {
-        ReadAhead {
-            engine,
-            depth,
-            inflight: HashMap::new(),
-        }
-    }
-
-    fn spawn(&mut self, seq: u64, client: ClientId) {
-        if self.inflight.contains_key(&seq) {
-            return;
-        }
-        let (tx, rx) = mpsc::channel();
-        let engine = self.engine.clone();
-        std::thread::spawn(move || {
-            let _ = tx.send(fetch_anywhere_with_home(
-                &engine,
-                FragmentId::new(client, seq),
-            ));
-        });
-        self.inflight.insert(seq, rx);
-    }
-
-    /// Returns fragment `seq`, first queuing background fetches for
-    /// `seq+1..=seq+depth` so the network overlaps with parsing.
-    fn next(&mut self, seq: u64, client: ClientId) -> Result<FragmentFetch> {
-        for s in seq + 1..=seq + self.depth {
-            self.spawn(s, client);
-        }
-        match self.inflight.remove(&seq) {
-            Some(rx) => rx.recv().unwrap_or_else(|_| {
-                fetch_anywhere_with_home(&self.engine, FragmentId::new(client, seq))
-            }),
-            None => fetch_anywhere_with_home(&self.engine, FragmentId::new(client, seq)),
-        }
-    }
+/// Locates `fids` cluster-wide and reads the located ones whole from the
+/// servers that hold them: two fan-outs for the whole window, whatever its
+/// size and however many servers it touches. What the batch could not
+/// fetch is left to the caller, which rebuilds only as far as it scans.
+fn fetch_window(engine: &ReadEngine, fids: &[FragmentId]) -> Vec<Fetched> {
+    let located = reconstruct::locate_fragments(engine, fids);
+    let reads: Vec<_> = (fids.iter().zip(&located))
+        .filter_map(|(&fid, found)| {
+            let (server, header) = found.as_ref()?;
+            Some((*server, whole_fragment(fid, header)))
+        })
+        .collect();
+    let mut bodies = engine.fetch_scatter(&reads).into_iter();
+    let fetched = located.into_iter().map(|found| Fetched {
+        body: found
+            .is_some()
+            .then(|| bodies.next().expect("a body per read")),
+        home: found.map(|(server, _)| server),
+    });
+    fetched.collect()
 }
 
 fn try_reconstruct(engine: &ReadEngine, fid: FragmentId) -> Result<Option<Bytes>> {

@@ -4,7 +4,10 @@
 //! its own thread after a random delay, like responses on a mux channel),
 //! injected transient per-call failures, and a dead server must all
 //! preserve byte-exact readback — single reads and `read_many` scans
-//! alike, through the reconstruction fallback when the home is gone.
+//! alike, through the reconstruction fallback when the home is gone. The
+//! engine's multi-server fan-out takes the same inputs directly: jobs
+//! interleaved across servers that each pipeline a different width come
+//! back in job order, no server's window overrun.
 //!
 //! Also pins the YCSB-B head-of-line fix at the log layer: reads complete
 //! while a full window of store RPCs is stalled in flight.
@@ -15,8 +18,10 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 use proptest::prelude::*;
-use swarm_log::{Log, LogConfig};
-use swarm_net::{Connection, MemTransport, PendingCall, PreparedRequest, Request, Transport};
+use swarm_log::{Log, LogConfig, ReadEngine};
+use swarm_net::{
+    Connection, MemTransport, PendingCall, PreparedRequest, ReadSpec, Request, Transport,
+};
 use swarm_server::{MemStore, StorageServer};
 use swarm_types::{BlockAddr, ClientId, Result, ServerId, ServiceId, SwarmError};
 
@@ -41,6 +46,12 @@ struct ChaosState {
     /// Completion delays in microseconds, consumed round-robin.
     delays: Vec<u64>,
     next_delay: AtomicUsize,
+    /// What each server's connections pipeline ([`Connection::pipeline_width`]).
+    widths: Vec<usize>,
+    /// Pipelined calls started and not yet completed, per server, and the
+    /// most that ever was.
+    inflight: Vec<AtomicUsize>,
+    peak: Vec<AtomicUsize>,
 }
 
 /// Wraps `MemTransport` with a pipelining `start_prepared`: every RPC is
@@ -80,6 +91,9 @@ impl Connection for ReorderConn {
         let mem = self.mem.clone();
         let client = self.client;
         let request = prepared.request().clone();
+        let state = self.state.clone();
+        let now = state.inflight[server.raw() as usize].fetch_add(1, Ordering::SeqCst) + 1;
+        state.peak[server.raw() as usize].fetch_max(now, Ordering::SeqCst);
         let (tx, rx) = mpsc::channel();
         std::thread::spawn(move || {
             std::thread::sleep(Duration::from_micros(delay));
@@ -89,6 +103,7 @@ impl Connection for ReorderConn {
                 mem.connect(server, client)
                     .and_then(|mut c| c.call(&request))
             };
+            state.inflight[server.raw() as usize].fetch_sub(1, Ordering::SeqCst);
             let _ = tx.send(result);
         });
         PendingCall::deferred(move || {
@@ -98,7 +113,7 @@ impl Connection for ReorderConn {
     }
 
     fn pipeline_width(&self) -> usize {
-        64
+        self.state.widths[self.inner.server().raw() as usize]
     }
 
     fn server(&self) -> ServerId {
@@ -138,7 +153,9 @@ proptest! {
     /// Windowed, batched reads under reordered completions and transient
     /// call failures: single reads and scans of every chunk length return
     /// byte-exact data, in order — then again with a random server dead,
-    /// through locate + reconstruction.
+    /// through locate + reconstruction. The same blocks as one multi-server
+    /// fan-out, each server pipelining its own width: results in job order,
+    /// and with the server dead its jobs fail alone.
     #[test]
     fn prop_windowed_batched_reads_are_byte_exact(
         read_window in 1usize..12,
@@ -150,6 +167,7 @@ proptest! {
         read_failures in 0usize..4,
         scan in 1usize..20,
         dead in 0u32..5,
+        widths in proptest::collection::vec(1usize..12, 5..6),
     ) {
         let mem = cluster(servers);
         let state = Arc::new(ChaosState {
@@ -159,6 +177,9 @@ proptest! {
             fail_budget: Mutex::new(0),
             delays,
             next_delay: AtomicUsize::new(0),
+            widths: widths.clone(),
+            inflight: (0..5).map(|_| AtomicUsize::new(0)).collect(),
+            peak: (0..5).map(|_| AtomicUsize::new(0)).collect(),
         });
         let transport = Arc::new(ReorderTransport { inner: mem.clone(), state: state.clone() });
         let log = Log::create(transport, read_config(servers, read_window, write_window)).unwrap();
@@ -183,9 +204,39 @@ proptest! {
                 prop_assert_eq!(got, data);
             }
         }
+        // The engine itself, every server in one fan-out, the jobs
+        // shuffled so consecutive ones land on different servers.
+        let engine = ReadEngine::new(log.engine().clone(), read_window);
+        let mut jobs: Vec<((ServerId, ReadSpec), &Vec<u8>)> = Vec::new();
+        for (addr, data) in &written {
+            let (home, _) = swarm_log::reconstruct::locate_fragment(log.engine(), addr.fid)
+                .expect("a flushed fragment has a home");
+            let spec = ReadSpec { fid: addr.fid, offset: addr.offset, len: addr.len };
+            jobs.push(((home, spec), data));
+        }
+        jobs.sort_by_key(|((_, spec), _)| (spec.offset as usize ^ scan).wrapping_mul(40_503) % 251);
+        let reads: Vec<(ServerId, ReadSpec)> = jobs.iter().map(|(job, _)| *job).collect();
+        for peak in &state.peak {
+            peak.store(0, Ordering::SeqCst);
+        }
+        for (got, (_, data)) in engine.fetch_scatter(&reads).into_iter().zip(&jobs) {
+            prop_assert_eq!(&got.unwrap(), *data);
+        }
+        for (server, peak) in state.peak.iter().enumerate() {
+            let (peak, width) = (peak.load(Ordering::SeqCst), read_window.min(widths[server]));
+            prop_assert!(peak <= width, "server {}: {} in flight, window {}", server, peak, width);
+        }
+
         // One dead server: scatter failures fall back to locate +
         // reconstruction, still byte-exact, still in order.
-        mem.set_down(ServerId::new(dead % servers), true);
+        let dead = ServerId::new(dead % servers);
+        mem.set_down(dead, true);
+        for (got, ((home, _), data)) in engine.fetch_scatter(&reads).into_iter().zip(&jobs) {
+            match got {
+                Ok(bytes) => prop_assert_eq!(&bytes, *data),
+                Err(e) => prop_assert!(*home == dead && e.is_unavailability(), "{}: {}", home, e),
+            }
+        }
         for chunk in written.chunks(scan) {
             let addrs: Vec<BlockAddr> = chunk.iter().map(|(a, _)| *a).collect();
             let results = log.read_many(&addrs).unwrap();

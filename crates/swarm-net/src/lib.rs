@@ -39,7 +39,7 @@ pub mod workpool;
 
 pub use admission::{Admission, AdmissionConfig, Submitted};
 pub use fault::{FaultHandler, FaultPlan, FaultTransport};
-pub use frame::{read_frame, write_frame, write_frame_vectored};
+pub use frame::{read_frame, write_frame};
 pub use handler::RequestHandler;
 pub use mem::MemTransport;
 pub use pool::ConnectionPool;

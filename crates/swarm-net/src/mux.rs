@@ -244,6 +244,29 @@ impl MuxChannel {
         }
     }
 
+    /// [`MuxChannel::begin`] for a caller that may never come back for the
+    /// response: the returned [`InFlight`] releases the id's slot if it is
+    /// dropped unfinished.
+    pub(crate) fn start(self: &Arc<Self>, header: &[u8], payload: &Bytes) -> Result<InFlight> {
+        Ok(InFlight {
+            id: self.begin(header, payload)?,
+            channel: self.clone(),
+            finished: false,
+        })
+    }
+
+    /// Hands the response frame body for `id` to its waiting caller. An id
+    /// with no slot was abandoned (its caller timed out, or dropped its
+    /// [`InFlight`]); the body is dropped.
+    fn complete(&self, id: u64, body: Bytes) {
+        let mut st = self.state.lock();
+        if let Some(slot) = st.pending.get_mut(&id) {
+            *slot = Some(Ok(body));
+            drop(st);
+            self.cv.notify_all();
+        }
+    }
+
     /// Ships `header ++ payload` as one request frame and blocks until the
     /// response with the matching id arrives, the timeout lapses, or the
     /// channel dies.
@@ -255,6 +278,35 @@ impl MuxChannel {
     ) -> Result<Bytes> {
         let id = self.begin(header, payload)?;
         self.finish(id, timeout.map(|t| Instant::now() + t))
+    }
+}
+
+/// A started call whose response has not been taken: what a pipelined
+/// caller holds between [`MuxChannel::start`] and the moment it wants the
+/// answer. Dropped unfinished (a first-wins broadcast returning early), it
+/// releases its slot the way `finish`'s timeout does, so the late response
+/// finds none and is dropped by the source instead of sitting in `pending`
+/// for the life of the channel.
+pub(crate) struct InFlight {
+    channel: Arc<MuxChannel>,
+    id: u64,
+    finished: bool,
+}
+
+impl InFlight {
+    /// [`MuxChannel::finish`] for this call.
+    pub(crate) fn finish(mut self, deadline: Option<Instant>) -> Result<Bytes> {
+        // `finish` removes the slot on every path out.
+        self.finished = true;
+        self.channel.finish(self.id, deadline)
+    }
+}
+
+impl Drop for InFlight {
+    fn drop(&mut self) {
+        if !self.finished {
+            self.channel.state.lock().pending.remove(&self.id);
+        }
     }
 }
 
@@ -338,13 +390,7 @@ impl MuxSource {
                     }
                     let id = u64::from_le_bytes(frame[..MUX_ID_PREFIX].try_into().unwrap());
                     let body = Bytes::from(frame).slice(MUX_ID_PREFIX..);
-                    let mut st = self.channel.state.lock();
-                    if let Some(slot) = st.pending.get_mut(&id) {
-                        *slot = Some(Ok(body));
-                        drop(st);
-                        self.channel.cv.notify_all();
-                    }
-                    // No slot: the caller timed out and abandoned the id.
+                    self.channel.complete(id, body);
                 }
                 Ok(FrameProgress::Blocked) => return true,
                 Ok(FrameProgress::Eof) | Err(_) => return false,
@@ -505,6 +551,32 @@ mod tests {
             assert_eq!(&body[..], id.to_le_bytes());
         }
         responder.join().unwrap();
+        assert!(ch.state.lock().pending.is_empty());
+    }
+
+    /// Regression: a started call dropped without `finish` (what a
+    /// first-wins broadcast does to its losing legs) left its slot in
+    /// `pending`; the response then filled it and nothing ever removed it,
+    /// one slot and one reply body leaked per abandoned call.
+    #[test]
+    fn dropped_in_flight_call_releases_its_slot() {
+        let ch = MuxChannel::new(ServerId::new(6));
+        let calls: Vec<InFlight> = (0..8)
+            .map(|_| ch.start(b"locate", &Bytes::new()).expect("start"))
+            .collect();
+        let ids: Vec<u64> = calls.iter().map(|c| c.id).collect();
+        assert_eq!(ch.state.lock().pending.len(), 8);
+        // One is finished the ordinary way, the rest are abandoned.
+        let mut calls = calls.into_iter();
+        let kept = calls.next().unwrap();
+        drop(calls);
+        assert_eq!(ch.state.lock().pending.len(), 1);
+        // The responses land anyway (what `pump_read` does with a frame).
+        for &id in &ids {
+            ch.complete(id, Bytes::from(id.to_le_bytes().to_vec()));
+        }
+        assert_eq!(ch.state.lock().pending.len(), 1, "a late reply was kept");
+        assert_eq!(&kept.finish(None).unwrap()[..], ids[0].to_le_bytes());
         assert!(ch.state.lock().pending.is_empty());
     }
 

@@ -1,13 +1,15 @@
-//! Per-client connection pool and parallel broadcast: the transport half
-//! of the read engine.
+//! Per-client connection pool and the read side's one fan-out: the
+//! transport half of the read engine.
 //!
 //! The paper's client talks to every server in its stripe group, and
 //! reconstruction additionally contacts the whole cluster (§2.3.3). Doing
 //! that over a fresh connection per call wastes a dial per request and
 //! serializes the broadcast; [`ConnectionPool`] keeps a small stack of
-//! idle connections per server, tracks per-server health, and fans
-//! broadcasts out across threads so a locate costs one round-trip to the
-//! slowest *relevant* server, not the sum over the cluster.
+//! idle connections per server, tracks per-server health, and overlaps
+//! RPCs in exactly one way — [`ConnectionPool::fan_out`], a window of
+//! [`PendingCall`]s started and harvested by the calling thread — so a
+//! locate costs one round-trip to the slowest *relevant* server, not the
+//! sum over the cluster, and no thread is spawned to get there.
 //!
 //! Pool lifecycle:
 //!
@@ -29,24 +31,31 @@
 //!   to ask. One caller per [`PROBE_PERIOD`] is told to try anyway: no
 //!   background thread, no ping; any successful dial, the writer's
 //!   included, clears the suspicion at once.
-//! * [`ConnectionPool::broadcast`] queries every server in parallel and
-//!   returns the replies in server-id order. Servers that fail are
-//!   counted (`net.broadcast_errors`) and traced, never silently absent.
+//! * [`ConnectionPool::fan_out`] takes jobs of `(server, request)` and
+//!   keeps up to a window of them outstanding *per server*: every leg that
+//!   has room is started before any is waited on, legs are harvested in
+//!   the order they were started, results come back in job order, and a
+//!   call whose channel died is replayed on a fresh dial. The read
+//!   engine's batched fetches, the broadcasts below and reconstruction's
+//!   survivor reads are all thin callers of it.
+//! * [`ConnectionPool::broadcast`] is one job per server; the replies come
+//!   back in server-id order. Servers that fail are counted
+//!   (`net.broadcast_errors`) and traced, never silently absent.
 //! * [`ConnectionPool::broadcast_first`] is the first-positive-wins mode
-//!   used by `Locate`: it returns as soon as any server's reply satisfies
-//!   the acceptance predicate, leaving the stragglers to finish (and
-//!   check their connections back in) in the background.
+//!   used by `Locate`: the same legs, abandoned at the first reply that
+//!   satisfies the acceptance predicate. Servers `should_try` advises
+//!   against are asked only when no other server accepted.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::collections::{HashMap, VecDeque};
+use std::ops::ControlFlow;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use swarm_types::{ClientId, Result, ServerId, SwarmError};
 
-use crate::proto::{Request, Response};
-use crate::transport::{Connection, Transport};
+use crate::proto::{PreparedRequest, Request, Response};
+use crate::transport::{Connection, PendingCall, Transport};
 
 /// Idle connections kept per server; more are simply dropped on check-in.
 const MAX_IDLE_PER_SERVER: usize = 4;
@@ -67,6 +76,15 @@ struct PoolMetrics {
     reconnects: swarm_metrics::Counter,
     broadcast_errors: swarm_metrics::Counter,
     probes: swarm_metrics::Counter,
+    // The fan-out's. The names are from when the loop was the log's read
+    // engine's; they are pinned (DESIGN.md §9) and mean what they meant.
+    /// Fan-out RPCs currently on the wire across all servers (gauge).
+    read_inflight: swarm_metrics::Gauge,
+    /// A server's window occupancy sampled after each leg is started
+    /// (histogram over counts, not microseconds).
+    window_occupancy: swarm_metrics::Histogram,
+    read_rpc_us: swarm_metrics::Histogram,
+    retries: swarm_metrics::Counter,
 }
 
 fn pool_metrics() -> &'static PoolMetrics {
@@ -77,6 +95,10 @@ fn pool_metrics() -> &'static PoolMetrics {
         reconnects: swarm_metrics::counter("net.pool_reconnects"),
         broadcast_errors: swarm_metrics::counter("net.broadcast_errors"),
         probes: swarm_metrics::counter("net.pool_probes"),
+        read_inflight: swarm_metrics::gauge("log.read_inflight"),
+        window_occupancy: swarm_metrics::histogram("log.read_window_occupancy"),
+        read_rpc_us: swarm_metrics::histogram("log.read_rpc_us"),
+        retries: swarm_metrics::counter("log.read_retries"),
     })
 }
 
@@ -99,6 +121,28 @@ struct Slot {
     retry_at: Option<Instant>,
     /// While down: when `should_try` next elects a probe.
     probe_at: Option<Instant>,
+}
+
+/// One server's share of a fan-out: its jobs not yet started, the
+/// connection they ride and how many of them are on the wire.
+struct Lane {
+    server: ServerId,
+    queue: VecDeque<usize>,
+    conn: Option<Box<dyn Connection>>,
+    /// The lane's last checkout failed. The rest of its queue fails
+    /// without another dial; a dead server is not hammered once per job.
+    dial_failed: bool,
+    inflight: usize,
+}
+
+/// One started job of a fan-out.
+struct Leg {
+    job: usize,
+    lane: usize,
+    pending: PendingCall,
+    started: Instant,
+    /// No call was made: the lane's checkout had failed.
+    synthesized: bool,
 }
 
 /// A per-client pool of cached server connections with health tracking.
@@ -213,6 +257,14 @@ impl ConnectionPool {
         true
     }
 
+    /// The cluster's servers in the order a search should ask them: those
+    /// [`ConnectionPool::should_try`] says are worth asking, then the rest.
+    pub fn fresh_then_suspects(&self) -> [Vec<ServerId>; 2] {
+        let (fresh, suspects) =
+            (self.transport.servers().into_iter()).partition(|&server| self.should_try(server));
+        [fresh, suspects]
+    }
+
     /// Number of idle connections currently cached for `server`. A
     /// diagnostic hook: chaos and leak tests assert the count stays
     /// bounded after injected connection failures.
@@ -254,12 +306,7 @@ impl ConnectionPool {
                 // The cached connection may be stale (server restart):
                 // drop it and retry once on a fresh dial.
                 drop(conn);
-                pool_metrics().reconnects.inc();
-                swarm_metrics::trace!("net.pool", "reconnecting to server {}", server);
-                let mut conn = self.dial(server)?;
-                let resp = conn.call(request)?;
-                self.checkin(conn);
-                Ok(resp)
+                self.redial_call(server, request)
             }
         }
     }
@@ -282,100 +329,192 @@ impl ConnectionPool {
         Ok(resp)
     }
 
-    /// Sends `request` to every server in parallel, returning the replies
-    /// that arrived in server-id order (the paper's broadcast, §2.3.3).
+    /// Issues `jobs`, keeping up to `window` of them outstanding per server
+    /// (clamped to what the server's connection can pipeline, so a
+    /// synchronous transport degrades to one at a time), and returns the
+    /// responses in job order. Every leg that has room is started before
+    /// any is waited on; legs are harvested in the order they were started,
+    /// so completions that land out of order on the wire are invisible
+    /// here. A call that fails on a live channel is replayed once on a
+    /// fresh dial ([`ConnectionPool::redial_call`]); a server that cannot
+    /// be dialed fails the rest of its jobs with `ServerUnavailable`.
+    ///
+    /// This is the only way the read side overlaps RPCs: no thread, no
+    /// channel, one loop.
+    pub fn fan_out(&self, window: usize, jobs: Vec<(ServerId, Request)>) -> Vec<Result<Response>> {
+        let mut results: Vec<Option<Result<Response>>> = Vec::new();
+        results.resize_with(jobs.len(), || None);
+        let _ = self.harvest(window, jobs, |job, _, result| -> ControlFlow<()> {
+            results[job] = Some(result);
+            ControlFlow::Continue(())
+        });
+        results
+            .into_iter()
+            .map(|r| r.expect("every job harvested"))
+            .collect()
+    }
+
+    /// The fill/harvest loop under [`ConnectionPool::fan_out`]. Each
+    /// result goes to `sink` as it is harvested; a `Break` abandons the
+    /// legs still in flight (a dropped [`PendingCall`] releases its slot)
+    /// and is returned. Every connection the loop checked out is checked
+    /// back in, or was dropped with its failed call, before it returns.
+    fn harvest<B>(
+        &self,
+        window: usize,
+        jobs: Vec<(ServerId, Request)>,
+        mut sink: impl FnMut(usize, ServerId, Result<Response>) -> ControlFlow<B>,
+    ) -> Option<B> {
+        let m = pool_metrics();
+        let window = window.max(1);
+        let mut lanes: Vec<Lane> = Vec::new();
+        let prepared: Vec<PreparedRequest> = jobs
+            .into_iter()
+            .enumerate()
+            .map(|(job, (server, request))| {
+                let lane = match lanes.iter_mut().find(|l| l.server == server) {
+                    Some(lane) => lane,
+                    None => {
+                        lanes.push(Lane {
+                            server,
+                            queue: VecDeque::new(),
+                            conn: None,
+                            dial_failed: false,
+                            inflight: 0,
+                        });
+                        lanes.last_mut().expect("just pushed")
+                    }
+                };
+                lane.queue.push_back(job);
+                PreparedRequest::new(request)
+            })
+            .collect();
+        let mut inflight: VecDeque<Leg> = VecDeque::new();
+        for (at, lane) in lanes.iter_mut().enumerate() {
+            self.fill(window, at, lane, &prepared, &mut inflight);
+        }
+        let mut broke = None;
+        while let Some(leg) = inflight.pop_front() {
+            let lane = &mut lanes[leg.lane];
+            let result = match leg.pending.wait() {
+                Err(_) if !leg.synthesized => {
+                    // The lane's channel, and every sibling leg on it, may
+                    // be dead: drop it and replay this request on a fresh
+                    // dial; the pool's idle connections are likely just as
+                    // stale. Siblings repair themselves the same way as
+                    // they are harvested.
+                    lane.conn = None;
+                    lane.dial_failed = false;
+                    m.retries.inc();
+                    self.redial_call(lane.server, prepared[leg.job].request())
+                }
+                result => result,
+            };
+            lane.inflight -= 1;
+            m.read_inflight.add(-1);
+            m.read_rpc_us.record(leg.started.elapsed());
+            if let ControlFlow::Break(b) = sink(leg.job, lane.server, result) {
+                broke = Some(b);
+                break;
+            }
+            self.fill(window, leg.lane, lane, &prepared, &mut inflight);
+        }
+        m.read_inflight.add(-(inflight.len() as i64));
+        drop(inflight);
+        for conn in lanes.into_iter().filter_map(|lane| lane.conn) {
+            self.checkin(conn);
+        }
+        broke
+    }
+
+    /// Starts `lane`'s queued jobs until its window is full. The width
+    /// re-clamps to the live connection each time, so a redial onto a
+    /// narrower transport is honoured.
+    fn fill(
+        &self,
+        window: usize,
+        at: usize,
+        lane: &mut Lane,
+        prepared: &[PreparedRequest],
+        inflight: &mut VecDeque<Leg>,
+    ) {
+        let m = pool_metrics();
+        while let Some(&job) = lane.queue.front() {
+            if lane.conn.is_none() && !lane.dial_failed {
+                match self.checkout(lane.server) {
+                    Ok(conn) => lane.conn = Some(conn),
+                    Err(_) => lane.dial_failed = true,
+                }
+            }
+            let (pending, synthesized) = match &mut lane.conn {
+                Some(conn) => {
+                    if lane.inflight >= window.min(conn.pipeline_width().max(1)) {
+                        return;
+                    }
+                    (conn.start_prepared(&prepared[job]), false)
+                }
+                None => (
+                    PendingCall::ready(Err(SwarmError::ServerUnavailable(lane.server))),
+                    true,
+                ),
+            };
+            lane.queue.pop_front();
+            lane.inflight += 1;
+            m.read_inflight.add(1);
+            m.window_occupancy.record_us(lane.inflight as u64);
+            inflight.push_back(Leg {
+                job,
+                lane: at,
+                pending,
+                started: Instant::now(),
+                synthesized,
+            });
+        }
+    }
+
+    /// Sends `request` to every server at once, returning the replies that
+    /// arrived in server-id order (the paper's broadcast, §2.3.3).
     /// Unreachable servers are counted in `net.broadcast_errors` and
     /// traced.
     pub fn broadcast(&self, request: &Request) -> Vec<(ServerId, Response)> {
         let servers = self.transport.servers();
-        let mut replies: Vec<(ServerId, Response)> = std::thread::scope(|s| {
-            let handles: Vec<_> = servers
-                .into_iter()
-                .map(|server| s.spawn(move || (server, self.call(server, request))))
-                .collect();
-            handles
-                .into_iter()
-                .filter_map(|h| {
-                    let (server, result) = h.join().expect("broadcast worker panicked");
-                    match result {
-                        Ok(resp) => Some((server, resp)),
-                        Err(e) => {
-                            note_broadcast_error(server, &e);
-                            None
-                        }
-                    }
-                })
-                .collect()
-        });
-        replies.sort_by_key(|(s, _)| *s);
+        let jobs = servers.iter().map(|&s| (s, request.clone())).collect();
+        let replies = servers.into_iter().zip(self.fan_out(1, jobs));
         replies
+            .filter_map(|(server, result)| {
+                result
+                    .inspect_err(|e| note_broadcast_error(server, e))
+                    .ok()
+                    .map(|resp| (server, resp))
+            })
+            .collect()
     }
 
-    /// First-positive-wins broadcast: sends `request` to every server in
-    /// parallel and returns the first reply for which `accept` is true,
-    /// without waiting for the remaining servers (a locate hit on server 1
-    /// must not wait out server N's timeout).
-    ///
-    /// Straggler legs keep running detached after the early return. Each
-    /// leg goes through [`ConnectionPool::call`], which checks its
-    /// connection back in on success and drops it on failure — so a
-    /// straggler that completes after the winner neither leaks its
-    /// connection nor pools a broken one, and a leg that finds the cancel
-    /// flag already set never dials at all. (Regression-tested:
-    /// `broadcast_first_stragglers_check_connections_back_in`.)
+    /// First-positive-wins broadcast: sends `request` to every server at
+    /// once and returns the first harvested reply for which `accept` is
+    /// true; the legs still in flight are abandoned, their connections
+    /// checked back in. Servers [`ConnectionPool::should_try`] advises
+    /// against are asked only if no other server's reply is accepted (the
+    /// fresh-then-suspects order survivor selection uses), so a server
+    /// known to be down is not dialed in front of a healthy one's answer.
     ///
     /// Returns `None` when no server's reply is accepted.
     pub fn broadcast_first(
-        self: &Arc<Self>,
+        &self,
         request: &Request,
         accept: fn(&Response) -> bool,
     ) -> Option<(ServerId, Response)> {
-        let servers = self.transport.servers();
-        let total = servers.len();
-        if total == 0 {
-            return None;
-        }
-        let cancel = Arc::new(AtomicBool::new(false));
-        let req = Arc::new(request.clone());
-        let (tx, rx) = mpsc::channel::<(ServerId, Option<Response>)>();
-        for server in servers {
-            let pool = Arc::clone(self);
-            let cancel = Arc::clone(&cancel);
-            let req = Arc::clone(&req);
-            let tx = tx.clone();
-            std::thread::spawn(move || {
-                // A winner may already have been returned; don't dial.
-                if cancel.load(Ordering::Relaxed) {
-                    let _ = tx.send((server, None));
-                    return;
+        self.fresh_then_suspects().into_iter().find_map(|servers| {
+            let jobs = servers.iter().map(|&s| (s, request.clone())).collect();
+            self.harvest(1, jobs, |_, server, result| match result {
+                Ok(resp) if accept(&resp) => ControlFlow::Break((server, resp)),
+                Ok(_) => ControlFlow::Continue(()),
+                Err(e) => {
+                    note_broadcast_error(server, &e);
+                    ControlFlow::Continue(())
                 }
-                match pool.call(server, &req) {
-                    Ok(resp) => {
-                        let hit = accept(&resp);
-                        if hit {
-                            cancel.store(true, Ordering::Relaxed);
-                        }
-                        let _ = tx.send((server, hit.then_some(resp)));
-                    }
-                    Err(e) => {
-                        note_broadcast_error(server, &e);
-                        let _ = tx.send((server, None));
-                    }
-                }
-            });
-        }
-        drop(tx);
-        let mut seen = 0;
-        while let Ok((server, resp)) = rx.recv() {
-            seen += 1;
-            if let Some(resp) = resp {
-                return Some((server, resp));
-            }
-            if seen == total {
-                break;
-            }
-        }
-        None
+            })
+        })
     }
 }
 
@@ -384,6 +523,7 @@ mod tests {
     use super::*;
     use crate::handler::testing::EchoStore;
     use crate::mem::MemTransport;
+    use std::sync::atomic::Ordering;
 
     fn cluster(n: u32) -> Arc<MemTransport> {
         let t = Arc::new(MemTransport::new());
@@ -540,108 +680,140 @@ mod tests {
         assert!(p.broadcast_first(&Request::Ping, |_| false).is_none());
     }
 
-    /// A handler that parks every request until `n` requests have
-    /// arrived, then answers them all — so a broadcast's legs are
-    /// provably all mid-call before any winner can return.
-    struct GatedEcho {
-        inner: EchoStore,
-        arrived: std::sync::atomic::AtomicUsize,
-        n: usize,
+    /// Counts dials per server and live connections, and parks the legs
+    /// to `parked` servers: their `start_prepared` returns a call that is
+    /// in flight forever and panics if anyone waits on it.
+    #[derive(Default)]
+    struct Tracked {
+        dials: Mutex<HashMap<ServerId, usize>>,
+        live: std::sync::atomic::AtomicUsize,
+        parked: Vec<ServerId>,
     }
 
-    impl crate::handler::RequestHandler for GatedEcho {
-        fn handle(&self, client: ClientId, request: Request) -> Response {
-            self.arrived.fetch_add(1, Ordering::SeqCst);
-            while self.arrived.load(Ordering::SeqCst) < self.n {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            self.inner.handle(client, request)
+    struct TrackedTransport {
+        inner: Arc<MemTransport>,
+        state: Arc<Tracked>,
+    }
+
+    struct TrackedConn {
+        inner: Box<dyn Connection>,
+        state: Arc<Tracked>,
+    }
+
+    impl Transport for TrackedTransport {
+        fn connect(&self, server: ServerId, client: ClientId) -> Result<Box<dyn Connection>> {
+            *self.state.dials.lock().entry(server).or_default() += 1;
+            let inner = self.inner.connect(server, client)?;
+            self.state.live.fetch_add(1, Ordering::SeqCst);
+            Ok(Box::new(TrackedConn {
+                inner,
+                state: self.state.clone(),
+            }))
+        }
+        fn servers(&self) -> Vec<ServerId> {
+            self.inner.servers()
         }
     }
 
-    /// Satellite regression: after `broadcast_first` returns early with a
-    /// winner, straggler legs that already dialed still finish and check
-    /// their connections back into the pool — they are not leaked with
-    /// the abandoned threads. (A leg that observes the cancel flag before
-    /// dialing never opens a connection, so there is nothing to return.)
-    #[test]
-    fn broadcast_first_stragglers_check_connections_back_in() {
-        const N: usize = 3;
-        let gate = Arc::new(GatedEcho {
-            inner: EchoStore::default(),
-            arrived: std::sync::atomic::AtomicUsize::new(0),
-            n: N,
+    impl Connection for TrackedConn {
+        fn call(&mut self, request: &Request) -> Result<Response> {
+            self.inner.call(request)
+        }
+        fn start_prepared(&mut self, prepared: &PreparedRequest) -> PendingCall {
+            if self.state.parked.contains(&self.server()) {
+                return PendingCall::deferred(|| panic!("an abandoned leg was waited on"));
+            }
+            PendingCall::ready(self.call(prepared.request()))
+        }
+        fn server(&self) -> ServerId {
+            self.inner.server()
+        }
+    }
+
+    impl Drop for TrackedConn {
+        fn drop(&mut self) {
+            self.state.live.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+
+    fn tracked(n: u32, parked: &[u32]) -> (Arc<MemTransport>, Arc<Tracked>, ConnectionPool) {
+        let mem = cluster(n);
+        let state = Arc::new(Tracked {
+            parked: parked.iter().map(|&s| ServerId::new(s)).collect(),
+            ..Tracked::default()
         });
-        let t = Arc::new(MemTransport::new());
-        for i in 0..N as u32 {
-            t.register(ServerId::new(i), gate.clone());
-        }
-        let p = pool(t);
-        // The gate guarantees all N legs dialed and are in-flight before
-        // the first response exists, so none was cancelled pre-dial.
-        let (_, resp) = p
-            .broadcast_first(&Request::Ping, |r| matches!(r, Response::Ok))
-            .expect("every server answers Ok");
-        assert_eq!(resp, Response::Ok);
-        // Every leg — winner and stragglers — must eventually return its
-        // connection to the pool.
-        let deadline = Instant::now() + Duration::from_secs(10);
-        for server in 0..N as u32 {
-            while p.idle_count(ServerId::new(server)) == 0 {
-                assert!(
-                    Instant::now() < deadline,
-                    "server {server}'s broadcast leg never checked its connection back in"
-                );
-                std::thread::sleep(Duration::from_millis(5));
-            }
-        }
+        let transport = Arc::new(TrackedTransport {
+            inner: mem.clone(),
+            state: state.clone(),
+        });
+        let pool = ConnectionPool::new(transport, ClientId::new(1));
+        (mem, state, pool)
     }
 
-    /// A handler that parks until the global broadcast-error counter
-    /// passes a threshold: the winner cannot return before the failing
-    /// leg has been counted.
-    struct WaitForErrors {
-        inner: EchoStore,
-        at_least: u64,
-    }
-
-    impl crate::handler::RequestHandler for WaitForErrors {
-        fn handle(&self, client: ClientId, request: Request) -> Response {
-            let errors = swarm_metrics::counter("net.broadcast_errors");
-            while errors.get() < self.at_least {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            self.inner.handle(client, request)
-        }
-    }
-
-    /// Satellite regression: a leg whose server is down is counted in
-    /// `net.broadcast_errors` and drops its failed connection instead of
-    /// pooling it.
+    /// The winner is harvested while the other two legs are provably still
+    /// in flight (waiting on either panics). Before `broadcast_first`
+    /// returns, every connection it started a leg on is back in the pool:
+    /// none is leaked with an abandoned leg, none is left to a straggler.
     #[test]
-    fn broadcast_first_down_straggler_is_counted_not_pooled() {
+    fn broadcast_first_checks_every_started_connection_in_before_returning() {
+        let (_mem, state, p) = tracked(3, &[1, 2]);
+        let (winner, resp) = p
+            .broadcast_first(&Request::Ping, |r| matches!(r, Response::Ok))
+            .expect("server 0 answers Ok");
+        assert_eq!((winner, resp), (ServerId::new(0), Response::Ok));
+        let idle: usize = (0..3).map(|s| p.idle_count(ServerId::new(s))).sum();
+        assert_eq!(idle, 3, "one connection per started leg, all checked in");
+        assert_eq!(
+            state.live.load(Ordering::SeqCst),
+            idle,
+            "a connection leaked"
+        );
+    }
+
+    /// A leg whose server is down is counted in `net.broadcast_errors`
+    /// and leaves nothing in the pool.
+    #[test]
+    fn broadcast_first_down_leg_is_counted_not_pooled() {
         let errors = swarm_metrics::counter("net.broadcast_errors");
         let before = errors.get();
-        let t = Arc::new(MemTransport::new());
-        t.register(
-            ServerId::new(0),
-            Arc::new(WaitForErrors {
-                inner: EchoStore::default(),
-                at_least: before + 1,
-            }),
-        );
-        t.register(ServerId::new(1), Arc::new(EchoStore::default()));
-        t.set_down(ServerId::new(1), true);
-        let p = pool(t);
+        let (mem, state, p) = tracked(2, &[]);
+        mem.set_down(ServerId::new(0), true);
         let (winner, _) = p
             .broadcast_first(&Request::Ping, |r| matches!(r, Response::Ok))
             .expect("the healthy server answers Ok");
-        assert_eq!(winner, ServerId::new(0));
+        assert_eq!(winner, ServerId::new(1));
         assert!(errors.get() > before, "down leg must be counted");
-        assert_eq!(
-            p.idle_count(ServerId::new(1)),
-            0,
-            "a failed leg must not pool a connection"
+        assert_eq!(p.idle_count(ServerId::new(0)), 0, "a failed leg pooled");
+        assert_eq!(state.live.load(Ordering::SeqCst), 1, "only the winner's");
+    }
+
+    /// Once a dial to it has failed, a server is asked only when nobody
+    /// else accepts: while a healthy server answers, the dead one costs at
+    /// most its elected probe per [`PROBE_PERIOD`], not a dial per locate.
+    #[test]
+    fn broadcast_first_asks_a_suspect_only_when_no_healthy_server_accepts() {
+        let (mem, state, p) = tracked(3, &[]);
+        let dead = ServerId::new(0);
+        mem.set_down(dead, true);
+        let dials = || state.dials.lock().get(&dead).copied().unwrap_or(0);
+        let ok: fn(&Response) -> bool = |r| matches!(r, Response::Ok);
+        // Nobody knows yet: the first broadcast dials it and learns.
+        assert!(p.broadcast_first(&Request::Ping, ok).is_some());
+        assert_eq!(dials(), 1);
+        let t0 = Instant::now();
+        for _ in 0..50 {
+            assert!(p.broadcast_first(&Request::Ping, ok).is_some());
+        }
+        let probes = t0.elapsed().as_nanos() / PROBE_PERIOD.as_nanos() + 1;
+        assert!(
+            (dials() - 1) as u128 <= probes,
+            "{} dials to a known-down server in {:?}",
+            dials() - 1,
+            t0.elapsed()
         );
+        // Nobody accepts: now the suspect is asked too.
+        let before = dials();
+        assert!(p.broadcast_first(&Request::Ping, |_| false).is_none());
+        assert_eq!(dials(), before + 1, "suspect skipped with no winner");
     }
 }

@@ -860,7 +860,7 @@ impl Transport for TcpTransport {
         // connects to the same pair collapse onto one socket, while a dial
         // to an unreachable server (bounded by the call timeout inside
         // `mux_dial`, but still seconds) cannot block connects to healthy
-        // servers — parallel `broadcast_first` legs dial independently.
+        // servers from other threads (the writer engines, other clients).
         let pair_lock = self
             .dialing
             .lock()
@@ -967,19 +967,18 @@ impl Connection for MuxConnection {
         // blocks on this request id only. The deadline is fixed at start
         // time so a windowed caller can't stretch it by harvesting late.
         let started = Instant::now();
-        let id = match self.channel.begin(prepared.header(), prepared.payload()) {
-            Ok(id) => id,
+        let call = match self.channel.start(prepared.header(), prepared.payload()) {
+            Ok(call) => call,
             Err(e) => {
                 metrics().client_call_errors.inc();
                 return PendingCall::ready(Err(e));
             }
         };
-        let channel = self.channel.clone();
         let deadline = self.timeout.map(|t| started + t);
         PendingCall::deferred(move || {
             let m = metrics();
-            let reply = channel
-                .finish(id, deadline)
+            let reply = call
+                .finish(deadline)
                 .inspect_err(|_| m.client_call_errors.inc())?;
             m.client_call_us.record(started.elapsed());
             Response::decode_all_shared(&reply)

@@ -105,7 +105,11 @@ impl Drop for WorkerPool {
         // Closing the channel wakes every idle worker with Err; busy ones
         // exit after their current job.
         drop(self.sender.take());
-        for h in self.workers.drain(..) {
+        // A job may hold the pool's last owner (a server killed mid-call
+        // drops its final handle on a `swarm-conn-*` worker): that worker
+        // cannot join itself. It leaves its loop when this job returns.
+        let me = std::thread::current().id();
+        for h in self.workers.drain(..).filter(|h| h.thread().id() != me) {
             let _ = h.join();
         }
     }
@@ -178,6 +182,30 @@ mod tests {
         );
         let panics_after = swarm_metrics::snapshot().counter("net.workpool_panics");
         assert_eq!(panics_after - panics_before, 3, "each panic is counted");
+    }
+
+    /// Regression: a worker that dropped the pool's last handle joined
+    /// itself (`Resource deadlock avoided`, a panic inside `drop`). The
+    /// channels force the order: the main thread gives its handle up
+    /// first, so the job's is provably the last.
+    #[test]
+    fn last_handle_dropped_on_a_worker_does_not_join_itself() {
+        use std::sync::mpsc::channel;
+        let pool = Arc::new(WorkerPool::new("test-self-drop", 2));
+        let (released_tx, released_rx) = channel::<()>();
+        let (dropped_tx, dropped_rx) = channel::<()>();
+        let last = pool.clone();
+        pool.submit(move || {
+            released_rx.recv().expect("main thread released its handle");
+            assert_eq!(Arc::strong_count(&last), 1);
+            drop(last);
+            dropped_tx.send(()).expect("test still listening");
+        });
+        drop(pool);
+        released_tx.send(()).unwrap();
+        dropped_rx
+            .recv()
+            .expect("the pool's drop panicked on its own worker");
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //! and valid messages must survive frame + codec round trips bit-exactly.
 
 use proptest::prelude::*;
-use swarm_net::frame::{FrameProgress, FrameReader, MAX_FRAME_LEN, READ_AHEAD};
-use swarm_net::{
-    read_frame, write_frame, write_frame_vectored, Request, Response, ServerStats, StoreRange,
+use swarm_net::frame::{
+    write_frame_vectored, FrameProgress, FrameReader, MAX_FRAME_LEN, READ_AHEAD,
 };
+use swarm_net::{read_frame, write_frame, Request, Response, ServerStats, StoreRange};
 use swarm_types::{Aid, ByteWriter, ClientId, Decode, Encode, FragmentId, SwarmError};
 
 fn arb_fid() -> impl Strategy<Value = FragmentId> {
