@@ -109,8 +109,7 @@ fn bench_reconstruction(c: &mut Criterion) {
             let (victim, _) = swarm_log::reconstruct::locate_fragment(log.engine(), addr.fid)
                 .expect("fragment stored");
             transport.set_down(victim, true);
-            let engine =
-                swarm_log::ReadEngine::new(log.engine().clone(), swarm_log::DEFAULT_READ_WINDOW);
+            let engine = swarm_log::ReadEngine::new(log.engine().clone());
             b.iter(|| swarm_log::reconstruct::reconstruct_fragment(&engine, addr.fid).unwrap());
         });
     }

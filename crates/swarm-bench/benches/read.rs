@@ -2,9 +2,8 @@
 //! bandwidth through the home fast path, degraded (reconstructing) reads
 //! with a server down, and the recovery rollforward scan.
 //!
-//! The recovery group measures the scan at the default read window (8
-//! fragments located and fetched per batch) against `read_window(1)` on
-//! the same cluster.
+//! The recovery group measures the scan, `WINDOW` fragments located and
+//! fetched per batch.
 
 use std::sync::Arc;
 
@@ -102,25 +101,20 @@ fn bench_recovery_scan(c: &mut Criterion) {
     let mut g = c.benchmark_group("recovery_scan");
     g.sample_size(10);
     g.throughput(Throughput::Bytes((BLOCKS * BLOCK) as u64));
-    for (name, read_window) in [("read_window_8", 8usize), ("read_window_1", 1)] {
-        let (transport, log, _addrs) = seeded_log(4);
-        drop(log); // client crash: rollforward scans the whole log
-        let config = log_config(1, 4)
-            .fragment_size(32 * 1024)
-            .cache_fragments(0)
-            .read_window(read_window);
-        g.bench_function(name, |b| {
-            b.iter(|| {
-                let (log, replay) = recover(
-                    transport.clone() as Arc<dyn swarm_net::Transport>,
-                    config.clone(),
-                    &[SVC],
-                )
-                .unwrap();
-                criterion::black_box((log, replay.records_for(SVC).len()));
-            });
+    let (transport, log, _addrs) = seeded_log(4);
+    drop(log); // client crash: rollforward scans the whole log
+    let config = log_config(1, 4).fragment_size(32 * 1024).cache_fragments(0);
+    g.bench_function("rollforward", |b| {
+        b.iter(|| {
+            let (log, replay) = recover(
+                transport.clone() as Arc<dyn swarm_net::Transport>,
+                config.clone(),
+                &[SVC],
+            )
+            .unwrap();
+            criterion::black_box((log, replay.records_for(SVC).len()));
         });
-    }
+    });
     g.finish();
 }
 

@@ -1,7 +1,8 @@
 //! Read-pipelining benchmark (DESIGN.md §16): the mirror of
 //! `write_pipeline.rs`. A memory cluster whose reads each cost a fixed
-//! simulated service time is driven with the read window at 1 (serial,
-//! paper-faithful) versus 8 (pipelined), over three access patterns:
+//! simulated service time is driven over connections that pipeline 1 RPC
+//! (serial, paper-faithful: `window1`) versus 64 (so the fan-out's
+//! `WINDOW` of 8 bounds them: `window8`), over three access patterns:
 //!
 //! * `sequential` — `Log::read` block by block, one RPC per read (the
 //!   window's floor: nothing to overlap, so this row is the baseline);
@@ -18,10 +19,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use swarm_bench::{log_config, mem_cluster, DelayTransport};
 use swarm_log::{Log, LogConfig};
-use swarm_net::{Connection, MemTransport, PendingCall, PreparedRequest, Request, Transport};
-use swarm_server::{MemStore, StorageServer};
-use swarm_types::{BlockAddr, ClientId, Result, ServerId, ServiceId};
+use swarm_net::MemTransport;
+use swarm_types::{BlockAddr, ServerId, ServiceId};
 
 const SERVERS: u32 = 5;
 const BLOCKS: usize = 48;
@@ -31,92 +32,26 @@ const BLOCK_BYTES: usize = 4 << 10;
 const READ_DELAY: Duration = Duration::from_micros(400);
 const SVC: ServiceId = ServiceId::new(9);
 
-/// Decorates `MemTransport` so every pipelined call completes on its own
-/// thread after `READ_DELAY`, like a response arriving on a mux socket.
-struct DelayTransport {
-    inner: Arc<MemTransport>,
+fn cluster(width: usize) -> (Arc<DelayTransport>, Arc<MemTransport>) {
+    let mem = mem_cluster(SERVERS);
+    let delayed = DelayTransport {
+        inner: mem.clone(),
+        width,
+        delay: READ_DELAY,
+    };
+    (Arc::new(delayed), mem)
 }
 
-struct DelayConn {
-    inner: Box<dyn Connection>,
-    mem: Arc<MemTransport>,
-    client: ClientId,
+fn config() -> LogConfig {
+    log_config(100, SERVERS)
+        .fragment_size(8 * 1024)
+        // Reads must hit the servers, not a client cache.
+        .cache_fragments(0)
 }
 
-impl Connection for DelayConn {
-    // Plain calls (mount, locate broadcasts, retries) pass straight
-    // through: the simulated latency models *service* time, charged only
-    // on the pipelined path the window manages.
-    fn call(&mut self, request: &Request) -> Result<swarm_net::Response> {
-        self.inner.call(request)
-    }
-
-    fn start_prepared(&mut self, prepared: &PreparedRequest) -> PendingCall {
-        let server = self.inner.server();
-        let mem = self.mem.clone();
-        let client = self.client;
-        let request = prepared.request().clone();
-        let (tx, rx) = std::sync::mpsc::channel();
-        std::thread::spawn(move || {
-            std::thread::sleep(READ_DELAY);
-            let result = mem
-                .connect(server, client)
-                .and_then(|mut c| c.call(&request));
-            let _ = tx.send(result);
-        });
-        PendingCall::deferred(move || {
-            rx.recv()
-                .unwrap_or(Err(swarm_types::SwarmError::ServerUnavailable(server)))
-        })
-    }
-
-    fn pipeline_width(&self) -> usize {
-        64
-    }
-
-    fn server(&self) -> ServerId {
-        self.inner.server()
-    }
-}
-
-impl Transport for DelayTransport {
-    fn connect(&self, server: ServerId, client: ClientId) -> Result<Box<dyn Connection>> {
-        Ok(Box::new(DelayConn {
-            inner: self.inner.connect(server, client)?,
-            mem: self.inner.clone(),
-            client,
-        }))
-    }
-
-    fn servers(&self) -> Vec<ServerId> {
-        self.inner.servers()
-    }
-}
-
-fn cluster() -> (Arc<DelayTransport>, Arc<MemTransport>) {
-    let mem = Arc::new(MemTransport::new());
-    for i in 0..SERVERS {
-        let srv = StorageServer::new(ServerId::new(i), MemStore::new()).into_shared();
-        mem.register(ServerId::new(i), srv);
-    }
-    (Arc::new(DelayTransport { inner: mem.clone() }), mem)
-}
-
-fn config(window: usize) -> LogConfig {
-    LogConfig::new(
-        ClientId::new(100),
-        (0..SERVERS).map(ServerId::new).collect(),
-    )
-    .expect("valid group")
-    .fragment_size(8 * 1024)
-    // Reads must hit the servers, not a client cache.
-    .cache_fragments(0)
-    .read_window(window)
-}
-
-/// One populated log per window setting; the corpus is written once.
-fn populate(transport: Arc<DelayTransport>, window: usize) -> (Log, Vec<BlockAddr>) {
-    let log = Log::create(transport, config(window)).expect("create log");
+/// One populated log per transport width; the corpus is written once.
+fn populate(transport: Arc<DelayTransport>) -> (Log, Vec<BlockAddr>) {
+    let log = Log::create(transport, config()).expect("create log");
     let mut addrs = Vec::with_capacity(BLOCKS);
     for i in 0..BLOCKS {
         let payload = vec![i as u8; BLOCK_BYTES];
@@ -127,9 +62,10 @@ fn populate(transport: Arc<DelayTransport>, window: usize) -> (Log, Vec<BlockAdd
 }
 
 fn bench_read_pipeline(c: &mut Criterion) {
-    for window in [1usize, 8] {
-        let (transport, mem) = cluster();
-        let (log, addrs) = populate(transport, window);
+    for width in [1usize, 64] {
+        let (transport, mem) = cluster(width);
+        let (log, addrs) = populate(transport);
+        let window = swarm_net::pool::WINDOW.min(width);
         let mut group = c.benchmark_group(format!("read_pipeline/window{window}"));
         group.throughput(Throughput::Elements(BLOCKS as u64));
         group.sample_size(10);

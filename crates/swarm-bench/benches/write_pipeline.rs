@@ -1,7 +1,8 @@
 //! Write-pipelining benchmark (DESIGN.md §15): appenders stream blocks
 //! through `Log::append_block` + `flush` against a memory cluster whose
-//! stores each cost a fixed simulated latency, with the write window at
-//! 1 (paper-faithful serial stores) versus 8 (pipelined). Rows:
+//! stores each cost a fixed simulated latency, over connections that
+//! pipeline 1 store (the paper-faithful serial path) versus 64 (so the
+//! log's `WINDOW` of 8 is what bounds them). Rows:
 //!
 //! * `window1/1_appender`, `window1/8_appenders` — each server channel
 //!   waits out one store RTT at a time;
@@ -18,10 +19,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use swarm_bench::{log_config, mem_cluster, DelayTransport};
 use swarm_log::{Log, LogConfig};
-use swarm_net::{Connection, MemTransport, PendingCall, PreparedRequest, Request, Transport};
-use swarm_server::{MemStore, StorageServer};
-use swarm_types::{ClientId, Result, ServerId, ServiceId};
+use swarm_types::ServiceId;
 
 const SERVERS: u32 = 5;
 const BLOCKS_PER_APPENDER: usize = 64;
@@ -31,99 +31,28 @@ const BLOCK_BYTES: usize = 4 << 10;
 const STORE_DELAY: Duration = Duration::from_micros(400);
 const SVC: ServiceId = ServiceId::new(9);
 
-/// Decorates `MemTransport` so every pipelined store completes on its own
-/// thread after `STORE_DELAY`, like a response arriving on a mux socket.
-struct DelayTransport {
-    inner: Arc<MemTransport>,
+fn cluster(width: usize) -> Arc<DelayTransport> {
+    Arc::new(DelayTransport {
+        inner: mem_cluster(SERVERS),
+        width,
+        delay: STORE_DELAY,
+    })
 }
 
-struct DelayConn {
-    inner: Box<dyn Connection>,
-    mem: Arc<MemTransport>,
-    client: ClientId,
-}
-
-impl Connection for DelayConn {
-    // Plain calls (mount, reads, retries) pass straight through: the
-    // simulated latency models store *service* time, charged only on the
-    // pipelined path the window manages.
-    fn call(&mut self, request: &Request) -> Result<swarm_net::Response> {
-        self.inner.call(request)
-    }
-
-    fn start_prepared(&mut self, prepared: &PreparedRequest) -> PendingCall {
-        let server = self.inner.server();
-        let mem = self.mem.clone();
-        let client = self.client;
-        let request = prepared.request().clone();
-        let (tx, rx) = std::sync::mpsc::channel();
-        std::thread::spawn(move || {
-            std::thread::sleep(STORE_DELAY);
-            let result = mem
-                .connect(server, client)
-                .and_then(|mut c| c.call(&request));
-            let _ = tx.send(result);
-        });
-        PendingCall::deferred(move || {
-            rx.recv()
-                .unwrap_or(Err(swarm_types::SwarmError::ServerUnavailable(server)))
-        })
-    }
-
-    fn pipeline_width(&self) -> usize {
-        64
-    }
-
-    fn server(&self) -> ServerId {
-        self.inner.server()
-    }
-}
-
-impl Transport for DelayTransport {
-    fn connect(&self, server: ServerId, client: ClientId) -> Result<Box<dyn Connection>> {
-        Ok(Box::new(DelayConn {
-            inner: self.inner.connect(server, client)?,
-            mem: self.inner.clone(),
-            client,
-        }))
-    }
-
-    fn servers(&self) -> Vec<ServerId> {
-        self.inner.servers()
-    }
-}
-
-fn cluster() -> Arc<DelayTransport> {
-    let mem = Arc::new(MemTransport::new());
-    for i in 0..SERVERS {
-        let srv = StorageServer::new(ServerId::new(i), MemStore::new()).into_shared();
-        mem.register(ServerId::new(i), srv);
-    }
-    Arc::new(DelayTransport { inner: mem })
-}
-
-fn config(client: u32, window: usize) -> LogConfig {
-    LogConfig::new(
-        ClientId::new(client),
-        (0..SERVERS).map(ServerId::new).collect(),
-    )
-    .expect("valid group")
+fn config(client: u32) -> LogConfig {
     // One block per fragment: every append is a store, so the store
     // channel is the measured bottleneck.
-    .fragment_size(8 * 1024)
-    .write_window(window)
-    .queue_depth(window.max(2) * 2)
+    log_config(client, SERVERS).fragment_size(8 * 1024)
 }
 
 /// `appenders` threads each stream `BLOCKS_PER_APPENDER` blocks through
 /// their own log and flush, all on the shared delayed transport.
-fn drive(transport: &Arc<DelayTransport>, appenders: usize, window: usize) {
+fn drive(transport: &Arc<DelayTransport>, appenders: usize) {
     std::thread::scope(|s| {
         for a in 0..appenders {
             let transport = transport.clone();
             s.spawn(move || {
-                let log =
-                    Log::create(transport, config(100 + a as u32, window)).expect("create log");
+                let log = Log::create(transport, config(100 + a as u32)).expect("create log");
                 let payload = vec![a as u8; BLOCK_BYTES];
                 for _ in 0..BLOCKS_PER_APPENDER {
                     log.append_block(SVC, b"", &payload).expect("append");
@@ -135,8 +64,9 @@ fn drive(transport: &Arc<DelayTransport>, appenders: usize, window: usize) {
 }
 
 fn bench_write_pipeline(c: &mut Criterion) {
-    let transport = cluster();
-    for window in [1usize, 8] {
+    for width in [1usize, 64] {
+        let transport = cluster(width);
+        let window = swarm_net::pool::WINDOW.min(width);
         let mut group = c.benchmark_group(format!("write_pipeline/window{window}"));
         for appenders in [1usize, 8] {
             group.throughput(Throughput::Elements(
@@ -144,7 +74,7 @@ fn bench_write_pipeline(c: &mut Criterion) {
             ));
             group.sample_size(10);
             group.bench_function(format!("{appenders}_appenders"), |b| {
-                b.iter(|| drive(&transport, appenders, window));
+                b.iter(|| drive(&transport, appenders));
             });
         }
         group.finish();

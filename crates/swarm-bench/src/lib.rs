@@ -11,10 +11,11 @@
 #![warn(missing_docs)]
 
 use std::sync::Arc;
+use std::time::Duration;
 
-use swarm_net::MemTransport;
+use swarm_net::{Connection, MemTransport, PendingCall, PreparedRequest, Request, Transport};
 use swarm_server::{MemStore, StorageServer};
-use swarm_types::{ClientId, ServerId};
+use swarm_types::{ClientId, Result, ServerId, SwarmError};
 
 /// Prints a row-aligned table to stdout.
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
@@ -54,6 +55,80 @@ pub fn mem_cluster(n: u32) -> Arc<MemTransport> {
         transport.register(ServerId::new(i), srv);
     }
     transport
+}
+
+/// Decorates a [`MemTransport`] for the pipelining benches: every
+/// pipelined call completes on its own thread after `delay` — the
+/// service time a real server charges, arriving like a response on a mux
+/// socket — and connections report `width` as their `pipeline_width`, so
+/// width 1 is the paper's one-RPC-at-a-time client and a wide one lets the
+/// log's window bound what is in flight.
+pub struct DelayTransport {
+    /// The cluster underneath.
+    pub inner: Arc<MemTransport>,
+    /// What every connection reports as its `pipeline_width`.
+    pub width: usize,
+    /// Simulated service time per pipelined call.
+    pub delay: Duration,
+}
+
+struct DelayConn {
+    inner: Box<dyn Connection>,
+    mem: Arc<MemTransport>,
+    client: ClientId,
+    width: usize,
+    delay: Duration,
+}
+
+impl Connection for DelayConn {
+    // Plain calls (mount, locate broadcasts, retries) pass straight
+    // through: the simulated latency models *service* time, charged only
+    // on the pipelined path the window manages.
+    fn call(&mut self, request: &Request) -> Result<swarm_net::Response> {
+        self.inner.call(request)
+    }
+
+    fn start_prepared(&mut self, prepared: &PreparedRequest) -> PendingCall {
+        let (server, client, delay) = (self.inner.server(), self.client, self.delay);
+        let mem = self.mem.clone();
+        let request = prepared.request().clone();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            std::thread::sleep(delay);
+            let result = mem
+                .connect(server, client)
+                .and_then(|mut c| c.call(&request));
+            let _ = tx.send(result);
+        });
+        PendingCall::deferred(move || {
+            rx.recv()
+                .unwrap_or(Err(SwarmError::ServerUnavailable(server)))
+        })
+    }
+
+    fn pipeline_width(&self) -> usize {
+        self.width
+    }
+
+    fn server(&self) -> ServerId {
+        self.inner.server()
+    }
+}
+
+impl Transport for DelayTransport {
+    fn connect(&self, server: ServerId, client: ClientId) -> Result<Box<dyn Connection>> {
+        Ok(Box::new(DelayConn {
+            inner: self.inner.connect(server, client)?,
+            mem: self.inner.clone(),
+            client,
+            width: self.width,
+            delay: self.delay,
+        }))
+    }
+
+    fn servers(&self) -> Vec<ServerId> {
+        self.inner.servers()
+    }
 }
 
 /// A default log config over servers `0..n` for `client`.

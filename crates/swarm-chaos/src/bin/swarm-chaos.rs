@@ -12,8 +12,8 @@
 //! Exit status is 0 iff every seed passed on every requested transport.
 //! Each failing seed prints its invariant violations and a one-line
 //! replay command carrying the full option set (transport, store,
-//! geometry, write/read windows). A panic on any thread fails the run it
-//! happened in; its message and backtrace are among the violations.
+//! geometry, clients). A panic on any thread fails the run it happened
+//! in; its message and backtrace are among the violations.
 
 use std::process::ExitCode;
 
@@ -24,8 +24,6 @@ struct Args {
     seeds: Vec<u64>,
     transports: Vec<TransportKind>,
     stores: Vec<StoreKind>,
-    windows: Vec<usize>,
-    read_windows: Vec<usize>,
     events: usize,
     servers: u32,
     clients: u32,
@@ -36,8 +34,7 @@ struct Args {
 
 const USAGE: &str = "usage: swarm-chaos [--seed N | --seeds A..B] \
 [--transport mem|tcp|all] [--store mem|file|both] \
-[--write-window N|both] [--read-window N|both] [--events N] \
-[--servers N] [--clients N] [--geometry K+M[,K+M...]] [--dump] \
+[--events N] [--servers N] [--clients N] [--geometry K+M[,K+M...]] [--dump] \
 [--dump-failures DIR]";
 
 fn parse_args() -> Result<Args, String> {
@@ -45,8 +42,6 @@ fn parse_args() -> Result<Args, String> {
         seeds: vec![0],
         transports: TransportKind::all(),
         stores: vec![StoreKind::Mem],
-        windows: vec![swarm_log::DEFAULT_WRITE_WINDOW],
-        read_windows: vec![swarm_log::DEFAULT_READ_WINDOW],
         events: 64,
         servers: 4,
         clients: 1,
@@ -91,37 +86,6 @@ fn parse_args() -> Result<Args, String> {
                     one => vec![one.parse()?],
                 };
             }
-            "--write-window" => {
-                let v = value("--write-window")?;
-                args.windows = match v.as_str() {
-                    // Serial (paper-faithful) and windowed, the matrix CI runs.
-                    "both" => vec![1, swarm_log::DEFAULT_WRITE_WINDOW],
-                    one => {
-                        let w: usize = one
-                            .parse()
-                            .map_err(|e| format!("--write-window {v}: {e}"))?;
-                        if w == 0 {
-                            return Err("--write-window must be >= 1".into());
-                        }
-                        vec![w]
-                    }
-                };
-            }
-            "--read-window" => {
-                let v = value("--read-window")?;
-                args.read_windows = match v.as_str() {
-                    // Serial reads and the windowed default, as CI runs.
-                    "both" => vec![1, swarm_log::DEFAULT_READ_WINDOW],
-                    one => {
-                        let w: usize =
-                            one.parse().map_err(|e| format!("--read-window {v}: {e}"))?;
-                        if w == 0 {
-                            return Err("--read-window must be >= 1".into());
-                        }
-                        vec![w]
-                    }
-                };
-            }
             "--events" => {
                 let v = value("--events")?;
                 args.events = v.parse().map_err(|e| format!("--events {v}: {e}"))?;
@@ -162,15 +126,13 @@ fn parse_args() -> Result<Args, String> {
 
 fn report_line(report: &RunReport, geometry: Geometry) -> String {
     format!(
-        "seed {:>6} transport={} store={} geometry={} clients={} window={} rwindow={} \
+        "seed {:>6} transport={} store={} geometry={} clients={} \
          hash={:#018x} events={} acked={} reads={} {}",
         report.seed,
         report.transport,
         report.store,
         geometry,
         report.clients,
-        report.write_window,
-        report.read_window,
         report.hash,
         report.events,
         report.acked_blocks,
@@ -215,60 +177,45 @@ fn main() -> ExitCode {
             let mut hashes = Vec::new();
             for &kind in &args.transports {
                 for &store in &args.stores {
-                    for &window in &args.windows {
-                        for &read_window in &args.read_windows {
-                            ran += 1;
-                            let report = match Runner::run_with_options(
-                                &schedule,
-                                kind,
-                                store,
-                                window,
-                                read_window,
-                            ) {
-                                Ok(r) => r,
-                                Err(e) => {
-                                    eprintln!(
-                                        "seed {seed} transport={kind} store={store} \
-                                         geometry={geometry} window={window} \
-                                         rwindow={read_window}: setup failed: {e}"
-                                    );
-                                    failed += 1;
-                                    continue;
-                                }
-                            };
-                            println!("{}", report_line(&report, geometry));
-                            hashes.push(report.hash);
-                            if !report.passed() {
-                                failed += 1;
-                                for f in &report.failures {
-                                    eprintln!("  {f}");
-                                }
-                                eprintln!(
-                                    "  replay: {}",
-                                    report.replay_command(args.events, servers)
-                                );
-                                if let Some(dir) = &args.dump_failures {
-                                    let path = format!(
-                                        "{dir}/seed-{seed}-{kind}-{store}-g{}p{}-w{window}\
-                                         -r{read_window}.schedule",
-                                        geometry.data(),
-                                        geometry.parity()
-                                    );
-                                    if std::fs::create_dir_all(dir)
-                                        .and_then(|_| {
-                                            let mut dump = schedule.dump();
-                                            dump.push_str("\n# failures:\n");
-                                            for f in &report.failures {
-                                                let f = f.replace('\n', "\n# ");
-                                                dump.push_str(&format!("# {f}\n"));
-                                            }
-                                            std::fs::write(&path, dump)
-                                        })
-                                        .is_ok()
-                                    {
-                                        eprintln!("  schedule dumped to {path}");
+                    ran += 1;
+                    let report = match Runner::run(&schedule, kind, store) {
+                        Ok(r) => r,
+                        Err(e) => {
+                            eprintln!(
+                                "seed {seed} transport={kind} store={store} \
+                                 geometry={geometry}: setup failed: {e}"
+                            );
+                            failed += 1;
+                            continue;
+                        }
+                    };
+                    println!("{}", report_line(&report, geometry));
+                    hashes.push(report.hash);
+                    if !report.passed() {
+                        failed += 1;
+                        for f in &report.failures {
+                            eprintln!("  {f}");
+                        }
+                        eprintln!("  replay: {}", report.replay_command(args.events, servers));
+                        if let Some(dir) = &args.dump_failures {
+                            let path = format!(
+                                "{dir}/seed-{seed}-{kind}-{store}-g{}p{}.schedule",
+                                geometry.data(),
+                                geometry.parity()
+                            );
+                            if std::fs::create_dir_all(dir)
+                                .and_then(|_| {
+                                    let mut dump = schedule.dump();
+                                    dump.push_str("\n# failures:\n");
+                                    for f in &report.failures {
+                                        let f = f.replace('\n', "\n# ");
+                                        dump.push_str(&format!("# {f}\n"));
                                     }
-                                }
+                                    std::fs::write(&path, dump)
+                                })
+                                .is_ok()
+                            {
+                                eprintln!("  schedule dumped to {path}");
                             }
                         }
                     }

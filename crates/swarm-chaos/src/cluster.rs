@@ -160,17 +160,6 @@ pub struct Cluster {
 }
 
 impl Cluster {
-    /// Stands up `servers` storage servers over the chosen transport,
-    /// backed by [`StoreKind::Mem`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`swarm_types::SwarmError::Io`] if a TCP listener cannot
-    /// bind.
-    pub fn new(kind: TransportKind, servers: u32) -> Result<Cluster> {
-        Self::new_with_store(kind, servers, StoreKind::Mem)
-    }
-
     /// Stands up `servers` storage servers over the chosen transport and
     /// fragment store. File-backed servers live in a fresh temp directory
     /// that is removed when the cluster drops; the [`FileStore`] instance
@@ -180,11 +169,7 @@ impl Cluster {
     ///
     /// Returns [`swarm_types::SwarmError::Io`] if a TCP listener cannot
     /// bind or a file store cannot be created.
-    pub fn new_with_store(
-        kind: TransportKind,
-        servers: u32,
-        store_kind: StoreKind,
-    ) -> Result<Cluster> {
+    pub fn new(kind: TransportKind, servers: u32, store_kind: StoreKind) -> Result<Cluster> {
         let store_dir = match store_kind {
             StoreKind::Mem => None,
             StoreKind::File => Some(StoreDir::fresh()),
@@ -356,7 +341,7 @@ mod tests {
 
     #[test]
     fn mem_kill_restart_cycle() {
-        let mut c = Cluster::new(TransportKind::Mem, 3).unwrap();
+        let mut c = Cluster::new(TransportKind::Mem, 3, StoreKind::Mem).unwrap();
         assert_eq!(ping_all(&c), vec![true, true, true]);
         c.kill(1);
         assert_eq!(ping_all(&c), vec![true, false, true]);
@@ -366,7 +351,7 @@ mod tests {
 
     #[test]
     fn tcp_kill_restart_cycle_reuses_the_store() {
-        let mut c = Cluster::new(TransportKind::Tcp, 3).unwrap();
+        let mut c = Cluster::new(TransportKind::Tcp, 3, StoreKind::Mem).unwrap();
         assert_eq!(ping_all(&c), vec![true, true, true]);
         c.kill(2);
         assert_eq!(ping_all(&c), vec![true, true, false]);
@@ -377,7 +362,7 @@ mod tests {
     #[test]
     fn file_backed_cluster_survives_kill_restart() {
         use swarm_types::FragmentId;
-        let mut c = Cluster::new_with_store(TransportKind::Mem, 3, StoreKind::File).unwrap();
+        let mut c = Cluster::new(TransportKind::Mem, 3, StoreKind::File).unwrap();
         assert_eq!(c.store_kind(), StoreKind::File);
         let pool = ConnectionPool::new(c.transport(), ClientId::new(1));
         let fid = FragmentId::new(ClientId::new(1), 0);

@@ -128,10 +128,6 @@ pub struct RunOptions {
     pub servers: u32,
     /// Parity members per stripe (`m`).
     pub parity: u32,
-    /// Store pipelining window for writes.
-    pub write_window: usize,
-    /// Read pipelining window for verification.
-    pub read_window: usize,
     /// Concurrent client logs sharing the cluster.
     pub clients: u32,
 }
@@ -141,15 +137,13 @@ impl fmt::Display for RunOptions {
         write!(
             f,
             "swarm-chaos --seed {} --transport {} --store {} --events {} --geometry {}+{} \
-             --write-window {} --read-window {} --clients {}",
+             --clients {}",
             self.seed,
             self.transport,
             self.store,
             self.events,
             self.servers - self.parity,
             self.parity,
-            self.write_window,
-            self.read_window,
             self.clients
         )
     }
@@ -168,8 +162,6 @@ impl FromStr for RunOptions {
         let mut store = None;
         let mut events = None;
         let mut geometry: Option<Geometry> = None;
-        let mut write_window = None;
-        let mut read_window = None;
         let mut clients = None;
         while let Some(flag) = tokens.next() {
             let value = tokens
@@ -183,12 +175,6 @@ impl FromStr for RunOptions {
                 "--geometry" => {
                     geometry = Some(value.parse::<Geometry>().map_err(|e| e.to_string())?)
                 }
-                "--write-window" => {
-                    write_window = Some(value.parse::<usize>().map_err(|e| e.to_string())?)
-                }
-                "--read-window" => {
-                    read_window = Some(value.parse::<usize>().map_err(|e| e.to_string())?)
-                }
                 "--clients" => clients = Some(value.parse::<u32>().map_err(|e| e.to_string())?),
                 other => return Err(format!("unknown replay flag {other}")),
             }
@@ -201,8 +187,6 @@ impl FromStr for RunOptions {
             events: events.ok_or("replay line is missing --events")?,
             servers: geometry.width() as u32,
             parity: geometry.parity() as u32,
-            write_window: write_window.ok_or("replay line is missing --write-window")?,
-            read_window: read_window.ok_or("replay line is missing --read-window")?,
             // Older replay lines predate multi-client runs: one client.
             clients: clients.unwrap_or(1),
         })
@@ -215,7 +199,7 @@ static PANICS: std::sync::Mutex<Vec<String>> = std::sync::Mutex::new(Vec::new())
 
 /// Makes a panicked thread a failed run: every panic, on any thread, is
 /// recorded with its thread's name and a backtrace, and
-/// [`Runner::run_with_options`] moves what was recorded during a run into
+/// [`Runner::run`] moves what was recorded during a run into
 /// that run's [`RunReport::failures`]. The previous hook still runs, so
 /// the message reaches stderr as before. For the binary, which runs one
 /// schedule at a time: a test process would blame whichever run ends next
@@ -257,10 +241,6 @@ pub struct RunReport {
     pub verified_reads: u64,
     /// Blocks acked over the whole run.
     pub acked_blocks: u64,
-    /// Store pipelining window the client wrote with.
-    pub write_window: usize,
-    /// Read pipelining window the client verified with.
-    pub read_window: usize,
     /// Parity members per stripe (`m`) the run striped with.
     pub parity: u32,
     /// Concurrent client logs the run dealt events across.
@@ -284,8 +264,6 @@ impl RunReport {
             events,
             servers,
             parity: self.parity,
-            write_window: self.write_window,
-            read_window: self.read_window,
             clients: self.clients,
         }
     }
@@ -296,13 +274,7 @@ impl RunReport {
     }
 }
 
-fn make_config(
-    client: ClientId,
-    servers: u32,
-    parity: u32,
-    write_window: usize,
-    read_window: usize,
-) -> Result<LogConfig> {
+fn make_config(client: ClientId, servers: u32, parity: u32) -> Result<LogConfig> {
     Ok(
         LogConfig::new(client, (0..servers).map(ServerId::new).collect())?
             // `m = 1` resolves to the paper's XOR geometry; wider parity
@@ -312,12 +284,6 @@ fn make_config(
             // Every verification read must hit the servers, not a client
             // cache — the whole point is checking what survived.
             .cache_fragments(0)
-            // The windowed write path must uphold the durability contract
-            // at any pipelining depth, so the matrix runs it explicitly.
-            .write_window(write_window)
-            // Same for the windowed read path: verification reads go
-            // through the pipelined engine at the depth under test.
-            .read_window(read_window)
             // Chaos connections drop on purpose; more retries with a
             // short backoff ride out injected transients without turning
             // a deliberate down-window into a minutes-long stall.
@@ -341,14 +307,7 @@ struct Rig {
 }
 
 impl Rig {
-    fn new(
-        cluster: &Cluster,
-        client: ClientId,
-        servers: u32,
-        parity: u32,
-        write_window: usize,
-        read_window: usize,
-    ) -> Result<Rig> {
+    fn new(cluster: &Cluster, client: ClientId, servers: u32, parity: u32) -> Result<Rig> {
         let model: Model = Arc::new(Mutex::new(ModelInner::default()));
         let mut stack = ServiceStack::new();
         let service: Arc<Mutex<dyn Service>> = Arc::new(Mutex::new(ChaosService {
@@ -358,7 +317,7 @@ impl Rig {
         let stack = Arc::new(stack);
         let log = Arc::new(Log::create(
             cluster.transport(),
-            make_config(client, servers, parity, write_window, read_window)?,
+            make_config(client, servers, parity)?,
         )?);
         let cleaner = Cleaner::new(log.clone(), stack.clone(), CleanPolicy::CostBenefit);
         Ok(Rig {
@@ -387,8 +346,6 @@ impl Rig {
 pub struct Runner {
     cluster: Cluster,
     rigs: Vec<Rig>,
-    write_window: usize,
-    read_window: usize,
     parity: u32,
     append_rr: usize,
     delete_rr: usize,
@@ -402,50 +359,14 @@ pub struct Runner {
 const MAX_FAILURES: usize = 24;
 
 impl Runner {
-    /// Stands up a fresh cluster + log + cleaner for `schedule`, backed
-    /// by [`StoreKind::Mem`].
+    /// Stands up a fresh cluster of `store`-backed servers, and a log and
+    /// a cleaner per client, for `schedule`.
     ///
     /// # Errors
     ///
     /// Propagates cluster construction and log creation failures.
-    pub fn new(schedule: &Schedule, kind: TransportKind) -> Result<Runner> {
-        Self::new_with_store(schedule, kind, StoreKind::Mem)
-    }
-
-    /// Stands up a fresh cluster + log + cleaner for `schedule` with an
-    /// explicit fragment-store backing.
-    ///
-    /// # Errors
-    ///
-    /// Propagates cluster construction and log creation failures.
-    pub fn new_with_store(
-        schedule: &Schedule,
-        kind: TransportKind,
-        store: StoreKind,
-    ) -> Result<Runner> {
-        Self::new_with_options(
-            schedule,
-            kind,
-            store,
-            swarm_log::DEFAULT_WRITE_WINDOW,
-            swarm_log::DEFAULT_READ_WINDOW,
-        )
-    }
-
-    /// Stands up a fresh cluster + log + cleaner for `schedule` with an
-    /// explicit store backing and client write/read windows.
-    ///
-    /// # Errors
-    ///
-    /// Propagates cluster construction and log creation failures.
-    pub fn new_with_options(
-        schedule: &Schedule,
-        kind: TransportKind,
-        store: StoreKind,
-        write_window: usize,
-        read_window: usize,
-    ) -> Result<Runner> {
-        let cluster = Cluster::new_with_store(kind, schedule.servers, store)?;
+    pub fn new(schedule: &Schedule, kind: TransportKind, store: StoreKind) -> Result<Runner> {
+        let cluster = Cluster::new(kind, schedule.servers, store)?;
         let rigs = (1..=schedule.clients)
             .map(|c| {
                 Rig::new(
@@ -453,16 +374,12 @@ impl Runner {
                     ClientId::new(c),
                     schedule.servers,
                     schedule.parity,
-                    write_window,
-                    read_window,
                 )
             })
             .collect::<Result<Vec<Rig>>>()?;
         Ok(Runner {
             cluster,
             rigs,
-            write_window,
-            read_window,
             parity: schedule.parity,
             append_rr: 0,
             delete_rr: 0,
@@ -472,57 +389,18 @@ impl Runner {
         })
     }
 
-    /// Runs `schedule` to completion and reports, backed by
-    /// [`StoreKind::Mem`].
+    /// Runs `schedule` to completion and reports. [`StoreKind::File`] puts
+    /// the `FileStore` journal group-commit path on the chaos critical
+    /// path; [`TransportKind::Mem`] connections take one RPC at a time
+    /// (the paper's serial pipelines), [`TransportKind::Tcp`] ones a
+    /// window of them.
     ///
     /// # Errors
     ///
     /// Returns setup errors only; invariant violations are collected in
     /// the report, not returned.
-    pub fn run(schedule: &Schedule, kind: TransportKind) -> Result<RunReport> {
-        Self::run_with_store(schedule, kind, StoreKind::Mem)
-    }
-
-    /// Runs `schedule` to completion with an explicit store backing —
-    /// [`StoreKind::File`] puts the `FileStore` journal group-commit
-    /// path on the chaos critical path.
-    ///
-    /// # Errors
-    ///
-    /// Returns setup errors only; invariant violations are collected in
-    /// the report, not returned.
-    pub fn run_with_store(
-        schedule: &Schedule,
-        kind: TransportKind,
-        store: StoreKind,
-    ) -> Result<RunReport> {
-        Self::run_with_options(
-            schedule,
-            kind,
-            store,
-            swarm_log::DEFAULT_WRITE_WINDOW,
-            swarm_log::DEFAULT_READ_WINDOW,
-        )
-    }
-
-    /// Runs `schedule` to completion with an explicit store backing and
-    /// client write/read windows — the matrix runs each window at 1 (the
-    /// paper's serial pipelines) and 8 (the windowed defaults) to prove
-    /// the durability contract holds at any pipelining depth.
-    ///
-    /// # Errors
-    ///
-    /// Returns setup errors only; invariant violations are collected in
-    /// the report, not returned.
-    pub fn run_with_options(
-        schedule: &Schedule,
-        kind: TransportKind,
-        store: StoreKind,
-        write_window: usize,
-        read_window: usize,
-    ) -> Result<RunReport> {
-        let mut runner =
-            Runner::new_with_options(schedule, kind, store, write_window, read_window)?;
+    pub fn run(schedule: &Schedule, kind: TransportKind, store: StoreKind) -> Result<RunReport> {
+        let mut runner = Runner::new(schedule, kind, store)?;
         // A panic on this thread fails the run, not the sweep; the hook
         // (when installed) has its message and backtrace.
         let stepped = catch_unwind(AssertUnwindSafe(|| {
@@ -563,8 +441,6 @@ impl Runner {
             events: schedule.events.len(),
             verified_reads,
             acked_blocks,
-            write_window,
-            read_window,
             parity: schedule.parity,
             clients: schedule.clients,
             failures,
@@ -783,13 +659,7 @@ impl Runner {
     /// head — same next sequence number, nothing silently dropped.
     fn check_recovery_head(&mut self, r: usize, i: usize) {
         let client = self.rigs[r].client;
-        let config = match make_config(
-            client,
-            self.cluster.servers(),
-            self.parity,
-            self.write_window,
-            self.read_window,
-        ) {
+        let config = match make_config(client, self.cluster.servers(), self.parity) {
             Ok(c) => c,
             Err(e) => {
                 self.failures
@@ -898,13 +768,7 @@ impl Runner {
         // lost — exactly the torn tail recovery must discard.
         self.rigs[r].cleaner = None;
         self.rigs[r].log = None;
-        let config = match make_config(
-            client,
-            self.cluster.servers(),
-            self.parity,
-            self.write_window,
-            self.read_window,
-        ) {
+        let config = match make_config(client, self.cluster.servers(), self.parity) {
             Ok(c) => c,
             Err(e) => {
                 self.failures
@@ -953,8 +817,6 @@ mod tests {
                 events: 64,
                 servers: 4,
                 parity: 1,
-                write_window: 8,
-                read_window: 8,
                 clients: 1,
             },
             RunOptions {
@@ -964,8 +826,6 @@ mod tests {
                 events: 256,
                 servers: 6,
                 parity: 2,
-                write_window: 1,
-                read_window: 16,
                 clients: 8,
             },
             RunOptions {
@@ -975,8 +835,6 @@ mod tests {
                 events: 48,
                 servers: 11,
                 parity: 3,
-                write_window: 4,
-                read_window: 1,
                 clients: 32,
             },
         ];
@@ -988,8 +846,6 @@ mod tests {
                 "--store",
                 "--events",
                 "--geometry",
-                "--write-window",
-                "--read-window",
                 "--clients",
             ] {
                 assert!(line.contains(flag), "replay line lost {flag}: {line}");
@@ -1003,10 +859,20 @@ mod tests {
     /// `--clients` flag; they must keep parsing as one-client runs.
     #[test]
     fn legacy_replay_line_defaults_to_one_client() {
-        let line = "swarm-chaos --seed 3 --transport mem --store mem --events 32 \
-                    --geometry 3+1 --write-window 8 --read-window 8";
+        let line = "swarm-chaos --seed 3 --transport mem --store mem --events 32 --geometry 3+1";
         let parsed: RunOptions = line.parse().expect("legacy line parses");
         assert_eq!(parsed.clients, 1);
+    }
+
+    /// A replay line carrying a flag this parser does not know — which is
+    /// what a line printed while a since-retired axis existed is — fails
+    /// loudly, naming the flag, instead of replaying without it.
+    #[test]
+    fn replay_line_with_an_unknown_flag_is_refused_by_name() {
+        let line = "swarm-chaos --seed 3 --transport mem --store mem --events 32 \
+                    --geometry 3+1 --window 8 --clients 1";
+        let err = line.parse::<RunOptions>().unwrap_err();
+        assert!(err.contains("unknown replay flag --window"), "{err}");
     }
 
     /// Replay lines printed while a second TCP runtime existed name a
@@ -1017,7 +883,7 @@ mod tests {
         for runtime in ["epoll", "blocking"] {
             let line = format!(
                 "swarm-chaos --seed 3 --transport tcp-{runtime} --store mem --events 32 \
-                 --geometry 3+1 --write-window 8 --read-window 8 --clients 1"
+                 --geometry 3+1 --clients 1"
             );
             let err = line.parse::<RunOptions>().unwrap_err();
             assert!(err.contains("want mem|tcp"), "{err}");
@@ -1035,8 +901,6 @@ mod tests {
             events: 70,
             verified_reads: 0,
             acked_blocks: 0,
-            write_window: 8,
-            read_window: 8,
             parity: 2,
             clients: 8,
             failures: Vec::new(),

@@ -22,8 +22,8 @@ fn same_seed_reproduces_schedule_and_dump() {
 #[test]
 fn mem_runs_pass_and_replay_identically() {
     let schedule = Schedule::generate(7, &cfg());
-    let first = Runner::run(&schedule, TransportKind::Mem).unwrap();
-    let second = Runner::run(&schedule, TransportKind::Mem).unwrap();
+    let first = Runner::run(&schedule, TransportKind::Mem, StoreKind::Mem).unwrap();
+    let second = Runner::run(&schedule, TransportKind::Mem, StoreKind::Mem).unwrap();
     assert!(
         first.passed(),
         "seed 7 lost acked data on mem: {:?}",
@@ -37,14 +37,14 @@ fn mem_runs_pass_and_replay_identically() {
 #[test]
 fn tcp_runs_match_mem_verdict_and_stats() {
     let schedule = Schedule::generate(11, &cfg());
-    let mem = Runner::run(&schedule, TransportKind::Mem).unwrap();
+    let mem = Runner::run(&schedule, TransportKind::Mem, StoreKind::Mem).unwrap();
     assert!(
         mem.passed(),
         "seed 11 lost acked data on mem: {:?}",
         mem.failures
     );
     // Real sockets must agree with the in-process baseline.
-    let tcp = Runner::run(&schedule, TransportKind::Tcp).unwrap();
+    let tcp = Runner::run(&schedule, TransportKind::Tcp, StoreKind::Mem).unwrap();
     assert!(
         tcp.passed(),
         "seed 11 lost acked data on tcp: {:?}",
@@ -59,7 +59,7 @@ fn tcp_runs_match_mem_verdict_and_stats() {
 fn small_seed_matrix_never_loses_acked_writes() {
     for seed in 0..4u64 {
         let schedule = Schedule::generate(seed, &ScheduleConfig::new(3, 32));
-        let report = Runner::run(&schedule, TransportKind::Mem).unwrap();
+        let report = Runner::run(&schedule, TransportKind::Mem, StoreKind::Mem).unwrap();
         assert!(
             report.passed(),
             "seed {seed}: {:?}\nreplay: {}",
@@ -83,8 +83,8 @@ fn multi_client_runs_pass_deterministically_with_no_interference() {
             Schedule::generate(13, &cfg()).events,
             "client count must deal events, not change them"
         );
-        let first = Runner::run(&schedule, TransportKind::Mem).unwrap();
-        let second = Runner::run(&schedule, TransportKind::Mem).unwrap();
+        let first = Runner::run(&schedule, TransportKind::Mem, StoreKind::Mem).unwrap();
+        let second = Runner::run(&schedule, TransportKind::Mem, StoreKind::Mem).unwrap();
         assert!(
             first.passed(),
             "{clients} clients lost acked data: {:?}\nreplay: {}",
@@ -113,8 +113,7 @@ fn file_store_with_group_commit_never_loses_acked_writes() {
             .events
             .iter()
             .any(|e| matches!(e, ChaosEvent::ServerStall { .. }));
-        let report =
-            Runner::run_with_store(&schedule, TransportKind::Mem, StoreKind::File).unwrap();
+        let report = Runner::run(&schedule, TransportKind::Mem, StoreKind::File).unwrap();
         assert_eq!(report.store, StoreKind::File);
         assert!(
             report.passed(),
@@ -148,7 +147,7 @@ fn rs_geometries_never_lose_acked_writes_with_m_concurrent_kills() {
                 Schedule::generate(seed, &ScheduleConfig::with_parity(servers, 32, parity));
             // The budget must actually be spent somewhere in the sweep:
             // at least one seed reaches `m` simultaneous impairments.
-            let report = Runner::run(&schedule, TransportKind::Mem).unwrap();
+            let report = Runner::run(&schedule, TransportKind::Mem, StoreKind::Mem).unwrap();
             assert_eq!(report.parity, parity);
             assert!(
                 report.passed(),

@@ -17,13 +17,11 @@
 //! swarm-admin clean  --servers …  [--client N]      # run the cleaner
 //! swarm-admin log dump --servers … [--client N]     # print the recovered log
 //!
-//! Write-path commands accept `--write-window N` (default 8): how many
-//! Store RPCs each server channel keeps in flight (DESIGN.md §15);
-//! `--write-window 1` is the paper-faithful serial write path. Read-path
-//! commands accept `--read-window N` the same way (DESIGN.md §16);
-//! `--read-window 1` is the serial read path. Log-mounting commands
-//! accept `--geometry K+M` to select a Reed–Solomon stripe shape
-//! (DESIGN.md §17); unset (or any M=1) is the paper's XOR layout.
+//! Log-mounting commands accept `--geometry K+M` to select a
+//! Reed–Solomon stripe shape (DESIGN.md §17); unset (or any M=1) is the
+//! paper's XOR layout. How many RPCs a server channel keeps in flight is
+//! not a flag (DESIGN.md §15, §16). A flag a command does not know is an
+//! error that names it, never a silent default.
 //! swarm-admin frag locate <seq> --servers … [--client N]   # where is a fragment?
 //! ```
 
@@ -55,38 +53,37 @@ fn run() -> Result<()> {
         .first()
         .map(|s| s.as_str())
         .ok_or_else(|| SwarmError::invalid("usage: swarm-admin <ping|stat|fs|clean> …"))?;
-    match command {
-        "ping" => ping(&args),
-        "stat" => stat(&args),
-        "stats" => stats(&args),
-        "fs" => fs_command(&args),
-        "clean" => clean(&args),
-        "log" => log_command(&args),
-        "frag" => frag_command(&args),
-        other => Err(SwarmError::invalid(format!("unknown command {other:?}"))),
-    }
+    // Each command with the flags it reads: anything else on the line
+    // is refused before the command touches the cluster.
+    const CLUSTER: &[&str] = &["servers", "client"];
+    const MOUNT: &[&str] = &["servers", "client", "geometry", "fragment-size"];
+    type Command = fn(&Args) -> Result<()>;
+    let (run, known): (Command, &[&str]) = match command {
+        "ping" => (ping, CLUSTER),
+        "stat" => (stat, CLUSTER),
+        "stats" => (stats, CLUSTER),
+        "fs" => (fs_command, MOUNT),
+        "clean" => (
+            clean,
+            &[
+                "servers",
+                "client",
+                "geometry",
+                "fragment-size",
+                "policy",
+                "max-stripes",
+            ],
+        ),
+        "log" => (log_command, &["servers", "client", "geometry"]),
+        "frag" => (frag_command, CLUSTER),
+        other => return Err(SwarmError::invalid(format!("unknown command {other:?}"))),
+    };
+    args.reject_unknown(known)?;
+    run(&args)
 }
 
 fn client_id(args: &Args) -> Result<ClientId> {
     Ok(ClientId::new(args.get_u64("client", 1)? as u32))
-}
-
-/// `--write-window N`: per-server store pipelining depth (DESIGN.md §15).
-fn write_window(args: &Args) -> Result<usize> {
-    let w = args.get_u64("write-window", swarm_log::DEFAULT_WRITE_WINDOW as u64)? as usize;
-    if w == 0 {
-        return Err(SwarmError::invalid("--write-window must be >= 1"));
-    }
-    Ok(w)
-}
-
-/// `--read-window N`: per-server read pipelining depth (DESIGN.md §16).
-fn read_window(args: &Args) -> Result<usize> {
-    let w = args.get_u64("read-window", swarm_log::DEFAULT_READ_WINDOW as u64)? as usize;
-    if w == 0 {
-        return Err(SwarmError::invalid("--read-window must be >= 1"));
-    }
-    Ok(w)
 }
 
 /// `--geometry K+M`: stripe shape — K data plus M Reed–Solomon parity
@@ -174,9 +171,7 @@ fn mount(args: &Args) -> Result<(Arc<Log>, Arc<StingFs>)> {
     let transport = transport_for(spec)?;
     let ids: Vec<_> = parse_servers(spec)?.into_iter().map(|(id, _)| id).collect();
     let config = LogConfig::new(client_id(args)?, ids)?
-        .fragment_size(args.get_u64("fragment-size", 1 << 20)? as usize)
-        .write_window(write_window(args)?)
-        .read_window(read_window(args)?);
+        .fragment_size(args.get_u64("fragment-size", 1 << 20)? as usize);
     let config = apply_geometry(args, config)?;
     let (log, replay) = recover(transport, config, &[STING_SVC])?;
     let log = Arc::new(log);
@@ -260,10 +255,7 @@ fn log_command(args: &Args) -> Result<()> {
     let spec = args.require("servers")?;
     let transport = transport_for(spec)?;
     let ids: Vec<_> = parse_servers(spec)?.into_iter().map(|(id, _)| id).collect();
-    let config = LogConfig::new(client_id(args)?, ids)?
-        .write_window(write_window(args)?)
-        .read_window(read_window(args)?);
-    let config = apply_geometry(args, config)?;
+    let config = apply_geometry(args, LogConfig::new(client_id(args)?, ids)?)?;
     let (log, replay) = recover(transport, config, &[STING_SVC])?;
     println!(
         "log of {}: next fragment seq {}, {} entries since the oldest needed checkpoint",
@@ -365,7 +357,7 @@ fn frag_command(args: &Args) -> Result<()> {
         }
         None => {
             // Not directly present: can it be reconstructed?
-            let engine = swarm_log::ReadEngine::new(pool, swarm_log::DEFAULT_READ_WINDOW);
+            let engine = swarm_log::ReadEngine::new(pool);
             match swarm_log::reconstruct::reconstruct_fragment(&engine, fid) {
                 Ok(bytes) => println!(
                     "{fid}: NOT stored on any reachable server, but reconstructible                      from parity ({} bytes)",

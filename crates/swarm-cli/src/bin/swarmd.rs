@@ -33,6 +33,17 @@ fn main() {
 
 fn run() -> Result<(), Box<dyn std::error::Error>> {
     let args = Args::parse(std::env::args().skip(1));
+    args.reject_unknown(&[
+        "id",
+        "listen",
+        "dir",
+        "capacity",
+        "cache",
+        "mem",
+        "durability",
+        "no-fsync",
+        "read-deadline-ms",
+    ])?;
     let id = ServerId::new(args.get_u64("id", 0)? as u32);
     let listen = args.get_or("listen", "127.0.0.1:0").to_string();
     let capacity = args.get_u64("capacity", 0)?;

@@ -53,6 +53,28 @@ impl Args {
         args
     }
 
+    /// Refuses any option not in `known` (keys without the `--`): a
+    /// misspelt or retired flag is an error, not a silent default. Call
+    /// it before acting on the command.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SwarmError::InvalidArgument`] naming every unknown flag.
+    pub fn reject_unknown(&self, known: &[&str]) -> Result<()> {
+        let unknown: Vec<String> = (self.options.keys())
+            .filter(|key| !known.contains(&key.as_str()))
+            .map(|key| format!("--{key}"))
+            .collect();
+        if unknown.is_empty() {
+            return Ok(());
+        }
+        Err(SwarmError::invalid(format!(
+            "unknown option {} (known: --{})",
+            unknown.join(", "),
+            known.join(", --")
+        )))
+    }
+
     /// Fetches a required option.
     ///
     /// # Errors
@@ -157,6 +179,15 @@ mod tests {
         let a = parse(&[]);
         assert!(a.require("servers").is_err());
         assert!(parse(&["--n", "abc"]).get_u64("n", 0).is_err());
+    }
+
+    #[test]
+    fn unknown_options_are_named_in_the_error() {
+        let a = parse(&["clean", "--servers", "0=1.2.3.4:5", "--max-stripe", "4"]);
+        a.reject_unknown(&["servers", "max-stripe"]).unwrap();
+        let err = a.reject_unknown(&["servers", "max-stripes"]).unwrap_err();
+        assert!(matches!(err, SwarmError::InvalidArgument(_)), "{err}");
+        assert!(err.to_string().contains("--max-stripe (known"), "{err}");
     }
 
     #[test]

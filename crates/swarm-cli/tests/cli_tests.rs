@@ -39,16 +39,21 @@ impl Drop for Daemon {
 }
 
 fn start_daemon(id: u32, dir: &std::path::Path) -> Daemon {
+    spawn_daemon(&[
+        "--id",
+        &id.to_string(),
+        "--dir",
+        dir.to_str().unwrap(),
+        "--no-fsync",
+    ])
+}
+
+/// Starts `swarmd` with `flags` on an ephemeral port and waits for its
+/// banner.
+fn spawn_daemon(flags: &[&str]) -> Daemon {
     let mut child = Command::new(env!("CARGO_BIN_EXE_swarmd"))
-        .args([
-            "--id",
-            &id.to_string(),
-            "--listen",
-            "127.0.0.1:0",
-            "--dir",
-            dir.to_str().unwrap(),
-            "--no-fsync",
-        ])
+        .args(["--listen", "127.0.0.1:0"])
+        .args(flags)
         .stdout(Stdio::piped())
         .stderr(Stdio::inherit())
         .spawn()
@@ -234,6 +239,72 @@ fn bad_usage_fails_cleanly() {
     let (_o, err, ok) = admin(&cluster, &["fs", "write"], None);
     assert!(!ok);
     assert!(err.contains("missing"), "{err}");
+}
+
+/// A flag no command reads is refused by name before anything runs —
+/// not parsed into a map nobody looks at while the default applies.
+#[test]
+fn misspelt_flag_is_refused_and_named() {
+    let out = Command::new(env!("CARGO_BIN_EXE_swarmd"))
+        .args(["--mem", "--durabilty", "group"])
+        .output()
+        .expect("run swarmd");
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown option --durabilty"), "{err}");
+
+    let cluster = Cluster::start(2, "misspelt");
+    admin(&cluster, &["fs", "write", "/f"], Some(b"keep"));
+    for args in [
+        &["clean", "--max-stripe", "4"][..],
+        &["fs", "rm", "/f", "--cilent", "1"],
+        &["ping", "--geometry", "1+1"],
+    ] {
+        let (_o, err, ok) = admin(&cluster, args, None);
+        assert!(!ok, "{args:?}");
+        assert!(
+            err.contains(&format!("unknown option {}", args[args.len() - 2])),
+            "{err}"
+        );
+    }
+    let (out, e, ok) = admin(&cluster, &["fs", "read", "/f"], None);
+    assert!(ok, "{e}");
+    assert_eq!(out, "keep", "a refused command must not have run");
+}
+
+/// Every flag README's tables document for `swarmd` and `swarm-admin` is
+/// still accepted by the commands it is documented for.
+#[test]
+fn every_documented_flag_still_parses() {
+    let dir = TempDir::new("flags");
+    let dir_path = dir.0.to_str().unwrap();
+    let daemons = vec![
+        spawn_daemon(&["--id", "0", "--mem", "--capacity", "64", "--cache", "2"]),
+        spawn_daemon(&["--id", "1", "--dir", dir_path, "--durability", "group:1"]),
+        spawn_daemon(&["--id", "2", "--mem", "--read-deadline-ms", "5000"]),
+    ];
+    let cluster = Cluster {
+        daemons,
+        _dirs: vec![dir],
+    };
+    let log_flags = ["--client", "3", "--geometry", "2+1"];
+    let mount_flags = [&log_flags[..], &["--fragment-size", "65536"]].concat();
+    let run = |command: &[&str], flags: &[&str], stdin: Option<&[u8]>| {
+        let (out, e, ok) = admin(&cluster, &[command, flags].concat(), stdin);
+        assert!(ok, "{command:?}: {e}");
+        out
+    };
+    run(&["fs", "write", "/f"], &mount_flags, Some(b"flagged"));
+    assert_eq!(run(&["fs", "read", "/f"], &mount_flags, None), "flagged");
+    let clean_flags = [
+        &mount_flags[..],
+        &["--policy", "greedy", "--max-stripes", "4"],
+    ]
+    .concat();
+    assert!(run(&["clean"], &clean_flags, None).contains("cleaned"));
+    assert!(run(&["log", "dump"], &log_flags, None).contains("log of c3"));
+    assert!(run(&["frag", "locate", "0"], &["--client", "3"], None).contains("stripe"));
+    assert!(run(&["ping"], &["--client", "3"], None).contains("ok"));
 }
 
 #[test]

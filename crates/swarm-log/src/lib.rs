@@ -67,7 +67,7 @@ pub use entry::{Entry, LocatedEntry};
 pub use fragment::{FragmentBuilder, FragmentHeader, FragmentView, SealedFragment};
 pub use log::{Log, LogConfig, LogPosition, LogStats};
 pub use parity::ParityAccumulator;
-pub use reader::{ReadEngine, BATCH_CHUNK, DEFAULT_READ_WINDOW};
+pub use reader::{ReadEngine, BATCH_CHUNK};
 pub use recovery::{recover, Replay, ReplayEntry};
 pub use stripe::{StripeGroup, StripePlan};
-pub use writer::{WritePool, DEFAULT_WRITE_WINDOW};
+pub use writer::WritePool;

@@ -128,6 +128,10 @@ pub struct LogStats {
 }
 
 /// Configuration for a client's log.
+///
+/// How many RPCs the log keeps outstanding per server is not configured
+/// here or anywhere: it is [`swarm_net::pool::WINDOW`], clamped to what
+/// each connection pipelines, for stores and reads alike.
 #[derive(Debug, Clone)]
 pub struct LogConfig {
     /// The owning client.
@@ -137,24 +141,6 @@ pub struct LogConfig {
     pub group: StripeGroup,
     /// Fragment size in bytes (default 1 MiB, the prototype's choice).
     pub fragment_size: usize,
-    /// Per-server write queue depth (default 2: transfer one fragment
-    /// while the previous is written to disk, §2.1.2).
-    pub queue_depth: usize,
-    /// Outstanding `Store` RPCs each server's writer keeps on the wire
-    /// (default [`crate::writer::DEFAULT_WRITE_WINDOW`]). 1 reproduces
-    /// the paper's one-store-per-server pipeline; larger windows exploit
-    /// the multiplexed transport and let the server's group commit batch
-    /// one client's fsyncs. Clamped to what the connection can pipeline,
-    /// so synchronous transports degrade gracefully to 1.
-    pub write_window: usize,
-    /// Outstanding `Read` RPCs the pipelined read engine keeps on the
-    /// wire per server (default
-    /// [`crate::reader::DEFAULT_READ_WINDOW`]). 1 reproduces the paper's
-    /// serial one-read-at-a-time path; larger windows overlap server
-    /// seeks with wire transfer on the multiplexed transport. Clamped to
-    /// what the connection can pipeline, so synchronous transports degrade
-    /// gracefully to 1.
-    pub read_window: usize,
     /// Client-side fragment cache capacity, in fragments (default 16).
     /// Serves re-reads and recovery scans without server round-trips.
     pub cache_fragments: usize,
@@ -186,9 +172,6 @@ impl LogConfig {
             client,
             group: StripeGroup::new(servers)?,
             fragment_size: DEFAULT_FRAGMENT_SIZE,
-            queue_depth: 2,
-            write_window: crate::writer::DEFAULT_WRITE_WINDOW,
-            read_window: crate::reader::DEFAULT_READ_WINDOW,
             cache_fragments: 16,
             prefetch: false,
             store_retries: crate::writer::STORE_RETRIES,
@@ -213,26 +196,6 @@ impl LogConfig {
     /// Sets the fragment size.
     pub fn fragment_size(mut self, bytes: usize) -> LogConfig {
         self.fragment_size = bytes;
-        self
-    }
-
-    /// Sets the per-server queue depth.
-    pub fn queue_depth(mut self, depth: usize) -> LogConfig {
-        self.queue_depth = depth;
-        self
-    }
-
-    /// Sets the per-server store window (1 = the paper's serial
-    /// pipeline; clamped to at least 1).
-    pub fn write_window(mut self, window: usize) -> LogConfig {
-        self.write_window = window.max(1);
-        self
-    }
-
-    /// Sets the per-server read window (1 = the paper's serial read
-    /// path; clamped to at least 1).
-    pub fn read_window(mut self, window: usize) -> LogConfig {
-        self.read_window = window.max(1);
         self
     }
 
@@ -490,16 +453,14 @@ impl Log {
         // Writers share the log's connection pool, so the write path rides
         // the same per-server channels as reads (one mux socket per
         // server) instead of holding private sockets.
-        let pool = WritePool::with_engine(
+        let pool = WritePool::new(
             engine.clone(),
             config.group.servers(),
-            config.queue_depth,
-            config.write_window,
             config.store_retries,
             config.retry_backoff,
         );
         let cache = Arc::new(Mutex::new(FragCache::new(config.cache_fragments)));
-        let reader = ReadEngine::new(engine.clone(), config.read_window);
+        let reader = ReadEngine::new(engine.clone());
         Ok(Log {
             pool,
             transport,

@@ -5,14 +5,14 @@
 //! access, so a scan of N blocks cost N round trips and the network sat
 //! idle while the server seeked. [`ReadEngine`] closes that gap two ways:
 //!
-//! * **Windowing** — up to [`LogConfig::read_window`]
-//!   (`crate::log::LogConfig`) read RPCs stay outstanding per server,
-//!   across however many servers a fetch touches, through the pool's one
-//!   fan-out loop ([`ConnectionPool::fan_out`]): pending calls started and
-//!   harvested by the calling thread, no thread per server. On a
-//!   multiplexed transport a server's window rides one socket;
-//!   synchronous transports complete each call as it is started, so the
-//!   window degrades to 1 transparently.
+//! * **Windowing** — up to [`swarm_net::pool::WINDOW`] read RPCs stay
+//!   outstanding per server, across however many servers a fetch touches,
+//!   through the pool's one fan-out loop ([`ConnectionPool::fan_out`]):
+//!   pending calls started and harvested by the calling thread, no thread
+//!   per server. On a multiplexed transport a server's window rides one
+//!   socket; a transport whose connections report `pipeline_width() == 1`
+//!   completes each call as it is started, which is the paper's serial
+//!   read path — the depth is not an option.
 //! * **Batching** — runs of reads against one server collapse into
 //!   [`Request::ReadBatch`] RPCs ([`BATCH_CHUNK`] fragments per call), so
 //!   a scan or stripe fetch is a single round trip per server. Batch
@@ -31,11 +31,6 @@ use swarm_net::{ConnectionPool, ReadSpec, Request, Response};
 use swarm_types::{Bytes, FragmentId, Result, ServerId, SwarmError};
 
 use crate::fragment::{parse_header, FragmentHeader, LOCATE_HEADER_LEN};
-
-/// Outstanding read RPCs the engine keeps on the wire per server
-/// (default; see `LogConfig::read_window`). 1 reproduces the paper's
-/// serial read path.
-pub const DEFAULT_READ_WINDOW: usize = 8;
 
 /// Reads folded into one `ReadBatch` RPC. Bounded so a huge scan neither
 /// builds an unbounded reply frame nor stalls the window behind one
@@ -73,30 +68,17 @@ fn clone_error(e: &SwarmError) -> SwarmError {
 
 /// A windowed, batching read front-end over a shared [`ConnectionPool`].
 ///
-/// Cheap to clone (an `Arc` and a `usize`); the log, reconstruction,
-/// prefetch, and recovery all drive their reads through one of these.
-#[derive(Clone)]
+/// Cheap to clone (an `Arc`); the log, reconstruction, prefetch, and
+/// recovery all drive their reads through one of these.
+#[derive(Clone, Debug)]
 pub struct ReadEngine {
     pool: Arc<ConnectionPool>,
-    window: usize,
-}
-
-impl std::fmt::Debug for ReadEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ReadEngine")
-            .field("window", &self.window)
-            .finish()
-    }
 }
 
 impl ReadEngine {
-    /// Creates an engine keeping up to `window` read RPCs outstanding per
-    /// server (clamped to at least 1).
-    pub fn new(pool: Arc<ConnectionPool>, window: usize) -> ReadEngine {
-        ReadEngine {
-            pool,
-            window: window.max(1),
-        }
+    /// Creates an engine reading through `pool`.
+    pub fn new(pool: Arc<ConnectionPool>) -> ReadEngine {
+        ReadEngine { pool }
     }
 
     /// The connection pool this engine reads through.
@@ -104,15 +86,10 @@ impl ReadEngine {
         &self.pool
     }
 
-    /// The configured window.
-    pub fn window(&self) -> usize {
-        self.window
-    }
-
-    /// Issues `jobs` through the pool's fan-out at this engine's window:
-    /// responses in job order (see [`ConnectionPool::fan_out`]).
+    /// Issues `jobs` through the pool's fan-out: responses in job order
+    /// (see [`ConnectionPool::fan_out`]).
     pub fn run(&self, jobs: Vec<(ServerId, Request)>) -> Vec<Result<Response>> {
-        self.pool.fan_out(self.window, jobs)
+        self.pool.fan_out(jobs)
     }
 
     /// One ranged read per job, from any number of servers at once. Per
@@ -315,7 +292,7 @@ mod tests {
         for seq in 0..40 {
             store(&pool, 0, seq, vec![seq as u8; 64]);
         }
-        let engine = ReadEngine::new(pool, 8);
+        let engine = ReadEngine::new(pool);
         // 40 specs span 3 chunks; order must survive chunking + windowing.
         let specs: Vec<ReadSpec> = (0..40)
             .map(|seq| ReadSpec {
@@ -336,7 +313,7 @@ mod tests {
         let (pool, _t) = pool_with_cluster(1);
         store(&pool, 0, 0, vec![1; 16]);
         store(&pool, 0, 2, vec![3; 16]);
-        let engine = ReadEngine::new(pool, 4);
+        let engine = ReadEngine::new(pool);
         let specs: Vec<ReadSpec> = (0..3)
             .map(|seq| ReadSpec {
                 fid: fid(seq),
@@ -358,7 +335,7 @@ mod tests {
         let (pool, transport) = pool_with_cluster(1);
         store(&pool, 0, 0, vec![1; 16]);
         transport.set_down(ServerId::new(0), true);
-        let engine = ReadEngine::new(pool, 4);
+        let engine = ReadEngine::new(pool);
         let specs: Vec<ReadSpec> = (0..5)
             .map(|seq| ReadSpec {
                 fid: fid(seq),
@@ -378,7 +355,7 @@ mod tests {
         for server in 0..3u32 {
             store(&pool, server, 100 + server as u64, vec![server as u8; 32]);
         }
-        let engine = ReadEngine::new(pool, 8);
+        let engine = ReadEngine::new(pool);
         // Two passes over the servers, interleaved: 2, 1, 0, 2, 1, 0.
         let jobs: Vec<(ServerId, ReadSpec)> = (0..6u32)
             .map(|i| 2 - i % 3)

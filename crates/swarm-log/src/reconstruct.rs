@@ -439,7 +439,7 @@ pub fn read_fragment_anywhere(engine: &ReadEngine, fid: FragmentId) -> Result<Op
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Log, LogConfig, DEFAULT_READ_WINDOW};
+    use crate::{Log, LogConfig};
     use swarm_net::MemTransport;
     use swarm_server::{MemStore, StorageServer};
     use swarm_types::{ClientId, Geometry, ServiceId};
@@ -468,7 +468,7 @@ mod tests {
         }
         log.flush().unwrap();
         let pool = log.engine().clone();
-        let engine = ReadEngine::new(pool.clone(), DEFAULT_READ_WINDOW);
+        let engine = ReadEngine::new(pool.clone());
         let fid = |seq| FragmentId::new(client, seq);
 
         let head = (0u64..)

@@ -145,8 +145,8 @@ pub fn recover(
     // afterwards so new reads start on already-warm connections.
     let pool = Arc::new(ConnectionPool::new(transport.clone(), client));
     // Every whole-fragment read below — checkpoint discovery and the
-    // rollforward scan — rides the configured read window.
-    let engine = ReadEngine::new(Arc::clone(&pool), config.read_window);
+    // rollforward scan — rides the pool's fan-out.
+    let engine = ReadEngine::new(Arc::clone(&pool));
 
     let anchor = find_anchor(&pool);
     swarm_metrics::trace!("recovery", "client {} anchor={:?}", client, anchor);
@@ -167,14 +167,14 @@ pub fn recover(
     };
     let anchor_seq = anchor.map(|a| a.seq()).unwrap_or(0);
 
-    // Rollforward, a read window at a time: the next `read_window`
-    // fragments are located and fetched as one batch, then parsed in order.
+    // Rollforward, a read window at a time: the next `WINDOW` fragments
+    // are located and fetched as one batch, then parsed in order.
     let mut window: VecDeque<Fetched> = VecDeque::new();
     let mut seq = scan_start;
     loop {
         let fid = FragmentId::new(client, seq);
         if window.is_empty() {
-            let ahead = seq..seq + engine.window() as u64;
+            let ahead = seq..seq + swarm_net::pool::WINDOW as u64;
             let fids: Vec<_> = ahead.map(|s| FragmentId::new(client, s)).collect();
             window = fetch_window(&engine, &fids).into();
         }

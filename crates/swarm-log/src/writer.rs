@@ -12,42 +12,52 @@
 //! server's queue is full, keeping both network and disk busy.
 //!
 //! Each writer additionally keeps a *window* of outstanding `Store` RPCs
-//! on the wire (see [`DEFAULT_WRITE_WINDOW`]): stores are started through
+//! on the wire, [`WINDOW`] deep — the same constant, clamped by the same
+//! `min(WINDOW, pipeline_width())` rule, as the read side's
+//! [`ConnectionPool::fan_out`]: stores are started through
 //! [`Connection::start_prepared`], completion is tracked per fragment
 //! keyed by FID, and acks are consumed as they arrive — out of order on a
-//! multiplexed transport. A window of 1 reproduces the paper's behavior
-//! exactly (one store in flight per server); larger windows let the
-//! server's group-commit batch one client's fsyncs. Transports without
-//! pipelining (blocking sockets, in-process dispatch) complete each store
-//! inside `start_prepared`, so the window transparently degrades to 1.
-//! Connections come from the log's shared [`ConnectionPool`], so the
-//! write path rides the same per-server channels as reads instead of
-//! holding private sockets.
+//! multiplexed transport, where the window lets the server's group commit
+//! batch one client's fsyncs. A transport whose connections report
+//! `pipeline_width() == 1` (in-process dispatch) completes each store
+//! inside `start_prepared`: one store in flight per server, the paper's
+//! behavior exactly. Connections come from the log's shared
+//! [`ConnectionPool`], so the write path rides the same per-server
+//! channels as reads instead of holding private sockets.
+//!
+//! The two loops share that depth and that width rule and nothing else, on
+//! purpose. A fan-out is a batch over many servers, harvested once by its
+//! caller, with one redial replay per leg; a writer is a per-server stream
+//! fed by a queue, with N retries, backoff, `Busy`, `FragmentExists` and
+//! re-queueing across flushes. One loop serving both would branch on its
+//! caller, and a store window harvested by the flushing thread would hold
+//! a lock across the server's group-commit wait.
 
 use std::collections::{HashMap, VecDeque};
+use std::ops::ControlFlow;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, Receiver, Sender, TryRecvError};
 use parking_lot::{Condvar, Mutex};
-use swarm_net::{Connection, ConnectionPool, PendingCall, PreparedRequest, Request, Transport};
-use swarm_types::{ClientId, FragmentId, Result, ServerId, SwarmError};
+use swarm_net::pool::WINDOW;
+use swarm_net::{Connection, ConnectionPool, PendingCall, PreparedRequest, Request, Response};
+use swarm_types::{FragmentId, Result, ServerId, SwarmError};
 
 use crate::fragment::SealedFragment;
 
 /// How many times a writer retries a failed store before reporting the
-/// server lost (default; see [`WritePool::with_retry`]).
+/// server lost (default; see `LogConfig::store_retries`).
 pub const STORE_RETRIES: usize = 5;
 
 /// Pause between retries: long enough for a rebooting server process to
 /// come back, short enough not to stall the pipeline noticeably
-/// (default; see [`WritePool::with_retry`]).
+/// (default; see `LogConfig::retry_backoff`).
 pub const RETRY_BACKOFF: std::time::Duration = std::time::Duration::from_millis(20);
 
-/// Outstanding `Store` RPCs each server's writer keeps on the wire
-/// (default; see `LogConfig::write_window`). 1 reproduces the
-/// paper-faithful one-store-at-a-time pipeline.
-pub const DEFAULT_WRITE_WINDOW: usize = 8;
+/// Sealed fragments a server's queue holds before `submit` blocks: one
+/// being transferred while the previous is written to disk (§2.1.2).
+const QUEUE_DEPTH: usize = 2;
 
 pub(crate) struct WriterMetrics {
     pub(crate) store_us: swarm_metrics::Histogram,
@@ -62,8 +72,8 @@ pub(crate) struct WriterMetrics {
     /// Stores currently on the wire across all servers (gauge).
     pub(crate) store_inflight: swarm_metrics::Gauge,
     /// Window occupancy sampled after each store is started (histogram
-    /// over counts, not microseconds): how much of the configured window
-    /// the workload actually uses.
+    /// over counts, not microseconds): how much of the window the
+    /// workload actually uses.
     pub(crate) window_occupancy: swarm_metrics::Histogram,
 }
 
@@ -118,64 +128,15 @@ impl std::fmt::Debug for WritePool {
 }
 
 impl WritePool {
-    /// Spawns one writer thread per server with queues of `depth`
-    /// fragments each.
-    ///
-    /// `depth = 1` serializes each server's hand-off (transfer overlaps
-    /// the *previous* disk write, the paper's scheme); larger depths
-    /// admit more outstanding fragments per server. The store window
-    /// defaults to [`DEFAULT_WRITE_WINDOW`].
-    pub fn new(
-        transport: Arc<dyn Transport>,
-        client: ClientId,
-        servers: &[ServerId],
-        depth: usize,
-    ) -> WritePool {
-        Self::with_retry(
-            transport,
-            client,
-            servers,
-            depth,
-            STORE_RETRIES,
-            RETRY_BACKOFF,
-        )
-    }
-
-    /// Like [`WritePool::new`], with an explicit retry policy: each failed
-    /// store is retried up to `retries` times total, sleeping `backoff`
-    /// between attempts. Chaos runs shorten the backoff so injected
-    /// kill/restart cycles resolve quickly; production callers keep the
-    /// defaults.
-    pub fn with_retry(
-        transport: Arc<dyn Transport>,
-        client: ClientId,
-        servers: &[ServerId],
-        depth: usize,
-        retries: usize,
-        backoff: std::time::Duration,
-    ) -> WritePool {
-        let engine = Arc::new(ConnectionPool::new(transport, client));
-        Self::with_engine(
-            engine,
-            servers,
-            depth,
-            DEFAULT_WRITE_WINDOW,
-            retries,
-            backoff,
-        )
-    }
-
-    /// Full-control constructor: writers check connections out of
-    /// `engine` — the same pool the log's read path uses, so write and
-    /// read share per-server channels — and each keeps up to `window`
+    /// Spawns one writer thread per server. Writers check connections out
+    /// of `engine` — the same pool the log's read path uses, so write and
+    /// read share per-server channels — and each keeps up to [`WINDOW`]
     /// stores on the wire (clamped to the connection's
-    /// [`Connection::pipeline_width`]; `window = 1` is the paper's serial
-    /// pipeline).
-    pub fn with_engine(
+    /// [`Connection::pipeline_width`]). Each failed store is tried up to
+    /// `retries` times in total, sleeping `backoff` between attempts.
+    pub fn new(
         engine: Arc<ConnectionPool>,
         servers: &[ServerId],
-        depth: usize,
-        window: usize,
         retries: usize,
         backoff: std::time::Duration,
     ) -> WritePool {
@@ -186,13 +147,12 @@ impl WritePool {
         let mut senders = HashMap::new();
         let mut threads = Vec::new();
         for &server in servers {
-            let (tx, rx) = bounded::<Job>(depth.max(1));
+            let (tx, rx) = bounded::<Job>(QUEUE_DEPTH);
             let writer = ServerWriter {
                 engine: engine.clone(),
                 server,
                 rx,
                 shared: shared.clone(),
-                window_limit: window.max(1),
                 retries,
                 backoff,
                 conn: None,
@@ -365,7 +325,6 @@ struct ServerWriter {
     server: ServerId,
     rx: Receiver<Job>,
     shared: Arc<Shared>,
-    window_limit: usize,
     retries: usize,
     backoff: Duration,
     conn: Option<Box<dyn Connection>>,
@@ -386,13 +345,13 @@ impl ServerWriter {
         }
     }
 
-    /// The effective window: the configured limit clamped to what the
-    /// live connection can pipeline (1 on blocking/in-process transports,
-    /// the mux inflight cap on a multiplexed channel).
+    /// The effective window: [`WINDOW`] clamped to what the live
+    /// connection can pipeline (1 on in-process transports, the mux
+    /// inflight cap on a multiplexed channel).
     fn width(&self) -> usize {
         match &self.conn {
-            Some(c) => self.window_limit.min(c.pipeline_width().max(1)),
-            None => self.window_limit,
+            Some(c) => WINDOW.min(c.pipeline_width().max(1)),
+            None => WINDOW,
         }
     }
 
@@ -495,71 +454,61 @@ impl ServerWriter {
     }
 
     fn finish_store(&mut self, prepared: PreparedRequest, pending: PendingCall) -> Result<()> {
-        let m = metrics();
-        let mut last_err = match pending.wait() {
-            Ok(resp) => match resp.into_result() {
-                Ok(_) => return Ok(()),
-                // A duplicate store after a retried-but-actually-
-                // successful attempt is fine: the fragment is there.
-                Err(SwarmError::FragmentExists(_)) => return Ok(()),
-                // Admission pushback: the server is up but bounded this
-                // client's backlog. Back off and resubmit on the same
-                // connection — the one server-answered error that is
-                // explicitly retryable.
-                Err(e @ SwarmError::Busy(_)) => {
-                    m.busy_backoffs.inc();
-                    e
-                }
-                // Any other server answer is a protocol-level refusal:
-                // final, not a connectivity problem to retry.
-                Err(e) => return Err(e),
-            },
-            Err(e) => {
-                // Transport failure: the shared connection (and, on mux,
-                // every sibling store on it) may be dead. Drop it and
-                // retry on fresh pooled connections, replaying the same
-                // prepared buffers.
-                self.conn = None;
-                e
-            }
+        let mut last_err = match self.classify(pending.wait()) {
+            ControlFlow::Break(done) => return done,
+            ControlFlow::Continue(e) => e,
         };
         for attempt in 1..self.retries.max(1) {
-            m.store_retries.inc();
+            metrics().store_retries.inc();
             std::thread::sleep(self.backoff);
             if self.conn.is_none() {
-                m.reconnects.inc();
+                metrics().reconnects.inc();
                 swarm_metrics::trace!(
                     "log.reconnect",
                     "reconnecting to server {} (attempt {attempt})",
                     self.server
                 );
             }
-            let conn = match self.ensure_conn() {
-                Ok(conn) => conn,
-                Err(e) => {
-                    last_err = e;
-                    continue;
-                }
-            };
-            match conn.call_prepared(&prepared) {
-                Ok(resp) => match resp.into_result() {
-                    Ok(_) => return Ok(()),
-                    Err(SwarmError::FragmentExists(_)) => return Ok(()),
-                    Err(e @ SwarmError::Busy(_)) => {
-                        // Still throttled: keep the (healthy) connection
-                        // and back off again.
-                        m.busy_backoffs.inc();
-                        last_err = e;
-                    }
-                    Err(e) => return Err(e),
-                },
-                Err(e) => {
-                    self.conn = None; // force reconnect
-                    last_err = e;
-                }
+            // The retry replays the same prepared buffers. A failed dial
+            // is a transport failure like any other.
+            let answer = self
+                .ensure_conn()
+                .and_then(|conn| conn.call_prepared(&prepared));
+            match self.classify(answer) {
+                ControlFlow::Break(done) => return done,
+                ControlFlow::Continue(e) => last_err = e,
             }
         }
         Err(last_err)
+    }
+
+    /// What one answer to a store means for its fragment: `Break` with
+    /// the final verdict, or `Continue` with the error to retry past.
+    fn classify(&mut self, answer: Result<Response>) -> ControlFlow<Result<()>, SwarmError> {
+        match answer.map(Response::into_result) {
+            Ok(Ok(_)) => ControlFlow::Break(Ok(())),
+            // A duplicate store after a retried-but-actually-successful
+            // attempt is fine: the fragment is there.
+            Ok(Err(SwarmError::FragmentExists(_))) => ControlFlow::Break(Ok(())),
+            // Admission pushback: the server is up but bounded this
+            // client's backlog. Back off and resubmit on the same (healthy)
+            // connection — the one server-answered error that is
+            // explicitly retryable.
+            Ok(Err(e @ SwarmError::Busy(_))) => {
+                metrics().busy_backoffs.inc();
+                ControlFlow::Continue(e)
+            }
+            // Any other server answer is a protocol-level refusal: final,
+            // not a connectivity problem to retry.
+            Ok(Err(e)) => ControlFlow::Break(Err(e)),
+            // Transport failure: the shared connection (and, on mux, every
+            // sibling store on it) may be dead. Drop it so the retry dials
+            // a fresh pooled one.
+            Err(e) => {
+                self.conn = None;
+                ControlFlow::Continue(e)
+            }
+        }
     }
 }
 
@@ -567,9 +516,9 @@ impl ServerWriter {
 mod tests {
     use super::*;
     use crate::fragment::{FragmentBuilder, FragmentHeader};
-    use swarm_net::MemTransport;
+    use swarm_net::{MemTransport, Transport};
     use swarm_server::{FragmentStore, MemStore, StorageServer};
-    use swarm_types::{FragmentId, ServiceId, StripeSeq};
+    use swarm_types::{ClientId, FragmentId, ServiceId, StripeSeq};
 
     fn cluster(n: u32) -> (Arc<MemTransport>, Vec<Arc<StorageServer<MemStore>>>) {
         let transport = Arc::new(MemTransport::new());
@@ -580,6 +529,12 @@ mod tests {
             servers.push(srv);
         }
         (transport, servers)
+    }
+
+    /// A pool over `transport` with the default retry policy.
+    fn write_pool(transport: Arc<dyn Transport>, servers: &[ServerId]) -> WritePool {
+        let engine = Arc::new(ConnectionPool::new(transport, ClientId::new(1)));
+        WritePool::new(engine, servers, STORE_RETRIES, RETRY_BACKOFF)
     }
 
     fn fragment(seq: u64, payload: &[u8]) -> SealedFragment {
@@ -604,12 +559,7 @@ mod tests {
     #[test]
     fn fragments_arrive_on_their_servers() {
         let (transport, servers) = cluster(2);
-        let pool = WritePool::new(
-            transport.clone(),
-            ClientId::new(1),
-            &[ServerId::new(0), ServerId::new(1)],
-            2,
-        );
+        let pool = write_pool(transport.clone(), &[ServerId::new(0), ServerId::new(1)]);
         for seq in 0..10 {
             let target = ServerId::new((seq % 2) as u32);
             pool.submit(target, fragment(seq, format!("frag{seq}").as_bytes()))
@@ -623,12 +573,7 @@ mod tests {
     #[test]
     fn flush_reports_down_server() {
         let (transport, servers) = cluster(2);
-        let pool = WritePool::new(
-            transport.clone(),
-            ClientId::new(1),
-            &[ServerId::new(0), ServerId::new(1)],
-            2,
-        );
+        let pool = write_pool(transport.clone(), &[ServerId::new(0), ServerId::new(1)]);
         transport.set_down(ServerId::new(1), true);
         pool.submit(ServerId::new(0), fragment(0, b"ok")).unwrap();
         pool.submit(ServerId::new(1), fragment(1, b"delayed"))
@@ -649,12 +594,7 @@ mod tests {
     #[test]
     fn flush_keeps_failing_until_the_fragment_lands() {
         let (transport, servers) = cluster(2);
-        let pool = WritePool::new(
-            transport.clone(),
-            ClientId::new(1),
-            &[ServerId::new(0), ServerId::new(1)],
-            2,
-        );
+        let pool = write_pool(transport.clone(), &[ServerId::new(0), ServerId::new(1)]);
         transport.set_down(ServerId::new(1), true);
         pool.submit(ServerId::new(1), fragment(0, b"stuck"))
             .unwrap();
@@ -672,7 +612,7 @@ mod tests {
     fn flush_all_reports_every_failing_server_and_pool_recovers() {
         let (transport, servers) = cluster(3);
         let ids = [ServerId::new(0), ServerId::new(1), ServerId::new(2)];
-        let pool = WritePool::new(transport.clone(), ClientId::new(1), &ids, 2);
+        let pool = write_pool(transport.clone(), &ids);
         transport.set_down(ServerId::new(1), true);
         transport.set_down(ServerId::new(2), true);
         pool.submit(ServerId::new(0), fragment(0, b"ok")).unwrap();
@@ -703,7 +643,7 @@ mod tests {
     #[test]
     fn submit_to_foreign_server_rejected() {
         let (transport, _servers) = cluster(1);
-        let pool = WritePool::new(transport, ClientId::new(1), &[ServerId::new(0)], 1);
+        let pool = write_pool(transport, &[ServerId::new(0)]);
         let err = pool
             .submit(ServerId::new(7), fragment(0, b"x"))
             .unwrap_err();
@@ -713,17 +653,18 @@ mod tests {
     #[test]
     fn flush_on_idle_pool_is_ok() {
         let (transport, _servers) = cluster(1);
-        let pool = WritePool::new(transport, ClientId::new(1), &[ServerId::new(0)], 1);
+        let pool = write_pool(transport, &[ServerId::new(0)]);
         pool.flush().unwrap();
         pool.flush().unwrap();
     }
 
     #[test]
     fn many_fragments_through_narrow_queue() {
-        // Queue depth 1 forces the submitter to block — exercising flow
-        // control — but everything must still arrive.
+        // Fifty fragments through a queue of `QUEUE_DEPTH` force the
+        // submitter to block — exercising flow control — but everything
+        // must still arrive.
         let (transport, servers) = cluster(1);
-        let pool = WritePool::new(transport, ClientId::new(1), &[ServerId::new(0)], 1);
+        let pool = write_pool(transport, &[ServerId::new(0)]);
         for seq in 0..50 {
             pool.submit(ServerId::new(0), fragment(seq, &[seq as u8; 128]))
                 .unwrap();
@@ -808,7 +749,7 @@ mod tests {
             inner: mem,
             shared: shared.clone(),
         };
-        let pool = WritePool::new(Arc::new(flaky), ClientId::new(1), &[ServerId::new(0)], 1);
+        let pool = write_pool(Arc::new(flaky), &[ServerId::new(0)]);
         let sealed = fragment(0, b"retry me without copying");
         let fid = sealed.fid();
         let expected = sealed.bytes.to_vec();
@@ -843,7 +784,7 @@ mod tests {
         use std::time::{Duration, Instant};
 
         let (transport, _servers) = cluster(1);
-        let mut pool = WritePool::new(transport, ClientId::new(1), &[ServerId::new(0)], 1);
+        let mut pool = write_pool(transport, &[ServerId::new(0)]);
         // Detach the real writer; the test plays its part.
         let (tx, rx) = bounded::<Job>(1);
         pool.test_replace_sender(ServerId::new(0), tx);
@@ -882,22 +823,35 @@ mod tests {
         flusher.join().unwrap().expect("no store ever failed");
     }
 
-    /// The writer genuinely overlaps stores: with a pipelined transport,
-    /// all four submitted fragments are on the wire before any ack is
-    /// consumed. (Completions are gated on all four having started, so a
-    /// serial regression hangs rather than passes — a watchdog turns that
-    /// into a failure.)
+    /// The writer genuinely overlaps stores, exactly as far as the
+    /// connection pipelines: with every fragment queued before the first
+    /// dial returns, `min(WINDOW, width, FRAGS)` stores are on the wire
+    /// before any ack is consumed, and never more. (Completions are gated
+    /// on that many being in flight, so a serial regression hangs rather
+    /// than passes — a watchdog turns that into a failure — and a window
+    /// that ignores a narrow transport overshoots the peak.) A width of 1
+    /// is the paper's one-store-at-a-time path.
     #[test]
     fn window_overlaps_stores_on_a_pipelined_transport() {
         use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
         use std::time::{Duration, Instant};
         use swarm_net::PendingCall;
 
-        const FRAGS: usize = 4;
+        /// What the fill loop can see at once: the job in hand plus a
+        /// full queue.
+        const FRAGS: usize = 1 + QUEUE_DEPTH;
 
         struct PipeShared {
-            started: AtomicUsize,
+            width: usize,
+            inflight: AtomicUsize,
+            peak: AtomicUsize,
             dial_open: AtomicBool,
+        }
+
+        impl PipeShared {
+            fn target(&self) -> usize {
+                WINDOW.min(self.width).min(FRAGS)
+            }
         }
 
         struct PipeTransport {
@@ -917,22 +871,25 @@ mod tests {
             }
 
             fn start_prepared(&mut self, prepared: &PreparedRequest) -> PendingCall {
-                self.shared.started.fetch_add(1, Ordering::SeqCst);
+                let now = self.shared.inflight.fetch_add(1, Ordering::SeqCst) + 1;
+                self.shared.peak.fetch_max(now, Ordering::SeqCst);
                 let shared = self.shared.clone();
                 let mem = self.mem.clone();
                 let server = self.inner.server();
                 let request = prepared.request().clone();
                 PendingCall::deferred(move || {
-                    // No ack completes until every fragment is in flight.
-                    while shared.started.load(Ordering::SeqCst) < FRAGS {
+                    // No ack completes until the window is as full as
+                    // this transport lets it get.
+                    while shared.peak.load(Ordering::SeqCst) < shared.target() {
                         std::thread::sleep(Duration::from_millis(1));
                     }
+                    shared.inflight.fetch_sub(1, Ordering::SeqCst);
                     mem.connect(server, ClientId::new(1))?.call(&request)
                 })
             }
 
             fn pipeline_width(&self) -> usize {
-                8
+                self.shared.width
             }
 
             fn server(&self) -> ServerId {
@@ -963,47 +920,51 @@ mod tests {
             }
         }
 
-        let (mem, servers) = cluster(1);
-        let shared = Arc::new(PipeShared {
-            started: AtomicUsize::new(0),
-            dial_open: AtomicBool::new(false),
-        });
-        let transport = Arc::new(PipeTransport {
-            inner: mem,
-            shared: shared.clone(),
-        });
-        let pool = Arc::new(WritePool::new(
-            transport,
-            ClientId::new(1),
-            &[ServerId::new(0)],
-            FRAGS,
-        ));
-        for seq in 0..FRAGS as u64 {
-            pool.submit(ServerId::new(0), fragment(seq, &[seq as u8; 64]))
-                .unwrap();
-        }
-        shared.dial_open.store(true, Ordering::SeqCst);
+        for width in [1, 2, 64] {
+            let (mem, servers) = cluster(1);
+            let shared = Arc::new(PipeShared {
+                width,
+                inflight: AtomicUsize::new(0),
+                peak: AtomicUsize::new(0),
+                dial_open: AtomicBool::new(false),
+            });
+            let transport = Arc::new(PipeTransport {
+                inner: mem,
+                shared: shared.clone(),
+            });
+            let pool = Arc::new(write_pool(transport, &[ServerId::new(0)]));
+            for seq in 0..FRAGS as u64 {
+                pool.submit(ServerId::new(0), fragment(seq, &[seq as u8; 64]))
+                    .unwrap();
+            }
+            shared.dial_open.store(true, Ordering::SeqCst);
 
-        let p = pool.clone();
-        let flusher = std::thread::spawn(move || p.flush());
-        let deadline = Instant::now() + Duration::from_secs(30);
-        while !flusher.is_finished() {
-            assert!(
-                Instant::now() < deadline,
-                "writer never reached {FRAGS} concurrent stores (started {})",
-                shared.started.load(Ordering::SeqCst)
+            let p = pool.clone();
+            let flusher = std::thread::spawn(move || p.flush());
+            let deadline = Instant::now() + Duration::from_secs(30);
+            while !flusher.is_finished() {
+                assert!(
+                    Instant::now() < deadline,
+                    "width {width}: writer never reached {} concurrent stores (peak {})",
+                    shared.target(),
+                    shared.peak.load(Ordering::SeqCst)
+                );
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            flusher.join().unwrap().unwrap();
+            assert_eq!(
+                shared.peak.load(Ordering::SeqCst),
+                shared.target(),
+                "width {width}"
             );
-            std::thread::sleep(Duration::from_millis(5));
+            assert_eq!(servers[0].store().fragment_count(), FRAGS as u64);
         }
-        flusher.join().unwrap().unwrap();
-        assert_eq!(shared.started.load(Ordering::SeqCst), FRAGS);
-        assert_eq!(servers[0].store().fragment_count(), FRAGS as u64);
     }
 
     #[test]
     fn shutdown_completes_queued_work() {
         let (transport, servers) = cluster(1);
-        let mut pool = WritePool::new(transport, ClientId::new(1), &[ServerId::new(0)], 4);
+        let mut pool = write_pool(transport, &[ServerId::new(0)]);
         for seq in 0..8 {
             pool.submit(ServerId::new(0), fragment(seq, b"payload"))
                 .unwrap();

@@ -505,7 +505,7 @@ fn every_member_of_a_single_parity_stripe_rebuilds_bit_identical() {
     log.flush().unwrap();
 
     let pool = log.engine().clone();
-    let engine = swarm_log::ReadEngine::new(pool.clone(), swarm_log::DEFAULT_READ_WINDOW);
+    let engine = swarm_log::ReadEngine::new(pool.clone());
     let (mut data_members, mut parity_members) = (0, 0);
     for seq in 0..1000u64 {
         let fid = swarm_types::FragmentId::new(ClientId::new(1), seq);
@@ -552,7 +552,7 @@ fn reconstruction_with_member_dying_mid_fetch_falls_back_to_locate() {
     let addr = addrs[5];
     let expected = vec![5u8; 700];
     let pool = log.engine().clone();
-    let engine = swarm_log::ReadEngine::new(pool.clone(), swarm_log::DEFAULT_READ_WINDOW);
+    let engine = swarm_log::ReadEngine::new(pool.clone());
 
     // Mirror every fragment EXCEPT the victim's own onto server 3, so the
     // victim can only come back via reconstruction, but every stripe

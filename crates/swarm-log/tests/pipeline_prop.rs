@@ -1,131 +1,29 @@
 //! Property tests for the windowed, pipelined write path (DESIGN.md §15):
-//! random window sizes, genuinely out-of-order acks (each store completes
-//! on its own thread after a random delay, like responses on a mux
-//! channel), and injected per-server store failures must preserve the
-//! flush contract — `flush` returns `Ok` ⇔ every sealed fragment is
-//! durable — and byte-exact readback, including reconstruction with any
-//! single server dead.
+//! connections of random pipeline width (1 is the paper's serial path),
+//! genuinely out-of-order acks (each store completes on its own thread
+//! after a random delay, like responses on a mux channel), and injected
+//! per-server store failures must preserve the flush contract — `flush`
+//! returns `Ok` ⇔ every sealed fragment is durable — and byte-exact
+//! readback, including reconstruction with any single server dead, with
+//! never more than `min(WINDOW, width)` stores on a server's wire.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+mod common;
+
+use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::Mutex;
+use common::{cluster, ChaosState, ReorderTransport, MAX_SERVERS};
 use proptest::prelude::*;
 use swarm_log::{Log, LogConfig};
-use swarm_net::{Connection, MemTransport, PendingCall, PreparedRequest, Request, Transport};
-use swarm_server::{MemStore, StorageServer};
-use swarm_types::{ClientId, Result, ServerId, ServiceId, SwarmError};
+use swarm_types::{ClientId, ServerId, ServiceId};
 
 const SVC: ServiceId = ServiceId::new(1);
 
-fn cluster(n: u32) -> Arc<MemTransport> {
-    let transport = Arc::new(MemTransport::new());
-    for i in 0..n {
-        let srv = StorageServer::new(ServerId::new(i), MemStore::new()).into_shared();
-        transport.register(ServerId::new(i), srv);
-    }
-    transport
-}
-
-/// Shared schedule for the decorated transport: per-server transient
-/// failure budgets and the ack delay sequence.
-struct ChaosState {
-    /// Stores left to fail per server. Transient: the writer's retry path
-    /// issues plain calls that bypass injection, so a failed store heals
-    /// on retry.
-    fail_budget: Mutex<HashMap<ServerId, usize>>,
-    /// Ack delays in microseconds, consumed round-robin.
-    delays: Vec<u64>,
-    next_delay: AtomicUsize,
-}
-
-/// Wraps `MemTransport` with a pipelining `start_prepared`: every store
-/// is dispatched on a detached thread and completes after a drawn delay,
-/// so acks land out of order exactly as they do on a multiplexed socket.
-struct ReorderTransport {
-    inner: Arc<MemTransport>,
-    state: Arc<ChaosState>,
-}
-
-struct ReorderConn {
-    inner: Box<dyn Connection>,
-    mem: Arc<MemTransport>,
-    client: ClientId,
-    state: Arc<ChaosState>,
-}
-
-impl Connection for ReorderConn {
-    fn call(&mut self, request: &Request) -> Result<swarm_net::Response> {
-        self.inner.call(request)
-    }
-
-    fn start_prepared(&mut self, prepared: &PreparedRequest) -> PendingCall {
-        let server = self.inner.server();
-        let fail = {
-            let mut budget = self.state.fail_budget.lock();
-            match budget.get_mut(&server) {
-                Some(n) if *n > 0 => {
-                    *n -= 1;
-                    true
-                }
-                _ => false,
-            }
-        };
-        let idx = self.state.next_delay.fetch_add(1, Ordering::Relaxed);
-        let delay = self.state.delays[idx % self.state.delays.len()];
-        let mem = self.mem.clone();
-        let client = self.client;
-        let request = prepared.request().clone();
-        let (tx, rx) = mpsc::channel();
-        std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_micros(delay));
-            let result = if fail {
-                Err(SwarmError::ServerUnavailable(server))
-            } else {
-                mem.connect(server, client)
-                    .and_then(|mut c| c.call(&request))
-            };
-            let _ = tx.send(result);
-        });
-        PendingCall::deferred(move || {
-            rx.recv()
-                .unwrap_or(Err(SwarmError::ServerUnavailable(server)))
-        })
-    }
-
-    fn pipeline_width(&self) -> usize {
-        64
-    }
-
-    fn server(&self) -> ServerId {
-        self.inner.server()
-    }
-}
-
-impl Transport for ReorderTransport {
-    fn connect(&self, server: ServerId, client: ClientId) -> Result<Box<dyn Connection>> {
-        Ok(Box::new(ReorderConn {
-            inner: self.inner.connect(server, client)?,
-            mem: self.inner.clone(),
-            client,
-            state: self.state.clone(),
-        }))
-    }
-
-    fn servers(&self) -> Vec<ServerId> {
-        self.inner.servers()
-    }
-}
-
-fn pipelined_config(servers: u32, window: usize, depth: usize) -> LogConfig {
+fn pipelined_config(servers: u32) -> LogConfig {
     LogConfig::new(ClientId::new(1), (0..servers).map(ServerId::new).collect())
         .unwrap()
         .fragment_size(2048)
         .cache_fragments(0) // force reads through the servers
-        .write_window(window)
-        .queue_depth(depth)
         .store_retries(4)
         .retry_backoff(Duration::from_millis(1))
 }
@@ -139,8 +37,7 @@ proptest! {
     /// reconstruction with a random server dead.
     #[test]
     fn prop_pipelined_stores_flush_clean_and_read_back(
-        window in 1usize..10,
-        depth in 1usize..4,
+        width in 1usize..10,
         servers in 2u32..5,
         payloads in proptest::collection::vec(
             proptest::collection::vec(any::<u8>(), 1..900), 4..28),
@@ -150,17 +47,10 @@ proptest! {
         dead in 0u32..5,
     ) {
         let mem = cluster(servers);
-        let state = Arc::new(ChaosState {
-            fail_budget: Mutex::new(
-                (0..servers)
-                    .map(|i| (ServerId::new(i), failures[i as usize % failures.len()]))
-                    .collect(),
-            ),
-            delays,
-            next_delay: AtomicUsize::new(0),
-        });
-        let transport = Arc::new(ReorderTransport { inner: mem.clone(), state });
-        let log = Log::create(transport, pipelined_config(servers, window, depth)).unwrap();
+        let budget = (0..MAX_SERVERS).map(|i| failures[i % failures.len()]).collect();
+        let state = ChaosState::new(budget, delays, vec![width; MAX_SERVERS]);
+        let transport = Arc::new(ReorderTransport { inner: mem.clone(), state: state.clone() });
+        let log = Log::create(transport, pipelined_config(servers)).unwrap();
         let mut written = Vec::new();
         for (i, p) in payloads.iter().enumerate() {
             written.push((log.append_block(SVC, b"", p).unwrap(), p.clone()));
@@ -171,6 +61,7 @@ proptest! {
             }
         }
         log.flush().unwrap();
+        state.assert_window_held();
         // Flush Ok promises every member durable: readback must survive
         // any single server dying, via parity reconstruction.
         mem.set_down(ServerId::new(dead % servers), true);
@@ -185,22 +76,18 @@ proptest! {
     /// readback survives any single server dying.
     #[test]
     fn prop_flush_fails_honestly_then_heals(
-        window in 1usize..10,
+        width in 1usize..10,
         payloads in proptest::collection::vec(
-            proptest::collection::vec(any::<u8>(), 1..600), 6..20),
+            proptest::collection::vec(any::<u8>(), 300..900), 12..40),
         delays in proptest::collection::vec(0u64..1_500, 8..9),
         down in 0u32..3,
     ) {
         let servers = 3u32;
         let down = ServerId::new(down % servers);
         let mem = cluster(servers);
-        let state = Arc::new(ChaosState {
-            fail_budget: Mutex::new(HashMap::new()),
-            delays,
-            next_delay: AtomicUsize::new(0),
-        });
-        let transport = Arc::new(ReorderTransport { inner: mem.clone(), state });
-        let log = Log::create(transport, pipelined_config(servers, window, 2)).unwrap();
+        let state = ChaosState::new(vec![0; MAX_SERVERS], delays, vec![width; MAX_SERVERS]);
+        let transport = Arc::new(ReorderTransport { inner: mem.clone(), state: state.clone() });
+        let log = Log::create(transport, pipelined_config(servers)).unwrap();
         mem.set_down(down, true);
         let mut written = Vec::new();
         for p in &payloads {
@@ -214,6 +101,7 @@ proptest! {
         // One flush heals: flush_all loops re-queueing failed fragments
         // until everything (including parity) is on its server.
         log.flush().unwrap();
+        state.assert_window_held();
         for kill in 0..servers {
             mem.set_down(ServerId::new(kill), true);
             for (addr, data) in &written {

@@ -18,7 +18,7 @@ use swarm_log::fragment::FragmentHeader;
 use swarm_log::reconstruct::{
     fetch_fragment, locate_fragment, rebuild_range, reconstruct_fragment, stripe_info,
 };
-use swarm_log::{Log, LogConfig, ReadEngine, DEFAULT_READ_WINDOW};
+use swarm_log::{Log, LogConfig, ReadEngine};
 use swarm_net::{ConnectionPool, MemTransport, Transport};
 use swarm_server::{MemStore, StorageServer};
 use swarm_types::{
@@ -43,7 +43,7 @@ fn cluster(n: u32) -> Arc<MemTransport> {
 fn fresh_engine(transport: &Arc<MemTransport>) -> ReadEngine {
     let transport = transport.clone() as Arc<dyn Transport>;
     let pool = Arc::new(ConnectionPool::new(transport, CLIENT));
-    ReadEngine::new(pool, DEFAULT_READ_WINDOW)
+    ReadEngine::new(pool)
 }
 
 /// One stripe as the servers hold it: its description and every member's

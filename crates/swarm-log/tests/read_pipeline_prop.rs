@@ -1,148 +1,43 @@
 //! Property tests for the windowed, batched read path (DESIGN.md §16):
-//! random read windows, random scan lengths (exercising `ReadBatch`
-//! chunking), genuinely out-of-order completions (each RPC finishes on
+//! servers of random pipeline width (1 is the paper's serial path), random
+//! scan lengths (exercising `ReadBatch` chunking), genuinely out-of-order
+//! completions (each RPC finishes on
 //! its own thread after a random delay, like responses on a mux channel),
 //! injected transient per-call failures, and a dead server must all
 //! preserve byte-exact readback — single reads and `read_many` scans
 //! alike, through the reconstruction fallback when the home is gone. The
 //! engine's multi-server fan-out takes the same inputs directly: jobs
 //! interleaved across servers that each pipeline a different width come
-//! back in job order, no server's window overrun.
+//! back in job order, no server's window overrun — and, with completions
+//! held back until it is, every server's window filled to exactly
+//! `min(WINDOW, width, jobs)`.
 //!
 //! Also pins the YCSB-B head-of-line fix at the log layer: reads complete
 //! while a full window of store RPCs is stalled in flight.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+mod common;
+
+use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
+use common::{cluster, ChaosState, ReorderTransport, MAX_SERVERS};
 use parking_lot::Mutex;
 use proptest::prelude::*;
 use swarm_log::{Log, LogConfig, ReadEngine};
+use swarm_net::pool::WINDOW;
 use swarm_net::{
     Connection, MemTransport, PendingCall, PreparedRequest, ReadSpec, Request, Transport,
 };
-use swarm_server::{MemStore, StorageServer};
 use swarm_types::{BlockAddr, ClientId, Result, ServerId, ServiceId, SwarmError};
 
 const SVC: ServiceId = ServiceId::new(1);
 
-fn cluster(n: u32) -> Arc<MemTransport> {
-    let transport = Arc::new(MemTransport::new());
-    for i in 0..n {
-        let srv = StorageServer::new(ServerId::new(i), MemStore::new()).into_shared();
-        transport.register(ServerId::new(i), srv);
-    }
-    transport
-}
-
-/// Shared schedule for the decorated transport: transient failure budget
-/// (any pipelined call, reads included) and the completion delay sequence.
-struct ChaosState {
-    /// Pipelined calls left to fail, cluster-wide. Transient: the read
-    /// engine replays a failed call on a fresh dial, which bypasses
-    /// injection, so every failure heals on retry.
-    fail_budget: Mutex<usize>,
-    /// Completion delays in microseconds, consumed round-robin.
-    delays: Vec<u64>,
-    next_delay: AtomicUsize,
-    /// What each server's connections pipeline ([`Connection::pipeline_width`]).
-    widths: Vec<usize>,
-    /// Pipelined calls started and not yet completed, per server, and the
-    /// most that ever was.
-    inflight: Vec<AtomicUsize>,
-    peak: Vec<AtomicUsize>,
-}
-
-/// Wraps `MemTransport` with a pipelining `start_prepared`: every RPC is
-/// dispatched on a detached thread and completes after a drawn delay, so
-/// completions land out of order exactly as they do on a multiplexed
-/// socket.
-struct ReorderTransport {
-    inner: Arc<MemTransport>,
-    state: Arc<ChaosState>,
-}
-
-struct ReorderConn {
-    inner: Box<dyn Connection>,
-    mem: Arc<MemTransport>,
-    client: ClientId,
-    state: Arc<ChaosState>,
-}
-
-impl Connection for ReorderConn {
-    fn call(&mut self, request: &Request) -> Result<swarm_net::Response> {
-        self.inner.call(request)
-    }
-
-    fn start_prepared(&mut self, prepared: &PreparedRequest) -> PendingCall {
-        let server = self.inner.server();
-        let fail = {
-            let mut budget = self.state.fail_budget.lock();
-            if *budget > 0 {
-                *budget -= 1;
-                true
-            } else {
-                false
-            }
-        };
-        let idx = self.state.next_delay.fetch_add(1, Ordering::Relaxed);
-        let delay = self.state.delays[idx % self.state.delays.len()];
-        let mem = self.mem.clone();
-        let client = self.client;
-        let request = prepared.request().clone();
-        let state = self.state.clone();
-        let now = state.inflight[server.raw() as usize].fetch_add(1, Ordering::SeqCst) + 1;
-        state.peak[server.raw() as usize].fetch_max(now, Ordering::SeqCst);
-        let (tx, rx) = mpsc::channel();
-        std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_micros(delay));
-            let result = if fail {
-                Err(SwarmError::ServerUnavailable(server))
-            } else {
-                mem.connect(server, client)
-                    .and_then(|mut c| c.call(&request))
-            };
-            state.inflight[server.raw() as usize].fetch_sub(1, Ordering::SeqCst);
-            let _ = tx.send(result);
-        });
-        PendingCall::deferred(move || {
-            rx.recv()
-                .unwrap_or(Err(SwarmError::ServerUnavailable(server)))
-        })
-    }
-
-    fn pipeline_width(&self) -> usize {
-        self.state.widths[self.inner.server().raw() as usize]
-    }
-
-    fn server(&self) -> ServerId {
-        self.inner.server()
-    }
-}
-
-impl Transport for ReorderTransport {
-    fn connect(&self, server: ServerId, client: ClientId) -> Result<Box<dyn Connection>> {
-        Ok(Box::new(ReorderConn {
-            inner: self.inner.connect(server, client)?,
-            mem: self.inner.clone(),
-            client,
-            state: self.state.clone(),
-        }))
-    }
-
-    fn servers(&self) -> Vec<ServerId> {
-        self.inner.servers()
-    }
-}
-
-fn read_config(servers: u32, read_window: usize, write_window: usize) -> LogConfig {
+fn read_config(servers: u32) -> LogConfig {
     LogConfig::new(ClientId::new(1), (0..servers).map(ServerId::new).collect())
         .unwrap()
         .fragment_size(2048)
         .cache_fragments(0) // force reads through the servers
-        .read_window(read_window)
-        .write_window(write_window)
         .store_retries(4)
         .retry_backoff(Duration::from_millis(1))
 }
@@ -158,8 +53,6 @@ proptest! {
     /// and with the server dead its jobs fail alone.
     #[test]
     fn prop_windowed_batched_reads_are_byte_exact(
-        read_window in 1usize..12,
-        write_window in 1usize..6,
         servers in 2u32..5,
         payloads in proptest::collection::vec(
             proptest::collection::vec(any::<u8>(), 1..700), 8..32),
@@ -167,28 +60,21 @@ proptest! {
         read_failures in 0usize..4,
         scan in 1usize..20,
         dead in 0u32..5,
-        widths in proptest::collection::vec(1usize..12, 5..6),
+        widths in proptest::collection::vec(1usize..12, MAX_SERVERS..MAX_SERVERS + 1),
     ) {
         let mem = cluster(servers);
-        let state = Arc::new(ChaosState {
-            // Writes land before the budget applies to the read phase:
-            // stores also draw from it, which only adds coverage (their
-            // retry path heals transient failures the same way).
-            fail_budget: Mutex::new(0),
-            delays,
-            next_delay: AtomicUsize::new(0),
-            widths: widths.clone(),
-            inflight: (0..5).map(|_| AtomicUsize::new(0)).collect(),
-            peak: (0..5).map(|_| AtomicUsize::new(0)).collect(),
-        });
+        // Writes land before the budget applies to the read phase: stores
+        // also draw from it, which only adds coverage (their retry path
+        // heals transient failures the same way).
+        let state = ChaosState::new(vec![0; MAX_SERVERS], delays, widths.clone());
         let transport = Arc::new(ReorderTransport { inner: mem.clone(), state: state.clone() });
-        let log = Log::create(transport, read_config(servers, read_window, write_window)).unwrap();
+        let log = Log::create(transport, read_config(servers)).unwrap();
         let mut written: Vec<(BlockAddr, Vec<u8>)> = Vec::new();
         for p in &payloads {
             written.push((log.append_block(SVC, b"", p).unwrap(), p.clone()));
         }
         log.flush().unwrap();
-        *state.fail_budget.lock() = read_failures;
+        state.fail_budget.lock().fill(read_failures);
 
         // Single-read path.
         for (addr, data) in &written {
@@ -206,7 +92,7 @@ proptest! {
         }
         // The engine itself, every server in one fan-out, the jobs
         // shuffled so consecutive ones land on different servers.
-        let engine = ReadEngine::new(log.engine().clone(), read_window);
+        let engine = ReadEngine::new(log.engine().clone());
         let mut jobs: Vec<((ServerId, ReadSpec), &Vec<u8>)> = Vec::new();
         for (addr, data) in &written {
             let (home, _) = swarm_log::reconstruct::locate_fragment(log.engine(), addr.fid)
@@ -222,9 +108,32 @@ proptest! {
         for (got, (_, data)) in engine.fetch_scatter(&reads).into_iter().zip(&jobs) {
             prop_assert_eq!(&got.unwrap(), *data);
         }
-        for (server, peak) in state.peak.iter().enumerate() {
-            let (peak, width) = (peak.load(Ordering::SeqCst), read_window.min(widths[server]));
-            prop_assert!(peak <= width, "server {}: {} in flight, window {}", server, peak, width);
+        state.assert_window_held();
+        // The same reads one RPC each, completions held back until every
+        // server's window is as full as it can get: the fan-out fills to
+        // exactly `min(WINDOW, width, jobs)` — a serial loop stops short,
+        // one that ignores a narrow transport overshoots.
+        let mut per_server = [0usize; MAX_SERVERS];
+        let singles: Vec<(ServerId, Request)> = (reads.iter())
+            .map(|&(server, ReadSpec { fid, offset, len })| {
+                per_server[server.raw() as usize] += 1;
+                (server, Request::Read { fid, offset, len })
+            })
+            .collect();
+        for (server, &count) in per_server.iter().enumerate() {
+            state.peak[server].store(0, Ordering::SeqCst);
+            state.gate[server].store(WINDOW.min(widths[server]).min(count), Ordering::SeqCst);
+        }
+        for (got, (_, data)) in engine.run(singles).into_iter().zip(&jobs) {
+            match got.unwrap() {
+                swarm_net::Response::Data(bytes) => prop_assert_eq!(&bytes, *data),
+                other => prop_assert!(false, "unexpected read reply {:?}", other),
+            }
+        }
+        for (server, gate) in state.gate.iter().enumerate() {
+            let full = gate.swap(0, Ordering::SeqCst);
+            let peak = state.peak[server].load(Ordering::SeqCst);
+            prop_assert_eq!(peak, full, "server {}: window filled to {} of {}", server, peak, full);
         }
 
         // One dead server: scatter failures fall back to locate +
@@ -333,7 +242,7 @@ fn reads_complete_while_store_window_is_stalled() {
         inner: mem.clone(),
         state: state.clone(),
     });
-    let log = Log::create(transport, read_config(servers, 8, 8)).unwrap();
+    let log = Log::create(transport, read_config(servers)).unwrap();
 
     // Phase 1: gate open — make some data durable.
     let mut written = Vec::new();

@@ -32,7 +32,7 @@
 //!   background thread, no ping; any successful dial, the writer's
 //!   included, clears the suspicion at once.
 //! * [`ConnectionPool::fan_out`] takes jobs of `(server, request)` and
-//!   keeps up to a window of them outstanding *per server*: every leg that
+//!   keeps up to [`WINDOW`] of them outstanding *per server*: every leg that
 //!   has room is started before any is waited on, legs are harvested in
 //!   the order they were started, results come back in job order, and a
 //!   call whose channel died is replayed on a fresh dial. The read
@@ -69,6 +69,13 @@ const BACKOFF_CAP: Duration = Duration::from_millis(4);
 /// server whose last dial failed. Bounds both the dials a dead server
 /// costs its readers and how long a recovered one keeps being read around.
 pub const PROBE_PERIOD: Duration = Duration::from_millis(100);
+/// RPCs a client keeps outstanding per server: the depth of
+/// [`ConnectionPool::fan_out`] and of each of the log's per-server store
+/// writers. The width in effect is `min(WINDOW, pipeline_width())` of the
+/// connection in use, so a transport that completes each call as it is
+/// started (`MemTransport`, `FaultTransport`) is the paper's
+/// one-RPC-at-a-time path.
+pub const WINDOW: usize = 8;
 
 struct PoolMetrics {
     hits: swarm_metrics::Counter,
@@ -329,7 +336,7 @@ impl ConnectionPool {
         Ok(resp)
     }
 
-    /// Issues `jobs`, keeping up to `window` of them outstanding per server
+    /// Issues `jobs`, keeping up to [`WINDOW`] of them outstanding per server
     /// (clamped to what the server's connection can pipeline, so a
     /// synchronous transport degrades to one at a time), and returns the
     /// responses in job order. Every leg that has room is started before
@@ -341,10 +348,10 @@ impl ConnectionPool {
     ///
     /// This is the only way the read side overlaps RPCs: no thread, no
     /// channel, one loop.
-    pub fn fan_out(&self, window: usize, jobs: Vec<(ServerId, Request)>) -> Vec<Result<Response>> {
+    pub fn fan_out(&self, jobs: Vec<(ServerId, Request)>) -> Vec<Result<Response>> {
         let mut results: Vec<Option<Result<Response>>> = Vec::new();
         results.resize_with(jobs.len(), || None);
-        let _ = self.harvest(window, jobs, |job, _, result| -> ControlFlow<()> {
+        let _ = self.harvest(jobs, |job, _, result| -> ControlFlow<()> {
             results[job] = Some(result);
             ControlFlow::Continue(())
         });
@@ -361,12 +368,10 @@ impl ConnectionPool {
     /// back in, or was dropped with its failed call, before it returns.
     fn harvest<B>(
         &self,
-        window: usize,
         jobs: Vec<(ServerId, Request)>,
         mut sink: impl FnMut(usize, ServerId, Result<Response>) -> ControlFlow<B>,
     ) -> Option<B> {
         let m = pool_metrics();
-        let window = window.max(1);
         let mut lanes: Vec<Lane> = Vec::new();
         let prepared: Vec<PreparedRequest> = jobs
             .into_iter()
@@ -391,7 +396,7 @@ impl ConnectionPool {
             .collect();
         let mut inflight: VecDeque<Leg> = VecDeque::new();
         for (at, lane) in lanes.iter_mut().enumerate() {
-            self.fill(window, at, lane, &prepared, &mut inflight);
+            self.fill(at, lane, &prepared, &mut inflight);
         }
         let mut broke = None;
         while let Some(leg) = inflight.pop_front() {
@@ -417,7 +422,7 @@ impl ConnectionPool {
                 broke = Some(b);
                 break;
             }
-            self.fill(window, leg.lane, lane, &prepared, &mut inflight);
+            self.fill(leg.lane, lane, &prepared, &mut inflight);
         }
         m.read_inflight.add(-(inflight.len() as i64));
         drop(inflight);
@@ -432,7 +437,6 @@ impl ConnectionPool {
     /// narrower transport is honoured.
     fn fill(
         &self,
-        window: usize,
         at: usize,
         lane: &mut Lane,
         prepared: &[PreparedRequest],
@@ -448,7 +452,7 @@ impl ConnectionPool {
             }
             let (pending, synthesized) = match &mut lane.conn {
                 Some(conn) => {
-                    if lane.inflight >= window.min(conn.pipeline_width().max(1)) {
+                    if lane.inflight >= WINDOW.min(conn.pipeline_width().max(1)) {
                         return;
                     }
                     (conn.start_prepared(&prepared[job]), false)
@@ -479,7 +483,7 @@ impl ConnectionPool {
     pub fn broadcast(&self, request: &Request) -> Vec<(ServerId, Response)> {
         let servers = self.transport.servers();
         let jobs = servers.iter().map(|&s| (s, request.clone())).collect();
-        let replies = servers.into_iter().zip(self.fan_out(1, jobs));
+        let replies = servers.into_iter().zip(self.fan_out(jobs));
         replies
             .filter_map(|(server, result)| {
                 result
@@ -506,7 +510,7 @@ impl ConnectionPool {
     ) -> Option<(ServerId, Response)> {
         self.fresh_then_suspects().into_iter().find_map(|servers| {
             let jobs = servers.iter().map(|&s| (s, request.clone())).collect();
-            self.harvest(1, jobs, |_, server, result| match result {
+            self.harvest(jobs, |_, server, result| match result {
                 Ok(resp) if accept(&resp) => ControlFlow::Break((server, resp)),
                 Ok(_) => ControlFlow::Continue(()),
                 Err(e) => {

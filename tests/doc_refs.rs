@@ -6,6 +6,9 @@
 //! `*.json` / `*.md` file names; each must resolve to a cargo target, a
 //! package or a file in the checkout. A deleted binary or data file that is
 //! still cited fails here, not in a nightly job that quietly skips it.
+//! Flags are held to the same rule: every `--flag` in one of README's flag
+//! tables, or on a `-p swarm-chaos --` command line anywhere, must be a
+//! string the CLI sources read.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -146,6 +149,66 @@ fn docs_and_ci_name_only_things_that_exist() {
     assert!(
         missing.is_empty(),
         "docs or CI name things that do not exist:\n{}",
+        missing.join("\n")
+    );
+}
+
+/// Every string literal in the `.rs` files under `dir`, without a leading
+/// `--`: `swarm-cli` reads `args.get_u64("client", ..)`, `swarm-chaos`
+/// matches on `"--seeds"`.
+fn string_literals(dir: &Path, out: &mut BTreeSet<String>) {
+    for entry in fs::read_dir(dir).unwrap().map(|e| e.unwrap().path()) {
+        if entry.is_dir() {
+            string_literals(&entry, out);
+        } else if entry.extension().is_some_and(|ext| ext == "rs") {
+            let text = fs::read_to_string(&entry).unwrap();
+            // Odd pieces of a split on `"` are the insides of literals
+            // (quotes in the CLI sources come in pairs, in comments too).
+            for literal in text.split('"').skip(1).step_by(2) {
+                out.insert(literal.trim_start_matches("--").to_string());
+            }
+        }
+    }
+}
+
+/// The `--flag`s among `line`'s words.
+fn flags(line: &str) -> impl Iterator<Item = &str> {
+    line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+        .filter_map(|word| word.strip_prefix("--"))
+        .filter(|flag| !flag.is_empty())
+}
+
+/// A documented flag is a flag the CLIs parse: the first cell of every row
+/// of README's flag tables, and everything after `-p swarm-chaos --` on a
+/// command line (continuation lines included) in any scanned file.
+#[test]
+fn documented_flags_are_flags_the_clis_read() {
+    let mut known = BTreeSet::new();
+    for cli in ["crates/swarm-cli/src", "crates/swarm-chaos/src"] {
+        string_literals(&root().join(cli), &mut known);
+    }
+    let mut missing = Vec::new();
+    for file in SCANNED {
+        let text = fs::read_to_string(root().join(file)).unwrap_or_else(|e| panic!("{file}: {e}"));
+        let mut continued = false;
+        for (n, line) in text.lines().enumerate() {
+            let table_cell = (file == "README.md" && line.starts_with("| `--"))
+                .then(|| line.split('|').nth(1).unwrap_or(""));
+            let command = match line.split_once("-p swarm-chaos --") {
+                Some((_, rest)) => Some(rest),
+                None => continued.then_some(line),
+            };
+            continued = command.is_some() && line.trim_end().ends_with('\\');
+            for flag in table_cell.into_iter().chain(command).flat_map(flags) {
+                if !known.contains(flag) {
+                    missing.push(format!("{file}:{}: no CLI reads `--{flag}`", n + 1));
+                }
+            }
+        }
+    }
+    assert!(
+        missing.is_empty(),
+        "docs or CI document flags that do not exist:\n{}",
         missing.join("\n")
     );
 }

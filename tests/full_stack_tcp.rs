@@ -178,7 +178,7 @@ fn server_restart_preserves_fragments_on_disk() {
     ));
     let (server, _) = swarm_log::reconstruct::locate_fragment(&pool, addr.fid)
         .expect("fragment survived restart");
-    let engine = swarm_log::ReadEngine::new(pool, swarm_log::DEFAULT_READ_WINDOW);
+    let engine = swarm_log::ReadEngine::new(pool);
     let bytes = swarm_log::reconstruct::fetch_fragment(&engine, server, addr.fid).unwrap();
     let view = swarm_log::FragmentView::parse(&bytes).unwrap();
     assert!(view.entries.iter().any(

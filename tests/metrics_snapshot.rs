@@ -174,12 +174,12 @@ fn degraded_read_metrics_count_skipped_homes_and_probes() {
 /// returns — every started store was harvested) and the
 /// `log.store_window_occupancy` histogram gained a sample per store.
 #[test]
-fn write_window_metrics_appear_in_snapshot() {
+fn store_window_metrics_appear_in_snapshot() {
     let svc = ServiceId::new(11);
     let before = swarm_metrics::snapshot();
     let transport = cluster(3);
 
-    let log = Log::create(transport, config(3).write_window(4).queue_depth(4)).unwrap();
+    let log = Log::create(transport, config(3)).unwrap();
     for i in 0..12u8 {
         log.append_block(svc, b"", &[i; 1500]).unwrap();
     }
@@ -210,7 +210,7 @@ fn write_window_metrics_appear_in_snapshot() {
 /// `log.read_window_occupancy` histogram gains a sample per read RPC, and
 /// the sharded server read cache reports hits, misses, and scan bypasses.
 #[test]
-fn read_window_and_cache_metrics_appear_in_snapshot() {
+fn read_fan_out_and_cache_metrics_appear_in_snapshot() {
     let svc = ServiceId::new(13);
     let before = swarm_metrics::snapshot();
     // Servers with a deliberately tiny read cache (one fragment per
@@ -226,7 +226,7 @@ fn read_window_and_cache_metrics_appear_in_snapshot() {
         transport.register(ServerId::new(i), srv);
     }
 
-    let log = Log::create(transport, config(3).read_window(4)).unwrap();
+    let log = Log::create(transport, config(3)).unwrap();
     let mut addrs = Vec::new();
     for i in 0..60u32 {
         addrs.push(log.append_block(svc, b"", &[i as u8; 1500]).unwrap());
