@@ -6,7 +6,6 @@
 //!        [--cache N]             # in-memory fragment read cache
 //!        [--mem]                 # memory-backed store (testing)
 //!        [--durability MODE]     # strict | group[:millis] | none
-//!        [--no-fsync]            # legacy alias for --durability none
 //!        [--read-deadline-ms N]  # reap silent connections after N ms
 //!                                # (0 = never; default 30000)
 //! ```
@@ -41,7 +40,6 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         "cache",
         "mem",
         "durability",
-        "no-fsync",
         "read-deadline-ms",
     ])?;
     let id = ServerId::new(args.get_u64("id", 0)? as u32);
@@ -67,11 +65,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         )?
     } else {
         let dir = args.require("dir")?;
-        let durability = if args.get_or("no-fsync", "false") == "true" {
-            Durability::None
-        } else {
-            args.get_or("durability", "strict").parse::<Durability>()?
-        };
+        let durability = args.get_or("durability", "strict").parse::<Durability>()?;
         let store = FileStore::open_with_durability(dir, capacity, durability)?;
         spawn(
             id,

@@ -44,7 +44,8 @@ fn start_daemon(id: u32, dir: &std::path::Path) -> Daemon {
         &id.to_string(),
         "--dir",
         dir.to_str().unwrap(),
-        "--no-fsync",
+        "--durability",
+        "none",
     ])
 }
 
@@ -245,13 +246,21 @@ fn bad_usage_fails_cleanly() {
 /// not parsed into a map nobody looks at while the default applies.
 #[test]
 fn misspelt_flag_is_refused_and_named() {
-    let out = Command::new(env!("CARGO_BIN_EXE_swarmd"))
-        .args(["--mem", "--durabilty", "group"])
-        .output()
-        .expect("run swarmd");
-    assert!(!out.status.success());
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("unknown option --durabilty"), "{err}");
+    // Old command lines say `--no-fsync` for `--durability none`: they
+    // must fail, not quietly run `strict`.
+    for flags in [&["--durabilty", "group"][..], &["--no-fsync"]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_swarmd"))
+            .arg("--mem")
+            .args(flags)
+            .output()
+            .expect("run swarmd");
+        assert!(!out.status.success());
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("unknown option {}", flags[0])),
+            "{err}"
+        );
+    }
 
     let cluster = Cluster::start(2, "misspelt");
     admin(&cluster, &["fs", "write", "/f"], Some(b"keep"));

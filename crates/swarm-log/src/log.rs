@@ -10,10 +10,10 @@
 //! deleted; records drive crash recovery (see [`crate::recovery`]); the
 //! cleaner (crate `swarm-cleaner`) reclaims dead stripes.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use swarm_net::{ConnectionPool, Request, Response, Transport};
 use swarm_types::{
     BlockAddr, Bytes, ClientId, FragmentId, Result, ServerId, ServiceId, StripeSeq, SwarmError,
@@ -144,13 +144,6 @@ pub struct LogConfig {
     /// Client-side fragment cache capacity, in fragments (default 16).
     /// Serves re-reads and recovery scans without server round-trips.
     pub cache_fragments: usize,
-    /// Prefetch whole fragments on read misses (default off — the
-    /// paper's prototype did not prefetch, §3.4; enabling this is the
-    /// optimization the paper says "would greatly improve the
-    /// performance of reads that miss in the client cache"). A miss
-    /// fetches its whole fragment and one background pass reads the next
-    /// two ahead of it.
-    pub prefetch: bool,
     /// Attempts per fragment store before the writer reports the server
     /// lost (default [`crate::writer::STORE_RETRIES`]).
     pub store_retries: usize,
@@ -173,7 +166,6 @@ impl LogConfig {
             group: StripeGroup::new(servers)?,
             fragment_size: DEFAULT_FRAGMENT_SIZE,
             cache_fragments: 16,
-            prefetch: false,
             store_retries: crate::writer::STORE_RETRIES,
             retry_backoff: crate::writer::RETRY_BACKOFF,
         })
@@ -202,12 +194,6 @@ impl LogConfig {
     /// Sets the client-side fragment cache capacity.
     pub fn cache_fragments(mut self, fragments: usize) -> LogConfig {
         self.cache_fragments = fragments;
-        self
-    }
-
-    /// Enables whole-fragment prefetch on read misses.
-    pub fn prefetch(mut self, on: bool) -> LogConfig {
-        self.prefetch = on;
         self
     }
 
@@ -266,9 +252,6 @@ struct FragCache<V = Bytes> {
     order: std::collections::VecDeque<FragmentId>,
 }
 
-/// Fragments a prefetch-mode miss reads ahead of itself.
-const READ_AHEAD: u64 = 2;
-
 /// Stripe descriptions ([`reconstruct::stripe_info`] headers, ~100 B)
 /// the degraded read path remembers, so such a read costs no `Locate`.
 /// Small enough that [`FragCache`]'s linear refresh is a 4 KiB scan.
@@ -294,12 +277,6 @@ impl<V: Clone> FragCache<V> {
         Some(bytes)
     }
 
-    /// Peeks without refreshing recency (prefetch probes use this so a
-    /// speculative lookup does not compete with real reads).
-    fn contains(&self, fid: FragmentId) -> bool {
-        self.map.contains_key(&fid)
-    }
-
     fn insert(&mut self, fid: FragmentId, bytes: V) {
         if self.capacity == 0 {
             return;
@@ -318,16 +295,6 @@ impl<V: Clone> FragCache<V> {
         self.map.remove(&fid);
         self.order.retain(|f| *f != fid);
     }
-}
-
-/// Registry of whole-fragment fetches in flight. When the foreground
-/// read misses a fragment the read-ahead thread is already pulling, it
-/// waits for that fetch and serves the result from the cache instead of
-/// issuing a duplicate pair of RPCs for the same 64 KB.
-#[derive(Default)]
-struct Inflight {
-    fetching: Mutex<HashSet<FragmentId>>,
-    done: Condvar,
 }
 
 struct LogState {
@@ -381,20 +348,13 @@ pub struct Log {
     /// the cleaner.
     engine: Arc<ConnectionPool>,
     /// Windowed, batching read front-end over `engine` — serves the read
-    /// fast path, scans, and prefetch.
+    /// fast path and scans.
     reader: ReadEngine,
-    /// Client fragment cache. Outside `state` so background prefetch can
-    /// fill it without contending with appends.
-    cache: Arc<Mutex<FragCache>>,
+    /// Client fragment cache. Outside `state` so whole-fragment fetches
+    /// (cleaner, recovery) fill it without holding up appends.
+    cache: Mutex<FragCache>,
     /// Stripe descriptions learnt by degraded reads.
     stripes: Mutex<FragCache<Arc<FragmentHeader>>>,
-    /// The one background read-ahead pass (prefetch mode), joined before
-    /// the next one starts and when the log is dropped.
-    read_ahead: Mutex<Option<std::thread::JoinHandle<()>>>,
-    /// Whole-fragment fetches in flight (prefetch mode), so the
-    /// foreground read and the read-ahead thread never fetch the same
-    /// fragment twice.
-    inflight: Arc<Inflight>,
     state: Mutex<LogState>,
 }
 
@@ -459,17 +419,14 @@ impl Log {
             config.store_retries,
             config.retry_backoff,
         );
-        let cache = Arc::new(Mutex::new(FragCache::new(config.cache_fragments)));
         let reader = ReadEngine::new(engine.clone());
         Ok(Log {
             pool,
             transport,
             reader,
             engine,
-            cache,
+            cache: Mutex::new(FragCache::new(config.cache_fragments)),
             stripes: Mutex::new(FragCache::new(STRIPE_INFO_CACHE)),
-            read_ahead: Mutex::new(None),
-            inflight: Arc::new(Inflight::default()),
             state: Mutex::new(LogState {
                 next_seq,
                 stripe: None,
@@ -925,59 +882,50 @@ impl Log {
     /// underlying transport/server errors otherwise.
     pub fn read(&self, addr: BlockAddr) -> Result<Bytes> {
         let start = std::time::Instant::now();
-        let (source, result) = self.read_inner(addr);
+        let local = {
+            let mut state = self.state.lock();
+            self.read_local(&mut state, addr)
+        };
+        let (source, result) = local.unwrap_or_else(|| self.read_remote(addr));
         source.record(start.elapsed());
         result
     }
 
-    fn read_inner(&self, addr: BlockAddr) -> (ReadSource, Result<Bytes>) {
+    /// The local half of a read, and the one place a read is counted: the
+    /// open builder, then the client fragment cache. `None` leaves the
+    /// address to [`Log::read_remote`].
+    fn read_local(
+        &self,
+        state: &mut LogState,
+        addr: BlockAddr,
+    ) -> Option<(ReadSource, Result<Bytes>)> {
+        metrics().reads.inc();
+        state.stats.reads += 1;
         // Unflushed data may still be in the open builder: entries are
         // immutable once appended, so serve such reads straight from the
         // build buffer.
-        metrics().reads.inc();
-        {
-            let mut state = self.state.lock();
-            state.stats.reads += 1;
-            if let Some(b) = &state.builder {
-                if b.fid() == addr.fid {
-                    let result = match b.read_range(addr.offset, addr.len) {
-                        Some(bytes) => Ok(Bytes::from(bytes.to_vec())),
-                        None => Err(SwarmError::RangeOutOfBounds {
-                            addr,
-                            stored: b.len() as u32,
-                        }),
-                    };
-                    if result.is_ok() {
-                        state.stats.cache_hits += 1;
-                    }
-                    return (ReadSource::Builder, result);
-                }
-            }
-            if let Some(bytes) = self.cache.lock().get(addr.fid) {
-                state.stats.cache_hits += 1;
-                return (ReadSource::Cache, slice_fragment(&bytes, addr));
-            }
-        }
-
-        // Prefetch mode: pull the whole fragment into the client cache on
-        // a miss — and read the next `READ_AHEAD` fragments in the
-        // background — so sequential block reads become cache hits (the
-        // optimization §3.4 names but the prototype lacked).
-        if self.config.prefetch {
-            let home = self.state.lock().fragment_map.get(&addr.fid).copied();
-            let result =
-                match fetch_into_cache(&self.reader, &self.cache, &self.inflight, home, addr.fid) {
-                    Ok(Some(bytes)) => {
-                        let data = slice_fragment(&bytes, addr);
-                        self.spawn_read_ahead(addr.fid);
-                        data
-                    }
-                    Ok(None) => Err(SwarmError::FragmentNotFound(addr.fid)),
-                    Err(e) => Err(e),
+        if let Some(b) = &state.builder {
+            if b.fid() == addr.fid {
+                let result = match b.read_range(addr.offset, addr.len) {
+                    Some(bytes) => Ok(Bytes::from(bytes.to_vec())),
+                    None => Err(SwarmError::RangeOutOfBounds {
+                        addr,
+                        stored: b.len() as u32,
+                    }),
                 };
-            return (ReadSource::Home, result);
+                if result.is_ok() {
+                    state.stats.cache_hits += 1;
+                }
+                return Some((ReadSource::Builder, result));
+            }
         }
+        let bytes = self.cache.lock().get(addr.fid)?;
+        state.stats.cache_hits += 1;
+        Some((ReadSource::Cache, slice_fragment(&bytes, addr)))
+    }
 
+    /// The remote half of a read: everything from the home server down.
+    fn read_remote(&self, addr: BlockAddr) -> (ReadSource, Result<Bytes>) {
         // Fast path: direct range read from the fragment's home server
         // through the pipelined read engine — or, when the home does not
         // answer, the same range decoded from the stripe's survivors.
@@ -1081,8 +1029,8 @@ impl Log {
     /// engine (runs against one server collapse into `ReadBatch` RPCs,
     /// servers are queried in parallel), so a scan costs round trips
     /// proportional to the servers involved, not the blocks. Addresses
-    /// whose fragment is unlocated or whose home is unavailable fall
-    /// back to the one-address path, including reconstruction.
+    /// whose fragment is unlocated or whose home is unavailable take the
+    /// remote half of [`Log::read`] one at a time, reconstruction included.
     ///
     /// Results are in `addrs` order.
     ///
@@ -1092,7 +1040,6 @@ impl Log {
     /// reconstruction); per the single-read path, availability problems
     /// are masked by locate + reconstruction before they surface.
     pub fn read_many(&self, addrs: &[BlockAddr]) -> Result<Vec<Bytes>> {
-        let m = metrics();
         let mut out: Vec<Option<Bytes>> = Vec::new();
         out.resize_with(addrs.len(), || None);
         // (index into addrs/out, the read at its home) for the engine.
@@ -1103,29 +1050,8 @@ impl Log {
         {
             let mut state = self.state.lock();
             for (i, &addr) in addrs.iter().enumerate() {
-                if let Some(b) = &state.builder {
-                    if b.fid() == addr.fid {
-                        let served = match b.read_range(addr.offset, addr.len) {
-                            Some(bytes) => Bytes::from(bytes.to_vec()),
-                            None => {
-                                return Err(SwarmError::RangeOutOfBounds {
-                                    addr,
-                                    stored: b.len() as u32,
-                                })
-                            }
-                        };
-                        m.reads.inc();
-                        state.stats.reads += 1;
-                        state.stats.cache_hits += 1;
-                        out[i] = Some(served);
-                        continue;
-                    }
-                }
-                if let Some(bytes) = self.cache.lock().get(addr.fid) {
-                    m.reads.inc();
-                    state.stats.reads += 1;
-                    state.stats.cache_hits += 1;
-                    out[i] = Some(slice_fragment(&bytes, addr)?);
+                if let Some((_, served)) = self.read_local(&mut state, addr) {
+                    out[i] = Some(served?);
                     continue;
                 }
                 let Some(server) = state.fragment_map.get(&addr.fid).copied() else {
@@ -1148,7 +1074,7 @@ impl Log {
                     };
                     jobs.push((i, (server, spec)));
                 } else {
-                    // Home known down: the one-address path decodes.
+                    // Home known down: the remote half decodes.
                     fallback.push(i);
                 }
             }
@@ -1156,92 +1082,23 @@ impl Log {
         let reads: Vec<_> = jobs.iter().map(|(_, job)| *job).collect();
         for (&(i, _), result) in jobs.iter().zip(self.reader.fetch_scatter(&reads)) {
             match result {
-                Ok(bytes) => {
-                    m.reads.inc();
-                    self.state.lock().stats.reads += 1;
-                    out[i] = Some(bytes);
-                }
-                // Home gone or mapping stale: the one-address path will
-                // locate or reconstruct.
+                Ok(bytes) => out[i] = Some(bytes),
+                // Home gone or mapping stale: the remote half will locate
+                // or reconstruct.
                 Err(e) if e.is_unavailability() => fallback.push(i),
                 Err(e) => return Err(e),
             }
         }
         for i in fallback {
-            // `read` counts its own stats and records its latency source.
-            out[i] = Some(self.read(addrs[i])?);
+            let start = std::time::Instant::now();
+            let (source, result) = self.read_remote(addrs[i]);
+            source.record(start.elapsed());
+            out[i] = Some(result?);
         }
         Ok(out
             .into_iter()
             .map(|b| b.expect("every address resolved"))
             .collect())
-    }
-
-    /// Kicks off a background read-ahead of the fragments after `fid`
-    /// (prefetch mode). At most one read-ahead runs at a time; fragments
-    /// already cached are skipped without touching their recency.
-    fn spawn_read_ahead(&self, fid: FragmentId) {
-        let mut pass = self.read_ahead.lock();
-        if pass.as_ref().is_some_and(|running| !running.is_finished()) {
-            return;
-        }
-        let reader = self.reader.clone();
-        let cache = Arc::clone(&self.cache);
-        let inflight = Arc::clone(&self.inflight);
-        let client = self.config.client;
-        // Snapshot the known homes up front: the thread must not hold
-        // (or race on) the log state lock, and a direct home fetch avoids
-        // a cluster-wide locate broadcast per prefetched fragment.
-        let ahead: Vec<(FragmentId, Option<ServerId>)> = {
-            let state = self.state.lock();
-            (fid.seq() + 1..=fid.seq() + READ_AHEAD)
-                .map(|seq| FragmentId::new(client, seq))
-                .map(|next| (next, state.fragment_map.get(&next).copied()))
-                .collect()
-        };
-        let next = std::thread::spawn(move || {
-            // Claim the uncached fragments so the foreground read (and
-            // any later read-ahead) never duplicates a fetch in flight.
-            let mut claimed = ahead;
-            {
-                let cache = cache.lock();
-                let mut fetching = inflight.fetching.lock();
-                claimed.retain(|(next, _)| !cache.contains(*next) && fetching.insert(*next));
-            }
-            // Everything with a known home rides one windowed, batched
-            // pass of the read engine, all homes at once.
-            let homed: Vec<(ServerId, FragmentId)> = (claimed.iter())
-                .filter_map(|&(next, home)| Some((home?, next)))
-                .collect();
-            let mut fetched: HashMap<FragmentId, Bytes> = (homed.iter())
-                .zip(reader.fetch_whole(&homed))
-                .filter_map(|(&(_, next), result)| Some((next, result.ok()??)))
-                .collect();
-            // Fill the cache in sequence order; anything the home pass
-            // missed (unknown home, stale map, server down) goes through
-            // locate/reconstruct, and the first fragment that exists
-            // nowhere ends the read-ahead — we ran off the log's tail.
-            for (next, _) in &claimed {
-                match fetched.remove(next) {
-                    Some(bytes) => cache.lock().insert(*next, bytes),
-                    None => match reconstruct::read_fragment_anywhere(&reader, *next) {
-                        Ok(Some(bytes)) => cache.lock().insert(*next, bytes),
-                        _ => break,
-                    },
-                }
-            }
-            {
-                let mut fetching = inflight.fetching.lock();
-                for (next, _) in &claimed {
-                    fetching.remove(next);
-                }
-            }
-            inflight.done.notify_all();
-        });
-        if let Some(finished) = pass.replace(next) {
-            // Best effort: a pass that panicked said so on its way out.
-            let _ = finished.join();
-        }
     }
 
     /// Client-side operation counters.
@@ -1268,12 +1125,6 @@ impl Log {
                 Ok(Some(view))
             }
         }
-    }
-
-    /// Drops a fragment from the client cache (cleaner calls this after
-    /// deleting a stripe).
-    pub fn evict_cached(&self, fid: FragmentId) {
-        self.cache.lock().remove(fid);
     }
 
     /// Forgets the home-server mapping of a deleted fragment.
@@ -1361,14 +1212,6 @@ impl Log {
     }
 }
 
-impl Drop for Log {
-    fn drop(&mut self) {
-        if let Some(pass) = self.read_ahead.lock().take() {
-            let _ = pass.join();
-        }
-    }
-}
-
 /// Encodes the per-service checkpoint directory, optionally overriding
 /// one entry with a just-written checkpoint.
 fn encode_checkpoint_dir(
@@ -1413,58 +1256,6 @@ pub fn decode_checkpoint_dir(data: &[u8]) -> Result<Vec<(ServiceId, LogPosition)
     Ok(out)
 }
 
-/// Whole-fragment fetch into the cache, deduplicated against concurrent
-/// fetches of the same fragment: the second caller blocks until the
-/// first finishes and takes the cached result. An errored fetch wakes
-/// the waiters, who miss the cache and retry themselves.
-fn fetch_into_cache(
-    reader: &ReadEngine,
-    cache: &Mutex<FragCache>,
-    inflight: &Inflight,
-    home: Option<ServerId>,
-    fid: FragmentId,
-) -> Result<Option<Bytes>> {
-    loop {
-        if let Some(bytes) = cache.lock().get(fid) {
-            return Ok(Some(bytes));
-        }
-        let mut fetching = inflight.fetching.lock();
-        if !fetching.contains(&fid) {
-            fetching.insert(fid);
-            break;
-        }
-        inflight.done.wait(&mut fetching);
-    }
-    let result = fetch_whole_fragment(reader, home, fid);
-    if let Ok(Some(bytes)) = &result {
-        cache.lock().insert(fid, bytes.share());
-    }
-    inflight.fetching.lock().remove(&fid);
-    inflight.done.notify_all();
-    result
-}
-
-/// Whole-fragment fetch for the prefetch path. Goes straight to the
-/// known home server when the fragment map has one — two pooled RPCs,
-/// no cluster-wide locate broadcast — and falls back to the
-/// locate/reconstruct path when the map is cold or the home is gone.
-fn fetch_whole_fragment(
-    reader: &ReadEngine,
-    home: Option<ServerId>,
-    fid: FragmentId,
-) -> Result<Option<Bytes>> {
-    if let Some(server) = home {
-        match reconstruct::fetch_fragment(reader, server, fid) {
-            Ok(bytes) => return Ok(Some(bytes)),
-            // Home down or the map entry is stale: locate will find it.
-            Err(e) if e.is_unavailability() => {}
-            Err(SwarmError::FragmentNotFound(_)) => {}
-            Err(e) => return Err(e),
-        }
-    }
-    reconstruct::read_fragment_anywhere(reader, fid)
-}
-
 /// Cuts the addressed range out of a whole-fragment buffer as a shared
 /// view — no copy.
 fn slice_fragment(bytes: &Bytes, addr: BlockAddr) -> Result<Bytes> {
@@ -1503,18 +1294,6 @@ mod tests {
         assert!(cache.get(fid(1)).is_some(), "recently-used entry evicted");
         assert!(cache.get(fid(2)).is_none(), "stale entry survived");
         assert!(cache.get(fid(3)).is_some());
-    }
-
-    #[test]
-    fn frag_cache_contains_does_not_refresh_recency() {
-        let mut cache = FragCache::new(2);
-        cache.insert(fid(1), Bytes::from(vec![1]));
-        cache.insert(fid(2), Bytes::from(vec![2]));
-        // A prefetch probe on fid(1) must NOT save it from eviction.
-        assert!(cache.contains(fid(1)));
-        cache.insert(fid(3), Bytes::from(vec![3]));
-        assert!(cache.get(fid(1)).is_none());
-        assert!(cache.get(fid(2)).is_some());
     }
 
     #[test]

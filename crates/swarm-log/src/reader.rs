@@ -68,8 +68,8 @@ fn clone_error(e: &SwarmError) -> SwarmError {
 
 /// A windowed, batching read front-end over a shared [`ConnectionPool`].
 ///
-/// Cheap to clone (an `Arc`); the log, reconstruction, prefetch, and
-/// recovery all drive their reads through one of these.
+/// Cheap to clone (an `Arc`); the log, reconstruction, and recovery all
+/// drive their reads through one of these.
 #[derive(Clone, Debug)]
 pub struct ReadEngine {
     pool: Arc<ConnectionPool>,
@@ -179,34 +179,6 @@ impl ReadEngine {
                 ))),
             })
             .collect()
-    }
-
-    /// Fetches the complete bytes of each job's fragment from its server:
-    /// [`ReadEngine::locate_each`] learns the lengths, then the bodies come
-    /// back through batched reads, both passes across all the servers at
-    /// once. `Ok(None)` means the server does not hold that fragment (end
-    /// of log, or a stale home mapping — the caller decides whether to
-    /// locate elsewhere).
-    pub fn fetch_whole(&self, jobs: &[(ServerId, FragmentId)]) -> Vec<Result<Option<Bytes>>> {
-        let mut bodies: Vec<(usize, (ServerId, ReadSpec))> = Vec::new();
-        let mut out: Vec<Result<Option<Bytes>>> = (jobs.iter().zip(self.locate_each(jobs)))
-            .enumerate()
-            .map(|(slot, (&(server, fid), located))| {
-                let header = located?;
-                bodies.extend(header.map(|h| (slot, (server, whole_fragment(fid, &h)))));
-                Ok(None)
-            })
-            .collect();
-        let reads: Vec<_> = bodies.iter().map(|(_, job)| *job).collect();
-        for (&(slot, _), result) in bodies.iter().zip(self.fetch_scatter(&reads)) {
-            out[slot] = match result {
-                Ok(bytes) => Ok(Some(bytes)),
-                // Deleted between locate and read: absent, not fatal.
-                Err(SwarmError::FragmentNotFound(_)) => Ok(None),
-                Err(e) => Err(e),
-            };
-        }
-        out
     }
 }
 

@@ -42,7 +42,7 @@ use swarm_types::{Bytes, FragmentId, Result, ServerId, SwarmError, MAX_PARITY};
 
 use crate::fragment::{parse_header, FragmentHeader, LOCATE_HEADER_LEN};
 use crate::gf;
-use crate::reader::ReadEngine;
+use crate::reader::{whole_fragment, ReadEngine};
 
 fn locate_request(fid: FragmentId) -> Request {
     Request::Locate {
@@ -101,22 +101,23 @@ pub fn locate_fragments(
     found
 }
 
-/// Fetches the complete bytes of a fragment from a specific server. The
-/// locate and the body read ride the engine's window (and its priority
-/// lane on the mux, so a reconstruction is not stuck behind queued store
-/// payloads). Zero-copy: the returned [`Bytes`] is the decoded wire
-/// frame's payload, shared, not copied.
+/// Fetches the complete bytes of a fragment from a specific server: one
+/// `Locate` learns its length, one `Read` returns it. Both ride the
+/// engine's window (and its priority lane on the mux, so a reconstruction
+/// is not stuck behind queued store payloads). Zero-copy: the returned
+/// [`Bytes`] is the decoded wire frame's payload, shared, not copied.
 ///
 /// # Errors
 ///
 /// Propagates transport and server errors ([`SwarmError::FragmentNotFound`],
 /// [`SwarmError::ServerUnavailable`], …) and validates the header.
 pub fn fetch_fragment(engine: &ReadEngine, server: ServerId, fid: FragmentId) -> Result<Bytes> {
-    match engine.fetch_whole(&[(server, fid)]).pop().expect("one job") {
-        Ok(Some(bytes)) => Ok(bytes),
-        Ok(None) => Err(SwarmError::FragmentNotFound(fid)),
-        Err(e) => Err(e),
-    }
+    let located = engine.locate_each(&[(server, fid)]).pop();
+    let header = located
+        .expect("one job")?
+        .ok_or(SwarmError::FragmentNotFound(fid))?;
+    let ReadSpec { fid, offset, len } = whole_fragment(fid, &header);
+    engine.read_one(server, fid, offset, len)
 }
 
 /// Finds a surviving stripe-mate's header for `fid` by probing `fid ± 1`
@@ -445,7 +446,7 @@ mod tests {
     use swarm_types::{ClientId, Geometry, ServiceId};
 
     /// [`read_fragment_anywhere`] tells "this fragment exists nowhere"
-    /// (`Ok(None)`: recovery, prefetch and the cleaner stop probing there)
+    /// (`Ok(None)`: recovery and the cleaner stop probing there)
     /// from "it exists and cannot be rebuilt" (an error) by what the
     /// rebuild found, not by the wording of an error message.
     #[test]

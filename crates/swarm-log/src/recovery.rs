@@ -10,9 +10,10 @@
 //!    recently written checkpoint for each service and makes it
 //!    available to the service on restart").
 //! 2. **Checkpoint discovery** — read the directory from the anchor
-//!    fragment and fetch each service's checkpoint directly. (Fallback
-//!    for anchors without a directory: walk backward until a checkpoint
-//!    has been found for every expected service or the log begins.)
+//!    fragment and fetch each service's checkpoint directly. An anchor
+//!    that cannot be read, or carries no directory, gets the same answer
+//!    as a directory entry whose fragment is gone: rollforward starts at
+//!    the beginning of the log and finds the checkpoints itself.
 //! 3. **Rollforward** — scan *forward* from the oldest needed checkpoint
 //!    to the end of the log, collecting every entry. Missing fragments are
 //!    reconstructed from parity; the end of the log is the first fragment
@@ -152,18 +153,16 @@ pub fn recover(
     swarm_metrics::trace!("recovery", "client {} anchor={:?}", client, anchor);
     let mut replay = Replay::default();
 
-    let scan_start = match anchor {
+    // With no anchor, or one that yields no directory, the scan starts at
+    // the beginning: it keeps each service's newest checkpoint as it goes
+    // and skips cleaned stripes below the anchor.
+    let directory = match anchor {
+        Some(anchor_fid) => read_checkpoint_dir(&engine, anchor_fid)?,
+        None => None,
+    };
+    let scan_start = match directory {
+        Some(dir) => discover_from_directory(&engine, &dir, expected_services, &mut replay)?,
         None => 0,
-        Some(anchor_fid) => {
-            match read_checkpoint_dir(&engine, anchor_fid)? {
-                Some(directory) => {
-                    discover_from_directory(&engine, &directory, expected_services, &mut replay)?
-                }
-                // No directory (e.g. the anchor predates directories, or
-                // its record was unreadable): legacy backward walk.
-                None => discover_checkpoints(&engine, anchor_fid, expected_services, &mut replay)?,
-            }
-        }
     };
     let anchor_seq = anchor.map(|a| a.seq()).unwrap_or(0);
 
@@ -226,8 +225,8 @@ pub fn recover(
                     offset: le.entry_offset,
                 };
                 if let Entry::Checkpoint { service, data } = &le.entry {
-                    // Forward scan may see newer checkpoints than the
-                    // backward discovery found (it starts at the oldest).
+                    // The scan may see newer checkpoints than the
+                    // directory listed (it starts at the oldest).
                     let newer = replay
                         .checkpoints
                         .get(service)
@@ -462,63 +461,4 @@ fn discover_from_directory(
         scan_start = 0;
     }
     Ok(scan_start)
-}
-
-/// Walks backward from the anchor collecting the newest checkpoint per
-/// service; returns the sequence number the forward scan should start at.
-fn discover_checkpoints(
-    engine: &ReadEngine,
-    anchor: FragmentId,
-    expected: &[ServiceId],
-    replay: &mut Replay,
-) -> Result<u64> {
-    let mut scan_start = anchor.seq();
-    let mut seq = anchor.seq() as i128;
-    loop {
-        if seq < 0 {
-            break;
-        }
-        let fid = FragmentId::new(engine.pool().client(), seq as u64);
-        let bytes = match reconstruct::read_fragment_anywhere(engine, fid) {
-            Ok(Some(b)) => b,
-            // A cleaned region (or a second failure): stop walking.
-            Ok(None) => break,
-            Err(e) if e.is_unavailability() => break,
-            Err(e) => return Err(e),
-        };
-        let view = crate::fragment::FragmentView::parse(&bytes)?;
-        if !view.header.is_parity() {
-            // Within one fragment, later entries are newer: iterate in
-            // reverse so the newest checkpoint of each service wins.
-            for le in view.entries.iter().rev() {
-                if let Entry::Checkpoint { service, data } = &le.entry {
-                    replay.checkpoints.entry(*service).or_insert_with(|| {
-                        (
-                            LogPosition {
-                                seq: seq as u64,
-                                offset: le.entry_offset,
-                            },
-                            data.clone(),
-                        )
-                    });
-                }
-            }
-        }
-        scan_start = seq as u64;
-        let all_found = expected.iter().all(|s| replay.checkpoints.contains_key(s));
-        if all_found && !expected.is_empty() {
-            break;
-        }
-        seq -= 1;
-    }
-    // Positions found by the backward walk are authoritative starting
-    // points; the forward scan re-reads from the oldest of them (or the
-    // oldest reachable fragment when some service never checkpointed).
-    let oldest_ckpt = replay
-        .checkpoints
-        .values()
-        .map(|(p, _)| p.seq)
-        .min()
-        .unwrap_or(scan_start);
-    Ok(scan_start.min(oldest_ckpt))
 }

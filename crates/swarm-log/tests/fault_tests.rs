@@ -1,13 +1,12 @@
-//! Fault injection: transient server outages, torn log tails, and the
-//! paper-named prefetch extension.
+//! Fault injection: transient server outages and torn log tails.
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use swarm_log::{recover, Entry, Log, LogConfig};
+use swarm_log::{recover, Entry, FragmentBuilder, Log, LogConfig, ParityAccumulator};
 use swarm_net::{MemTransport, Request, Transport};
 use swarm_server::{FragmentStore, MemStore, StorageServer};
-use swarm_types::{ClientId, Geometry, ServerId, ServiceId, SwarmError};
+use swarm_types::{ClientId, Geometry, ServerId, ServiceId, StripeSeq, SwarmError};
 
 const SVC: ServiceId = ServiceId::new(1);
 
@@ -320,39 +319,61 @@ fn double_crash_after_torn_tail_loses_no_acknowledged_writes() {
     log.flush().unwrap();
 }
 
+/// Recovery finds checkpoints one way. An anchor with no checkpoint
+/// directory — which `Log` never writes, so the stripe is built by hand —
+/// sends the rollforward back to the start of the log, and it still ends
+/// with the service's newest checkpoint and only the records after it.
 #[test]
-fn prefetch_turns_sequential_reads_into_one_fetch_per_fragment() {
-    let (transport, servers) = cluster(3);
-    // ~64 KiB fragments, 4 KiB blocks → many blocks per fragment.
-    let base = LogConfig::new(ClientId::new(1), (0..3).map(ServerId::new).collect())
-        .unwrap()
-        .fragment_size(64 * 1024);
-
-    let run = |prefetch: bool| -> u64 {
-        // Fresh servers per run for clean counters.
-        let (transport, servers) = cluster(3);
-        // Capacity 1: enough for sequential prefetch, small enough that
-        // write-time caching doesn't mask the server traffic.
-        let cfg = base.clone().prefetch(prefetch).cache_fragments(1);
-        let log = Log::create(transport, cfg).unwrap();
-        let mut addrs = Vec::new();
-        for i in 0..128u32 {
-            addrs.push(log.append_block(SVC, b"", &vec![i as u8; 4096]).unwrap());
-        }
+fn anchor_without_a_directory_recovers_by_scanning_from_the_start() {
+    let (transport, _servers) = cluster(3);
+    let next_seq = {
+        let log = Log::create(transport.clone(), config(3)).unwrap();
+        log.append_record(SVC, 1, b"before the old checkpoint")
+            .unwrap();
+        log.checkpoint(SVC, b"old").unwrap();
+        log.append_record(SVC, 2, b"before the new checkpoint")
+            .unwrap();
         log.flush().unwrap();
-        for (i, addr) in addrs.iter().enumerate() {
-            assert_eq!(log.read(*addr).unwrap(), vec![i as u8; 4096]);
-        }
-        servers.iter().map(|s| s.stats().reads).sum()
+        log.next_seq()
     };
+    let plan = config(3)
+        .group
+        .plan(ClientId::new(1), StripeSeq::new(next_seq / 3));
+    let mut first = FragmentBuilder::new(plan.header(0), 4096);
+    first.append_checkpoint(SVC, b"new");
+    first.append_record(SVC, 3, b"after the new checkpoint");
+    let mut second = FragmentBuilder::new(plan.header(1), 4096);
+    second.append_record(SVC, 4, b"after it, next fragment");
+    let mut acc = ParityAccumulator::with_geometry(2, 1);
+    let mut stripe = vec![first.seal(), second.seal()];
+    stripe.iter().for_each(|data| acc.add(data));
+    stripe.extend(acc.build_parities([plan.header(2)]));
+    assert!(stripe[0].marked, "the hand-built fragment is the anchor");
+    for (member, fragment) in stripe.iter().enumerate() {
+        let server = plan.member_server(member as u8);
+        let store = Request::Store {
+            fid: fragment.fid(),
+            marked: fragment.marked,
+            ranges: vec![],
+            data: fragment.bytes.share(),
+        };
+        let mut conn = transport.connect(server, ClientId::new(1)).unwrap();
+        conn.call(&store).unwrap().into_result().unwrap();
+    }
 
-    let without = run(false);
-    let with = run(true);
-    assert!(
-        with * 4 < without,
-        "prefetch should collapse server reads: {with} (prefetch) vs {without}"
-    );
-    let _ = (transport, servers);
+    let (log, replay) = recover(transport, config(3), &[SVC]).unwrap();
+    assert_eq!(replay.checkpoint_data(SVC), Some(&b"new"[..]));
+    let kinds: Vec<u16> = replay
+        .records_for(SVC)
+        .iter()
+        .filter_map(|e| match &e.entry {
+            Entry::Record { kind, .. } => Some(*kind),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(kinds, vec![3, 4]);
+    assert_eq!(replay.entries[0].pos.seq, 0, "scanned from the start");
+    assert_eq!(log.next_seq(), next_seq + 3);
 }
 
 #[test]

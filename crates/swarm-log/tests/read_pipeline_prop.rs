@@ -156,6 +156,61 @@ proptest! {
     }
 }
 
+/// `read_many` is `read` mapped over its addresses: the same bytes and the
+/// same advance of `Log::stats()`, whichever layer serves each address —
+/// the open builder, the client cache, the home, a decode around a home
+/// that is down, or a locate for a fragment the map has forgotten.
+#[test]
+fn read_many_returns_and_counts_what_read_does() {
+    let mem = cluster(3);
+    let log = Log::create(mem.clone(), read_config(3).cache_fragments(2)).unwrap();
+    let mut written: Vec<(BlockAddr, Vec<u8>)> = Vec::new();
+    let mut append = |i: u8| {
+        let payload = vec![i; 500];
+        written.push((log.append_block(SVC, b"", &payload).unwrap(), payload));
+    };
+    // Eight data fragments: the cache keeps the last two sealed.
+    (0..24).for_each(&mut append);
+    log.flush().unwrap();
+    (24..26).for_each(&mut append); // stay in the open builder
+    let forgotten = written[0].0.fid;
+    let down = written[3].0.fid;
+    assert_ne!(forgotten, down, "two fragments of the first stripe");
+    let (dead, _) = swarm_log::reconstruct::locate_fragment(log.engine(), down).unwrap();
+    mem.set_down(dead, true);
+
+    let addrs: Vec<BlockAddr> = written.iter().map(|(a, _)| *a).collect();
+    let advance = |reads: &dyn Fn() -> Vec<swarm_types::Bytes>| {
+        log.forget_fragment(forgotten); // a read's locate re-learns the home
+        let before = log.stats();
+        let got = reads();
+        let after = log.stats();
+        let counted = (
+            after.reads - before.reads,
+            after.cache_hits - before.cache_hits,
+            after.reconstructions - before.reconstructions,
+        );
+        (got, counted)
+    };
+    let (one_by_one, counted) = advance(&|| addrs.iter().map(|a| log.read(*a).unwrap()).collect());
+    let (scanned, scan_counted) = advance(&|| log.read_many(&addrs).unwrap());
+    for ((got, scan_got), (_, data)) in one_by_one.iter().zip(&scanned).zip(&written) {
+        assert_eq!(got, data);
+        assert_eq!(scan_got, data);
+    }
+    assert_eq!(scan_counted, counted);
+    let (reads, cache_hits, reconstructions) = counted;
+    assert_eq!(reads, addrs.len() as u64);
+    assert!(
+        (3..reads).contains(&cache_hits),
+        "builder and cache hits: {cache_hits}"
+    );
+    assert!(
+        (1..reads - cache_hits).contains(&reconstructions),
+        "{reconstructions} decoded"
+    );
+}
+
 /// Gate for the head-of-line test: `Store` RPCs stall until released,
 /// everything else passes straight through.
 struct GatedState {

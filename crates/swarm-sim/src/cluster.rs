@@ -199,13 +199,14 @@ pub fn simulate_read(cal: &Calibration, blocks: u64, block_size: u64) -> ReadPoi
     }
 }
 
-/// Simulates sequential block reads with the prefetch extension enabled:
-/// the first miss in each fragment fetches the whole fragment (one RPC +
-/// a 1 MB transfer), and the remaining blocks hit the client cache.
+/// Simulates sequential block reads with whole-fragment prefetch: the
+/// first miss in each fragment fetches the whole fragment (one RPC + a
+/// 1 MB transfer), and the remaining blocks hit the client cache.
 ///
 /// This is the optimization §3.4 names ("both of these optimizations
 /// would greatly improve the performance of reads that miss in the
-/// client cache") and this repository implements (`LogConfig::prefetch`).
+/// client cache"). It is modelled here, not implemented: the client reads
+/// the way the prototype did.
 pub fn simulate_read_prefetch(cal: &Calibration, blocks: u64, block_size: u64) -> ReadPoint {
     let blocks_per_fragment = (cal.fragment_size / block_size).max(1);
     let mut t = 0u64;

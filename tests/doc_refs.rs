@@ -8,7 +8,9 @@
 //! still cited fails here, not in a nightly job that quietly skips it.
 //! Flags are held to the same rule: every `--flag` in one of README's flag
 //! tables, or on a `-p swarm-chaos --` command line anywhere, must be a
-//! string the CLI sources read.
+//! string the CLI sources read. So is API: a back-ticked `Log::name` (or
+//! `LogConfig::`, `ReadEngine::`, `ConnectionPool::`) must be a function or
+//! public field in `swarm-log` or `swarm-net`.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -209,6 +211,49 @@ fn documented_flags_are_flags_the_clis_read() {
     assert!(
         missing.is_empty(),
         "docs or CI document flags that do not exist:\n{}",
+        missing.join("\n")
+    );
+}
+
+fn is_ident(c: char) -> bool {
+    c.is_ascii_alphanumeric() || c == '_'
+}
+
+/// A back-ticked `Log::name`, `LogConfig::name`, `ReadEngine::name` or
+/// `ConnectionPool::name` in the prose docs is a `fn name` or a `pub name:`
+/// field in `swarm-log` or `swarm-net`. A name that is empty or ends in `_`
+/// (`Log::append_*`, `Log::{read, read_many}`) is a glob and is skipped.
+#[test]
+fn documented_api_names_exist() {
+    const TYPES: [&str; 4] = ["LogConfig::", "Log::", "ReadEngine::", "ConnectionPool::"];
+    let mut code = String::new();
+    for krate in ["crates/swarm-log/src", "crates/swarm-net/src"] {
+        for entry in fs::read_dir(root().join(krate)).unwrap() {
+            code.push_str(&fs::read_to_string(entry.unwrap().path()).unwrap());
+        }
+    }
+    let defined = |name: &str| {
+        [format!("fn {name}"), format!("pub {name}:")]
+            .iter()
+            .flat_map(|decl| code.match_indices(decl.as_str()))
+            .any(|(at, decl)| !code[at + decl.len()..].starts_with(is_ident))
+    };
+    let mut missing = Vec::new();
+    for file in ["README.md", "DESIGN.md", "EXPERIMENTS.md"] {
+        let text = fs::read_to_string(root().join(file)).unwrap_or_else(|e| panic!("{file}: {e}"));
+        for ty in TYPES {
+            for (at, tick) in text.match_indices(&format!("`{ty}")) {
+                let name = text[at + tick.len()..].split(|c| !is_ident(c)).next();
+                let name = name.unwrap_or("");
+                if !(name.is_empty() || name.ends_with('_') || defined(name)) {
+                    missing.push(format!("{file}: `{ty}{name}` is not in the source"));
+                }
+            }
+        }
+    }
+    assert!(
+        missing.is_empty(),
+        "docs name API that does not exist:\n{}",
         missing.join("\n")
     );
 }

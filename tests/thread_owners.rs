@@ -11,11 +11,10 @@ use std::fs;
 use std::path::PathBuf;
 
 /// (file, spawn sites, who joins them).
-const OWNERS: [(&str, usize, &str); 4] = [
+const OWNERS: [(&str, usize, &str); 3] = [
     ("swarm-net/src/reactor.rs", 1, "Reactor::drop"),
     ("swarm-net/src/workpool.rs", 1, "WorkerPool::drop"),
     ("swarm-log/src/writer.rs", 1, "WritePool::drop"),
-    ("swarm-log/src/log.rs", 1, "Log::drop (the read-ahead pass)"),
 ];
 
 const STARTS: [&str; 3] = ["thread::spawn", "thread::Builder", "thread::scope"];
