@@ -97,8 +97,11 @@ impl FromStr for StoreKind {
     }
 }
 
-/// Group-commit window the file-backed chaos store runs with: short, so
-/// batching happens without visibly slowing single-threaded schedules.
+/// Group-commit window the file-backed chaos store runs with: the most a
+/// journal batch waits for a store still writing its data. A lone store
+/// pays none of it, so single-threaded schedules run at fsync speed; it
+/// is short so that a multi-client schedule with a slow data phase is not
+/// held up either.
 const CHAOS_GROUP_WINDOW: Duration = Duration::from_millis(1);
 
 /// Owns the on-disk root of a file-backed chaos cluster; removed on drop.

@@ -26,8 +26,27 @@ pub struct AclDb {
 #[derive(Debug, Default)]
 struct Inner {
     acls: BTreeMap<Aid, HashSet<ClientId>>,
-    ranges: BTreeMap<FragmentId, Vec<StoreRange>>,
+    /// Protected ranges per fragment, each tagged with the ticket of the
+    /// Store request that recorded them.
+    ranges: BTreeMap<FragmentId, (u64, Vec<StoreRange>)>,
     next_aid: u32,
+    next_ticket: u64,
+}
+
+/// The ranges of one Store request between [`AclDb::attach_ranges`] and
+/// [`AclDb::settle_ranges`].
+#[derive(Debug)]
+pub struct PendingRanges(Pending);
+
+#[derive(Debug)]
+enum Pending {
+    /// The request protects nothing.
+    Open,
+    /// Recorded under this ticket before the store.
+    Recorded(u64),
+    /// The FID already had ranges — another request's; these are held back
+    /// until the store says whose fragment it is.
+    Held(Vec<StoreRange>),
 }
 
 impl AclDb {
@@ -38,6 +57,7 @@ impl AclDb {
                 acls: BTreeMap::new(),
                 ranges: BTreeMap::new(),
                 next_aid: 1, // 0 is Aid::WORLD
+                next_ticket: 0,
             }),
         }
     }
@@ -114,17 +134,27 @@ impl AclDb {
             .is_some_and(|m| m.contains(&client))
     }
 
-    /// Records the protected ranges supplied with a fragment store,
-    /// validating that they are non-overlapping (the paper requires
-    /// "non-overlapping byte range\[s\]") and reference known ACLs.
+    /// First half of a Store: validates the protected ranges supplied
+    /// with it — non-overlapping (the paper requires "non-overlapping byte
+    /// range\[s\]"), known ACLs — and records them *before* the bytes are
+    /// stored, so the fragment is never readable without them. Ranges the
+    /// FID already has are another request's and are left alone: a Store
+    /// that turns out to be a refused duplicate must not replace them.
+    /// Pass the result to [`AclDb::settle_ranges`] once the store has
+    /// succeeded or failed.
     ///
     /// # Errors
     ///
     /// Returns [`SwarmError::InvalidArgument`] on overlap and
-    /// [`SwarmError::AclNotFound`] for ranges referencing unknown ACLs.
-    pub fn attach_ranges(&self, fid: FragmentId, mut ranges: Vec<StoreRange>) -> Result<()> {
+    /// [`SwarmError::AclNotFound`] for ranges referencing unknown ACLs;
+    /// nothing is recorded then.
+    pub fn attach_ranges(
+        &self,
+        fid: FragmentId,
+        mut ranges: Vec<StoreRange>,
+    ) -> Result<PendingRanges> {
         if ranges.is_empty() {
-            return Ok(());
+            return Ok(PendingRanges(Pending::Open));
         }
         ranges.sort_by_key(|r| r.offset);
         for pair in ranges.windows(2) {
@@ -135,15 +165,37 @@ impl AclDb {
                 )));
             }
         }
-        let inner = self.inner.read();
+        let mut inner = self.inner.write();
         for r in &ranges {
             if r.aid != Aid::WORLD && !inner.acls.contains_key(&r.aid) {
                 return Err(SwarmError::AclNotFound(r.aid));
             }
         }
-        drop(inner);
-        self.inner.write().ranges.insert(fid, ranges);
-        Ok(())
+        if inner.ranges.contains_key(&fid) {
+            return Ok(PendingRanges(Pending::Held(ranges)));
+        }
+        let ticket = inner.record(fid, ranges);
+        Ok(PendingRanges(Pending::Recorded(ticket)))
+    }
+
+    /// Second half of a Store. `stored`: this request created the
+    /// fragment, so its ranges are the fragment's — recorded now if they
+    /// were held back. Not stored: the ranges this request recorded are
+    /// withdrawn, and only those; a FID it did not create keeps what it
+    /// had.
+    pub fn settle_ranges(&self, fid: FragmentId, pending: PendingRanges, stored: bool) {
+        match (pending.0, stored) {
+            (Pending::Recorded(ticket), false) => {
+                let mut inner = self.inner.write();
+                if inner.ranges.get(&fid).is_some_and(|(by, _)| *by == ticket) {
+                    inner.ranges.remove(&fid);
+                }
+            }
+            (Pending::Held(ranges), true) => {
+                self.inner.write().record(fid, ranges);
+            }
+            _ => {}
+        }
     }
 
     /// Forgets the ranges of a deleted fragment.
@@ -168,7 +220,7 @@ impl AclDb {
         op: &'static str,
     ) -> Result<()> {
         let inner = self.inner.read();
-        let Some(ranges) = inner.ranges.get(&fid) else {
+        let Some((_, ranges)) = inner.ranges.get(&fid) else {
             return Ok(());
         };
         let req_end = offset.saturating_add(len);
@@ -184,6 +236,15 @@ impl AclDb {
             }
         }
         Ok(())
+    }
+}
+
+impl Inner {
+    fn record(&mut self, fid: FragmentId, ranges: Vec<StoreRange>) -> u64 {
+        let ticket = self.next_ticket;
+        self.next_ticket += 1;
+        self.ranges.insert(fid, (ticket, ranges));
+        ticket
     }
 }
 
@@ -345,6 +406,37 @@ mod tests {
         .unwrap();
         db.detach_ranges(fid(0));
         db.check(fid(0), 0, 10, c(9), "read").unwrap();
+    }
+
+    /// Two Stores of one FID overlap; the first fails, the second creates
+    /// the fragment. Whatever order they settle in, the fragment ends up
+    /// with the ranges of the request that stored it.
+    #[test]
+    fn ranges_follow_the_request_that_stored_the_fragment() {
+        for loser_settles_first in [true, false] {
+            let db = AclDb::new();
+            let (a, b) = (db.create([c(1)]), db.create([c(2)]));
+            let range = |aid| {
+                vec![StoreRange {
+                    offset: 0,
+                    len: 10,
+                    aid,
+                }]
+            };
+            let loser = db.attach_ranges(fid(0), range(a)).unwrap();
+            let winner = db.attach_ranges(fid(0), range(b)).unwrap();
+            // Until either settles the loser's ranges guard the FID.
+            assert!(db.check(fid(0), 0, 10, c(2), "read").is_err());
+            if loser_settles_first {
+                db.settle_ranges(fid(0), loser, false);
+                db.settle_ranges(fid(0), winner, true);
+            } else {
+                db.settle_ranges(fid(0), winner, true);
+                db.settle_ranges(fid(0), loser, false);
+            }
+            db.check(fid(0), 0, 10, c(2), "read").unwrap();
+            assert!(db.check(fid(0), 0, 10, c(1), "read").is_err());
+        }
     }
 
     #[test]

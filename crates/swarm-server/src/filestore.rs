@@ -24,18 +24,27 @@
 //! lock. Double-store exclusion uses an *in-flight claim table*: a store
 //! claims its FID under the index lock before touching the disk, so two
 //! concurrent stores of the same FID cannot interleave, and claimed FIDs
-//! count toward the slot capacity.
+//! count toward the slot capacity. A FID stays *unresolved* from its
+//! claim until its journal append has returned; a second store of it
+//! waits for that outcome, so `FragmentExists` is only ever answered for
+//! a fragment whose record is committed.
 //!
 //! ## Journal group commit
 //!
 //! Journal appends from concurrent operations are batched: the first
 //! appender becomes the *leader*, writes every queued record with one
 //! `write` + one `sync_data`, and wakes all waiters — N concurrent stores
-//! cost ~1 journal fsync. [`Durability`] selects the mode: `Strict` syncs
-//! each batch immediately, `Group(window)` lets the leader wait up to
-//! `window` so more appends join the batch, and `None` never syncs
-//! (tests/benchmarks only). In every syncing mode an `Ok` return means
-//! the operation's journal record is on disk.
+//! cost ~1 journal fsync. Before it writes, a leader *gathers*: the
+//! journal counts the stores that have claimed their FID and are still
+//! writing their data, and the leader waits for exactly those — woken
+//! when the last of them has queued its record, never past a deadline
+//! fixed when it started. [`Durability`] sets that deadline: `Strict` is
+//! a zero window (batches still form behind an fsync in progress),
+//! `Group(window)` is the longest a batch waits for a store already on
+//! its way, and `None` never gathers and never syncs (tests/benchmarks
+//! only). A leader with no such company — a lone store, any delete on an
+//! idle server — writes at once. In every syncing mode an `Ok` return
+//! means the operation's journal record is on disk.
 //!
 //! ## Crash points
 //!
@@ -51,10 +60,10 @@ use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex as StdMutex};
-use std::time::Duration;
+use std::sync::{Condvar, Mutex as StdMutex, MutexGuard as StdMutexGuard};
+use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
+use parking_lot::{Condvar as IndexCondvar, Mutex};
 use swarm_types::{crc32, BlockAddr, Bytes, ClientId, FragmentId, Result, SwarmError};
 
 use crate::store::{FragmentMeta, FragmentStore};
@@ -69,6 +78,11 @@ const OP_DELETE: u8 = 2;
 struct StoreMetrics {
     journal_fsync: swarm_metrics::Counter,
     journal_batch: swarm_metrics::Histogram,
+    /// How long each syncing batch's leader waited for company.
+    journal_gather_us: swarm_metrics::Histogram,
+    /// Batches closed by the deadline with a store still in its data
+    /// phase.
+    journal_window_expired: swarm_metrics::Counter,
 }
 
 fn metrics() -> &'static StoreMetrics {
@@ -76,6 +90,8 @@ fn metrics() -> &'static StoreMetrics {
     M.get_or_init(|| StoreMetrics {
         journal_fsync: swarm_metrics::counter("server.journal_fsync"),
         journal_batch: swarm_metrics::histogram("server.journal_batch"),
+        journal_gather_us: swarm_metrics::histogram("server.journal_gather_us"),
+        journal_window_expired: swarm_metrics::counter("server.journal_window_expired"),
     })
 }
 
@@ -83,12 +99,15 @@ fn metrics() -> &'static StoreMetrics {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Durability {
     /// Every operation's journal batch is fsync'd before it returns.
-    /// Concurrent operations still share a batch (group commit), so this
-    /// is the safe *and* fast default.
+    /// The commit leader never waits for company, but operations that
+    /// arrive during a sync in progress share the next batch (group
+    /// commit), so this is the safe *and* fast default.
     Strict,
-    /// Like `Strict`, but the commit leader waits up to the window for
-    /// more appends to join the batch before syncing — bigger batches,
-    /// slightly higher latency. An `Ok` ack still means durable.
+    /// Like `Strict`, but before syncing the commit leader waits for the
+    /// stores that are already writing their data to join its batch. The
+    /// window is an upper bound on that wait, not a delay: a leader with
+    /// no store on its way syncs at once, and one whose company has all
+    /// arrived stops waiting. An `Ok` ack still means durable.
     Group(Duration),
     /// Never fsync (data or journal). For tests and benchmarks that
     /// measure something other than the disk.
@@ -96,11 +115,21 @@ pub enum Durability {
 }
 
 impl Durability {
-    /// Default batching window for [`Durability::Group`].
+    /// Default window for [`Durability::Group`] (`group` with no millis).
     pub const DEFAULT_GROUP_WINDOW: Duration = Duration::from_millis(2);
 
     fn syncs(self) -> bool {
         !matches!(self, Durability::None)
+    }
+
+    /// The longest a commit leader waits for stores still in their data
+    /// phase; `None` (the mode) never gathers at all.
+    fn window(self) -> Option<Duration> {
+        match self {
+            Durability::Strict => Some(Duration::ZERO),
+            Durability::Group(window) => Some(window),
+            Durability::None => None,
+        }
     }
 }
 
@@ -217,6 +246,15 @@ struct Index {
     /// double-store exclusion without holding the index lock across the
     /// data write, and count toward capacity.
     inflight: HashSet<FragmentId>,
+    /// FIDs a store has moved from `inflight` into `fragments` whose
+    /// journal append has not returned yet. With `inflight` these are the
+    /// *unresolved* FIDs: a second store of one waits for the outcome
+    /// instead of answering `FragmentExists` for bytes that may never
+    /// become durable. Not in `slots_used`: `fragments` counts them.
+    committing: HashSet<FragmentId>,
+    /// Stores parked on [`FileStore::resolved`]; resolving a FID
+    /// notifies only when there are any.
+    waiting: u32,
     /// FIDs mid-delete: removed from `fragments`, journal record not yet
     /// committed (or slot file not yet unlinked). A store may not reuse
     /// the FID until the delete finishes.
@@ -260,12 +298,21 @@ impl Index {
 /// truncated back out of the file (so it cannot become a torn tail that
 /// hides later, successfully committed records) and its tickets observe
 /// the error.
+///
+/// Before writing, the leader gathers (see [`Journal::gather`]): it waits
+/// for the stores counted in [`CommitState::writing`], and only for them.
 struct Journal {
     dir: PathBuf,
     durability: Durability,
     file: StdMutex<JournalFile>,
     state: StdMutex<CommitState>,
+    /// A batch completed (or a compaction ended): every waiter rechecks
+    /// its ticket.
     done: Condvar,
+    /// The last store a gathering leader waits for has arrived. Its own
+    /// condvar, so an arrival wakes the one leader and never the
+    /// followers parked on `done`.
+    arrived: Condvar,
     /// Records in the on-disk journal (live + dead), for compaction.
     entries: AtomicU64,
     /// Syncs issued: one per batch commit and one per compaction, none
@@ -289,6 +336,30 @@ struct CommitState {
     failed_upto: u64,
     fail_msg: String,
     leader: bool,
+    /// Stores that have claimed their FID and not yet queued their record:
+    /// the company a leader waits for. Mirrors the population of
+    /// `Index::inflight` because a leader must never take the index lock
+    /// under this one (`compact_journal` takes them in the other order).
+    writing: u64,
+    /// The leader is parked on `arrived`; nobody notifies it otherwise.
+    gathering: bool,
+}
+
+/// A store between its FID claim and its journal append, counted in
+/// [`CommitState::writing`]. It leaves the count exactly once: inside
+/// [`Journal::append`], or on drop when the store fails (or "crashes")
+/// before it gets there — a leaked count would make every later batch
+/// wait out its whole window.
+struct Writing<'a>(&'a Journal);
+
+impl Drop for Writing<'_> {
+    fn drop(&mut self) {
+        // A poisoned state lock means an appender panicked and every
+        // later append panics too; there is no leader left to wake.
+        if let Ok(mut st) = self.0.state.lock() {
+            self.0.arrive(&mut st);
+        }
+    }
 }
 
 struct JournalFile {
@@ -310,21 +381,77 @@ impl Journal {
             file: StdMutex::new(JournalFile { file, len }),
             state: StdMutex::new(CommitState::default()),
             done: Condvar::new(),
+            arrived: Condvar::new(),
             entries: AtomicU64::new(entries),
             fsyncs: AtomicU64::new(0),
             batches: AtomicU64::new(0),
         })
     }
 
+    /// Counts a store that has claimed its FID and is about to write its
+    /// data, so a commit leader knows to wait for its record.
+    fn expect_store(&self) -> Writing<'_> {
+        self.state.lock().expect("journal state lock").writing += 1;
+        Writing(self)
+    }
+
+    /// One store leaves the data phase. Called under the state lock; wakes
+    /// the leader only if it is gathering and this was the last one.
+    fn arrive(&self, st: &mut CommitState) {
+        st.writing -= 1;
+        if st.writing == 0 && st.gathering {
+            self.arrived.notify_one();
+        }
+    }
+
+    /// The leader's wait for company: returns once no store is left in
+    /// its data phase, or once `window` has passed since the call. The
+    /// deadline is fixed here, so no wake-up can push it out.
+    fn gather<'a>(
+        &'a self,
+        mut st: StdMutexGuard<'a, CommitState>,
+        window: Duration,
+    ) -> StdMutexGuard<'a, CommitState> {
+        let m = metrics();
+        let start = Instant::now();
+        st.gathering = true;
+        while st.writing > 0 {
+            let left = window.saturating_sub(start.elapsed());
+            if left.is_zero() {
+                // A zero window (`Strict`) cannot expire.
+                if !window.is_zero() {
+                    m.journal_window_expired.inc();
+                }
+                break;
+            }
+            st = self
+                .arrived
+                .wait_timeout(st, left)
+                .expect("journal state lock")
+                .0;
+        }
+        st.gathering = false;
+        m.journal_gather_us.record(start.elapsed());
+        st
+    }
+
     /// Appends one record and waits until the batch containing it is
-    /// durable (per the configured [`Durability`]).
-    fn append(&self, payload: &[u8]) -> Result<()> {
+    /// durable (per the configured [`Durability`]). `arriving` is the
+    /// caller's data-phase count, if it had one (stores do, deletes do
+    /// not).
+    fn append(&self, payload: &[u8], arriving: Option<Writing<'_>>) -> Result<()> {
         let rec = encode_record(payload);
         let mut st = self.state.lock().expect("journal state lock");
         st.buf.extend_from_slice(&rec);
         st.buf_records += 1;
         st.queued += 1;
         let ticket = st.queued;
+        if let Some(writing) = arriving {
+            // Leave the count in the critical section that queues the
+            // record: a leader that reads zero finds this record in `buf`.
+            std::mem::forget(writing);
+            self.arrive(&mut st);
+        }
         loop {
             if st.failed_upto >= ticket {
                 return Err(SwarmError::other(format!(
@@ -340,15 +467,8 @@ impl Journal {
                 continue;
             }
             st.leader = true;
-            if let Durability::Group(window) = self.durability {
-                // Hold leadership through the window so concurrent
-                // appends pile into this batch. Waking early (another
-                // append's notify) is fine — the timeout only bounds it.
-                let (g, _) = self
-                    .done
-                    .wait_timeout(st, window)
-                    .expect("journal state lock");
-                st = g;
+            if let Some(window) = self.durability.window() {
+                st = self.gather(st, window);
             }
             let batch = std::mem::take(&mut st.buf);
             let records = std::mem::take(&mut st.buf_records);
@@ -462,6 +582,8 @@ impl Journal {
 pub struct FileStore {
     dir: PathBuf,
     index: Mutex<Index>,
+    /// An unresolved FID committed or aborted (see `Index::committing`).
+    resolved: IndexCondvar,
     journal: Journal,
     capacity: u64,
     durability: Durability,
@@ -534,6 +656,7 @@ impl FileStore {
             journal: Journal::open(&dir, durability, entries)?,
             dir,
             index: Mutex::new(index),
+            resolved: IndexCondvar::new(),
             capacity,
             durability,
             tmp_seq: AtomicU64::new(0),
@@ -739,9 +862,45 @@ impl FileStore {
         }
     }
 
-    /// Releases a store claim after a failure.
+    /// Claims `fid` for a store, in the index (`inflight`) and in the
+    /// journal's count of stores on their way. A FID another store holds
+    /// unresolved is waited for, not refused: that store may yet fail, and
+    /// `FragmentExists` tells a retrying writer its fragment is durable.
+    fn claim(&self, fid: FragmentId) -> Result<Writing<'_>> {
+        let mut index = self.index.lock();
+        while index.inflight.contains(&fid) || index.committing.contains(&fid) {
+            index.waiting += 1;
+            self.resolved.wait(&mut index);
+            index.waiting -= 1;
+        }
+        if index.fragments.contains_key(&fid) || index.deleting.contains(&fid) {
+            return Err(SwarmError::FragmentExists(fid));
+        }
+        let had_slot = index.prealloc.contains(&fid);
+        if !had_slot && self.capacity != 0 && index.slots_used() >= self.capacity {
+            return Err(SwarmError::OutOfSpace(format!(
+                "all {} slots in use",
+                self.capacity
+            )));
+        }
+        index.inflight.insert(fid);
+        drop(index);
+        Ok(self.journal.expect_store())
+    }
+
+    /// `fid` is resolved — committed, or gone again: wakes the stores of
+    /// the same FID that waited to learn which.
+    fn resolve(&self, index: &mut Index, fid: FragmentId) {
+        index.inflight.remove(&fid);
+        index.committing.remove(&fid);
+        if index.waiting > 0 {
+            self.resolved.notify_all();
+        }
+    }
+
+    /// Releases a store claim after a failure in the data phase.
     fn abort_claim(&self, fid: FragmentId) {
-        self.index.lock().inflight.remove(&fid);
+        self.resolve(&mut self.index.lock(), fid);
     }
 
     /// The data phase of a store: tmp write, tmp fsync, rename. Runs
@@ -783,24 +942,10 @@ impl FileStore {
 impl FragmentStore for FileStore {
     fn store(&self, fid: FragmentId, data: Bytes, marked: bool) -> Result<()> {
         // Claim the FID under the index lock; everything after runs
-        // without it until commit.
-        {
-            let mut index = self.index.lock();
-            if index.fragments.contains_key(&fid)
-                || index.inflight.contains(&fid)
-                || index.deleting.contains(&fid)
-            {
-                return Err(SwarmError::FragmentExists(fid));
-            }
-            let had_slot = index.prealloc.contains(&fid);
-            if !had_slot && self.capacity != 0 && index.slots_used() >= self.capacity {
-                return Err(SwarmError::OutOfSpace(format!(
-                    "all {} slots in use",
-                    self.capacity
-                )));
-            }
-            index.inflight.insert(fid);
-        }
+        // without it until commit. `writing` holds this store's place in
+        // the journal's count until `append` takes it — or until any of
+        // the early returns below drops it.
+        let writing = self.claim(fid)?;
 
         // (1)+(2): bytes to a per-attempt tmp file, fsync, atomic rename.
         let tmp_path = self.dir.join(TMP).join(format!(
@@ -829,22 +974,30 @@ impl FragmentStore for FileStore {
 
         // Commit to the index *before* the journal append so a concurrent
         // compaction snapshot can only duplicate the record (replay
-        // de-dups), never lose it.
+        // de-dups), never lose it. The FID stays unresolved (`committing`)
+        // until the append has returned.
         {
             let mut index = self.index.lock();
             index.inflight.remove(&fid);
+            index.committing.insert(fid);
             index.prealloc.remove(&fid);
             index.insert_fragment(fid, data.len() as u32, marked);
         }
-        if let Err(e) = self.journal.append(&payload) {
-            // Never became durable: undo the index entry and the slot
-            // file (an in-process failure can clean up; a real crash here
-            // leaves an orphan for the open-time sweep).
-            self.index.lock().remove_fragment(fid);
+        let res = self.journal.append(&payload, Some(writing));
+        if res.is_err() {
+            // Never became durable: undo the slot file and the index entry
+            // (an in-process failure can clean up; a real crash here
+            // leaves an orphan for the open-time sweep). The file goes
+            // first: once the FID is resolved a waiting store of it may
+            // rename its own bytes into the same slot.
             let _ = fs::remove_file(&slot_path);
-            return Err(e);
         }
-        Ok(())
+        let mut index = self.index.lock();
+        if res.is_err() {
+            index.remove_fragment(fid);
+        }
+        self.resolve(&mut index, fid);
+        res
     }
 
     fn read(&self, fid: FragmentId, offset: u32, len: u32) -> Result<Bytes> {
@@ -893,7 +1046,7 @@ impl FragmentStore for FileStore {
             index.deleting.insert(fid);
             (len, marked)
         };
-        match self.journal.append(&delete_payload(fid)) {
+        match self.journal.append(&delete_payload(fid), None) {
             Ok(()) => {
                 let _ = fs::remove_file(Self::slot_path(&self.dir, fid));
                 self.index.lock().deleting.remove(&fid);
@@ -1250,9 +1403,103 @@ mod tests {
             s.journal_fsyncs()
         );
         assert_eq!(s.journal_batches(), s.journal_fsyncs());
+        // Company still writing its data is waited for: the threads leave
+        // the barrier together, so no batch should be a lone store's.
+        assert!(
+            s.journal_batches() <= stores / 2,
+            "{} batches for {stores} stores",
+            s.journal_batches()
+        );
         drop(s);
         let s = FileStore::open_with(&d.0, 0, false).unwrap();
         assert_eq!(s.fragment_count(), stores);
+    }
+
+    /// Spins until `cond` holds: the tests below wait for another thread
+    /// to reach a state, never for an amount of time to pass.
+    fn wait_until(what: &str, cond: impl Fn() -> bool) {
+        let start = Instant::now();
+        while !cond() {
+            assert!(start.elapsed() < Duration::from_secs(10), "never: {what}");
+            std::thread::yield_now();
+        }
+    }
+
+    /// A leader whose company never arrives closes its batch at the
+    /// deadline, once — and the deadline is the one it started with:
+    /// wake-ups and arrivals of other stores while it waits do not push
+    /// it out (the `MuxChannel::call` re-arm bug must not be re-made).
+    #[test]
+    fn gathering_leader_closes_at_its_first_deadline() {
+        let window = Duration::from_millis(300);
+        let d = TempDir::new("deadline");
+        let s = FileStore::open_with_durability(&d.0, 0, Durability::Group(window)).unwrap();
+        let expired = || swarm_metrics::snapshot().counter("server.journal_window_expired");
+        let expired_before = expired();
+        // A store that claimed and never gets to its append.
+        let never = s.journal.expect_store();
+
+        let waited = std::thread::scope(|scope| {
+            let leader = scope.spawn(|| {
+                let start = Instant::now();
+                s.store(fid(1, 0), b"leader".into(), false).unwrap();
+                start.elapsed()
+            });
+            wait_until("the leader gathers", || {
+                s.journal.state.lock().unwrap().gathering
+            });
+            // Two thirds of the window of company: stores of other FIDs
+            // arriving, and bare wake-ups of the leader between them.
+            for i in 1..=5 {
+                let s = &s;
+                scope.spawn(move || s.store(fid(1, i), b"follower".into(), false).unwrap());
+                for _ in 0..2 {
+                    s.journal.arrived.notify_one();
+                    std::thread::sleep(Duration::from_millis(20));
+                }
+            }
+            leader.join().unwrap()
+        });
+        drop(never);
+
+        assert!(waited >= window, "closed early: {waited:?}");
+        assert!(waited < 2 * window, "deadline re-armed: {waited:?}");
+        assert_eq!(s.journal_batches(), 1, "one batch took all six");
+        assert!(expired() > expired_before);
+        assert_eq!(s.fragment_count(), 6);
+    }
+
+    /// `FragmentExists` means durably there, so a store of a FID whose
+    /// first attempt is still unresolved waits for the outcome. Here the
+    /// first attempt aborts: the waiting store takes the claim itself and
+    /// its own bytes are what the FID holds.
+    #[test]
+    fn duplicate_of_an_unresolved_fid_waits_for_the_outcome() {
+        let d = TempDir::new("unresolved");
+        let s = FileStore::open_with(&d.0, 0, false).unwrap();
+        // Pin the claim as a first attempt in its data phase would.
+        s.index.lock().inflight.insert(fid(1, 0));
+        std::thread::scope(|scope| {
+            let second = scope.spawn(|| s.store(fid(1, 0), b"second".into(), false));
+            wait_until("the second store waits", || s.index.lock().waiting == 1);
+            s.abort_claim(fid(1, 0));
+            second.join().unwrap().unwrap();
+        });
+        assert_eq!(s.read(fid(1, 0), 0, 6).unwrap(), b"second");
+
+        // And when the first attempt commits, the waiter is refused.
+        s.index.lock().inflight.insert(fid(1, 1));
+        std::thread::scope(|scope| {
+            let second = scope.spawn(|| s.store(fid(1, 1), b"second".into(), false));
+            wait_until("the second store waits", || s.index.lock().waiting == 1);
+            {
+                let mut index = s.index.lock();
+                index.insert_fragment(fid(1, 1), 5, false);
+                s.resolve(&mut index, fid(1, 1));
+            }
+            let err = second.join().unwrap().unwrap_err();
+            assert!(matches!(err, SwarmError::FragmentExists(_)), "{err}");
+        });
     }
 
     /// `Durability::None` promises no fsync, and journal compaction (which

@@ -331,14 +331,15 @@ impl<S: FragmentStore> StorageServer<S> {
                 m.store_bytes.add(data.len() as u64);
                 let _span = m.store_us.span("server.store");
                 // Validate ranges (and record them) before committing the
-                // bytes so a bad request stores nothing.
-                self.acls.attach_ranges(fid, ranges)?;
+                // bytes so a bad request stores nothing; whether they stay
+                // is for the store to say — a refused duplicate leaves the
+                // fragment's ranges as they were.
+                let ranges = self.acls.attach_ranges(fid, ranges)?;
                 // `share()` is an O(1) refcount bump; the store and the
                 // cache alias the same buffer (on TCP, the network frame).
-                if let Err(e) = self.store.store(fid, data.share(), marked) {
-                    self.acls.detach_ranges(fid);
-                    return Err(e);
-                }
+                let stored = self.store.store(fid, data.share(), marked);
+                self.acls.settle_ranges(fid, ranges, stored.is_ok());
+                stored?;
                 if let Some(cache) = &self.cache {
                     cache.insert(fid, data);
                 }

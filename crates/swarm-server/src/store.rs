@@ -24,7 +24,11 @@ pub struct FragmentMeta {
 /// Invariants every implementation upholds:
 ///
 /// 1. **Immutability** — a stored fragment's bytes never change; `store`
-///    on an existing FID fails with `FragmentExists`.
+///    on an existing FID fails with `FragmentExists`. That answer means
+///    *durably there*: writers take it as the ack of a retried store, so
+///    while an earlier `store` of the FID is still unresolved (writing its
+///    data, or waiting for its commit) a second one waits for the outcome —
+///    `FragmentExists` if the first committed, else it stores its own bytes.
 /// 2. **Atomicity** — `store` either persists the whole fragment or
 ///    nothing, even across a crash (§2.3.1). `MemStore` gets this for
 ///    free; `FileStore` orders renames and journal appends to guarantee it.
@@ -40,7 +44,8 @@ pub trait FragmentStore: Send + Sync {
     ///
     /// # Errors
     ///
-    /// * `FragmentExists` if `fid` is already stored.
+    /// * `FragmentExists` if `fid` is already stored — as durably as an
+    ///   `Ok` from this store would make it, never merely in progress.
     /// * `OutOfSpace` if every slot is full.
     /// * `Io` on disk failure.
     fn store(&self, fid: FragmentId, data: Bytes, marked: bool) -> Result<()>;

@@ -259,3 +259,93 @@ fn world_acl_and_unprotected_stores_stay_open() {
         },
     ));
 }
+
+/// A Store the server refuses as a duplicate must leave the fragment's
+/// protection exactly as its creator set it — whether the duplicate names
+/// no ranges or ranges of its own. (It used to record the duplicate's
+/// ranges over the original's and then, on `FragmentExists`, drop the
+/// entry: any client, and every writer retry after a lost ack, made a
+/// protected fragment world-readable.)
+#[test]
+fn refused_duplicate_store_leaves_the_acl_in_place() {
+    let cluster = LocalCluster::new(1).unwrap();
+    let (owner, stranger) = (1u32, 2u32);
+    let create_acl = |client: u32| match must(call(
+        &cluster,
+        0,
+        client,
+        Request::AclCreate {
+            members: vec![ClientId::new(client)],
+        },
+    )) {
+        Response::AclCreated(aid) => aid,
+        r => panic!("{r:?}"),
+    };
+    let owners = create_acl(owner);
+    let strangers = create_acl(stranger);
+    for (seq, duplicate_ranges) in [
+        (0u64, vec![]),
+        (
+            1,
+            vec![StoreRange {
+                offset: 0,
+                len: 6,
+                aid: strangers,
+            }],
+        ),
+    ] {
+        let fid = FragmentId::new(ClientId::new(owner), seq);
+        let secret = Request::Read {
+            fid,
+            offset: 0,
+            len: 6,
+        };
+        must(call(
+            &cluster,
+            0,
+            owner,
+            Request::Store {
+                fid,
+                marked: false,
+                ranges: vec![StoreRange {
+                    offset: 0,
+                    len: 6,
+                    aid: owners,
+                }],
+                data: b"secretPUBLIC".into(),
+            },
+        ));
+        let denied = call(&cluster, 0, stranger, secret.clone());
+        assert!(
+            matches!(denied, Err(SwarmError::AccessDenied { .. })),
+            "{denied:?}"
+        );
+
+        let refused = call(
+            &cluster,
+            0,
+            stranger,
+            Request::Store {
+                fid,
+                marked: false,
+                ranges: duplicate_ranges,
+                data: b"x".into(),
+            },
+        );
+        assert!(
+            matches!(refused, Err(SwarmError::FragmentExists(_))),
+            "{refused:?}"
+        );
+
+        let still_denied = call(&cluster, 0, stranger, secret.clone());
+        assert!(
+            matches!(still_denied, Err(SwarmError::AccessDenied { .. })),
+            "fragment {seq}: a refused duplicate opened it: {still_denied:?}"
+        );
+        assert_eq!(
+            must(call(&cluster, 0, owner, secret)),
+            Response::Data(b"secret".into()),
+            "fragment {seq}: the owner lost access"
+        );
+    }
+}

@@ -272,6 +272,48 @@ fn read_fan_out_and_cache_metrics_appear_in_snapshot() {
     assert!(parsed.counter("server.read_cache_hits") >= after.counter("server.read_cache_hits"));
 }
 
+/// The journal's instruments (DESIGN.md §13): one `server.journal_fsync`
+/// tick, one `server.journal_batch` sample and one
+/// `server.journal_gather_us` sample per synced batch, and the
+/// `server.journal_window_expired` counter registered beside them (a lone
+/// store and a lone delete have no company to wait for, so it stays put
+/// unless another test's batch runs out its window meanwhile).
+#[test]
+fn journal_metrics_appear_in_snapshot() {
+    use swarm_server::{Durability, FileStore, FragmentStore};
+
+    let dir = std::env::temp_dir().join(format!("swarm-journal-metrics-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let before = swarm_metrics::snapshot();
+    {
+        let store = FileStore::open_with_durability(
+            &dir,
+            0,
+            Durability::Group(std::time::Duration::from_millis(5)),
+        )
+        .unwrap();
+        let fid = swarm_types::FragmentId::new(ClientId::new(7), 0);
+        store.store(fid, vec![1u8; 512].into(), false).unwrap();
+        store.delete(fid).unwrap();
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let after = swarm_metrics::snapshot();
+    assert!(after.counter("server.journal_fsync") >= before.counter("server.journal_fsync") + 2);
+    let count =
+        |snap: &swarm_metrics::Snapshot, name: &str| snap.histogram(name).map_or(0, |h| h.count);
+    for name in ["server.journal_batch", "server.journal_gather_us"] {
+        assert!(
+            count(&after, name) >= count(&before, name) + 2,
+            "{name} gained no sample per batch"
+        );
+    }
+    assert!(
+        after.counters.contains_key("server.journal_window_expired"),
+        "journal_window_expired counter not registered"
+    );
+}
+
 #[test]
 fn metrics_rpc_serves_a_parseable_snapshot() {
     let transport = cluster(2);

@@ -1,6 +1,6 @@
 #!/bin/sh
-# tools/bench-ab.sh PARENT_REF [PAIRS]: the one way this repo backs a
-# performance claim, or a statement that nothing regressed.
+# tools/bench-ab.sh PARENT_REF [PAIRS] [WORKLOAD...]: the one way this repo
+# backs a performance claim, or a statement that nothing regressed.
 #
 # Checks PARENT_REF out into a git worktree under target/, builds benchmark/
 # on both sides, and runs every BENCHMARK.json workload PAIRS times (default
@@ -12,17 +12,33 @@
 # worth committing: parent.jsonl, change.jsonl and compare.txt stay in
 # target/bench-ab/.
 #
-#   tools/bench-ab.sh HEAD~1     # this commit against its parent, ~35 min
-#   tools/bench-ab.sh HEAD       # on a clean tree, A/A: what this box cannot resolve
-#   tools/bench-ab.sh HEAD 1     # dry run of the script itself, ~4 min
+# Workload names after PAIRS restrict the loop to those workloads: that is
+# for iterating on a change (ten pairs of one workload are ~9 min). Only the
+# full table, no names given, backs a claim or a no-regression statement.
+#
+#   tools/bench-ab.sh HEAD~1          # this commit against its parent, ~35 min
+#   tools/bench-ab.sh HEAD            # on a clean tree, A/A: what this box cannot resolve
+#   tools/bench-ab.sh HEAD 1          # dry run of the script itself, ~4 min
+#   tools/bench-ab.sh HEAD~1 10 oltp  # while iterating: one workload, ~9 min, backs nothing
 set -eu
 
 die() { echo "bench-ab: $*" >&2; exit 2; }
-case $# in 1 | 2) ;; *) die "usage: tools/bench-ab.sh PARENT_REF [PAIRS]" ;; esac
+[ $# -ge 1 ] || die "usage: tools/bench-ab.sh PARENT_REF [PAIRS] [WORKLOAD...]" \
+    "(only a run with no workload named backs a claim)"
 cd "$(git rev-parse --show-toplevel)"
+sha=$(git rev-parse --verify --quiet "$1^{commit}") || die "cannot resolve '$1' to a commit"
 pairs=${2:-10}
 [ "$pairs" -ge 1 ] 2>/dev/null || die "PAIRS must be a positive number, got '$pairs'"
-sha=$(git rev-parse --verify --quiet "$1^{commit}") || die "cannot resolve '$1' to a commit"
+shift "$(($# < 2 ? $# : 2))" # what is left names workloads
+workloads=$(awk '/"workloads"/ {w = 1} /"end_to_end"/ {w = 0}
+                 w && /"name"/ {gsub(/[",]/, ""); print $2}' BENCHMARK.json)
+for w in "$@"; do
+    case " $(echo $workloads) " in *" $w "*) ;; *) die "no workload '$w' in BENCHMARK.json" ;; esac
+done
+if [ $# -gt 0 ]; then
+    workloads=$*
+    echo "== only: $workloads (a partial table backs no claim)"
+fi
 # Both sides must be measured by the same harness. Cargo.lock is exempt:
 # cargo itself rewrites it when a crate under ../crates gains a dependency.
 dirty=$(git status --porcelain -- BENCHMARK.json benchmark ':!benchmark/Cargo.lock')
@@ -45,8 +61,6 @@ cargo build --release --offline --quiet --manifest-path "$tree/benchmark/Cargo.t
 cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
 parent=$tree/benchmark/target/release/swarm-benchmark
 change=benchmark/target/release/swarm-benchmark
-workloads=$(awk '/"workloads"/ {w = 1} /"end_to_end"/ {w = 0}
-                 w && /"name"/ {gsub(/[",]/, ""); print $2}' BENCHMARK.json)
 
 run() { # side binary workload seed
     echo "== pair $i/$pairs: $1 $3 seed $4"
