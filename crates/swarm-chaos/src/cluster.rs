@@ -3,11 +3,17 @@
 //! The same schedule must replay on the in-process transport and over
 //! real sockets, so this module hides the difference behind one type:
 //! a [`Cluster`] owns N storage servers (each a
-//! [`swarm_server::StorageServer`] over a [`swarm_server::MemStore`],
-//! standing in for the server's disk — it survives kill/restart cycles
-//! the way a disk survives a process crash) and a shared
-//! [`FaultTransport`] whose per-server [`FaultPlan`]s are consulted on
-//! both sides of the wire.
+//! [`swarm_server::StorageServer`] over a [`swarm_server::MemStore`] or a
+//! [`swarm_server::FileStore`], standing in for the server's disk — it
+//! survives kill/restart cycles the way a disk survives a process crash),
+//! each with its own [`FaultPlan`], and hands clients the *bare*
+//! transport: [`MemTransport`] or [`TcpTransport`], the client path
+//! production runs. Faults are injected where failures happen, at the
+//! server end: on mem the plan is the member's own
+//! ([`MemTransport::faults`]), on TCP it is the server's
+//! ([`ServerConfig::faults`]). So a TCP run keeps the full window of
+//! RPCs in flight per server, and a reset or a kill takes every call on
+//! the socket with it.
 //!
 //! Kill/restart semantics differ by transport in mechanism but not in
 //! effect: on mem, down is a plan flag; on TCP, kill additionally tears
@@ -24,7 +30,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use swarm_net::tcp::{ServerConfig, TcpServer, TcpTransport};
-use swarm_net::{FaultHandler, FaultPlan, FaultTransport, MemTransport, RequestHandler, Transport};
+use swarm_net::{FaultPlan, MemTransport, Transport};
 use swarm_server::{Durability, FileStore, FragmentStore, MemStore, StorageServer};
 use swarm_types::{Result, ServerId};
 
@@ -133,15 +139,13 @@ struct Slot {
 }
 
 impl Slot {
-    /// (Re)spawns this member's listener on a fresh ephemeral port. The
-    /// plan rides along server-side so truncations tear a real frame.
+    /// (Re)spawns this member's listener on a fresh ephemeral port, with
+    /// its fault plan: the server is where every fault is injected.
     fn spawn_tcp(&self) -> Result<TcpServer> {
-        let handler: Arc<dyn RequestHandler> =
-            Arc::new(FaultHandler::new(self.storage.clone(), self.plan.clone()));
         TcpServer::spawn_with_config(
             self.id,
             "127.0.0.1:0",
-            handler,
+            self.storage.clone(),
             ServerConfig {
                 faults: Some(self.plan.clone()),
                 ..ServerConfig::default()
@@ -150,12 +154,12 @@ impl Slot {
     }
 }
 
-/// A running chaos cluster: N fault-wrapped storage servers behind one
-/// [`FaultTransport`].
+/// A running chaos cluster: N storage servers, each reading its own
+/// [`FaultPlan`], behind one bare transport.
 pub struct Cluster {
     kind: TransportKind,
     store_kind: StoreKind,
-    faults: Arc<FaultTransport>,
+    transport: Arc<dyn Transport>,
     tcp: Option<Arc<TcpTransport>>,
     slots: Vec<Slot>,
     /// Present for file-backed clusters; removes the store root on drop.
@@ -187,70 +191,52 @@ impl Cluster {
                 _ => Ok(Box::new(MemStore::new())),
             }
         };
-        match kind {
-            TransportKind::Mem => {
-                let mem = Arc::new(MemTransport::new());
-                let faults = Arc::new(FaultTransport::new(mem.clone()));
-                let mut slots = Vec::new();
-                for i in 0..servers {
-                    let id = ServerId::new(i);
-                    let storage = StorageServer::new(id, make_store(i)?).into_shared();
-                    let plan = faults.plan(id);
-                    mem.register(
-                        id,
-                        Arc::new(FaultHandler::new(storage.clone(), plan.clone())),
-                    );
-                    slots.push(Slot {
-                        id,
-                        storage,
-                        plan,
-                        tcp_server: None,
-                    });
+        let mem = Arc::new(MemTransport::new());
+        let tcp = (kind == TransportKind::Tcp).then(|| {
+            let tcp = Arc::new(TcpTransport::new());
+            // Chaos schedules sever connections on purpose; a short
+            // timeout keeps a lost ack from stalling the run.
+            tcp.set_call_timeout(Some(Duration::from_secs(2)));
+            tcp
+        });
+        let mut slots = Vec::new();
+        for i in 0..servers {
+            let id = ServerId::new(i);
+            let storage = StorageServer::new(id, make_store(i)?).into_shared();
+            let plan = match &tcp {
+                // The server reads the plan it is spawned with.
+                Some(_) => Arc::new(FaultPlan::new()),
+                // The transport reads each member's own plan on every call.
+                None => {
+                    mem.register(id, storage.clone());
+                    mem.faults(id).expect("just registered")
                 }
-                Ok(Cluster {
-                    kind,
-                    store_kind,
-                    faults,
-                    tcp: None,
-                    slots,
-                    _store_dir: store_dir,
-                })
+            };
+            let mut slot = Slot {
+                id,
+                storage,
+                plan,
+                tcp_server: None,
+            };
+            if let Some(tcp) = &tcp {
+                let srv = slot.spawn_tcp()?;
+                tcp.add_server(id, srv.addr());
+                slot.tcp_server = Some(srv);
             }
-            TransportKind::Tcp => {
-                let tcp = Arc::new(TcpTransport::new());
-                // Chaos schedules sever connections on purpose; a short
-                // timeout keeps a lost ack from stalling the run.
-                tcp.set_call_timeout(Some(Duration::from_secs(2)));
-                let faults = Arc::new(FaultTransport::new(tcp.clone()));
-                // Truncations cross the wire for real (see
-                // ServerConfig::faults) instead of being simulated
-                // client-side.
-                faults.set_client_truncation(false);
-                let mut slots = Vec::new();
-                for i in 0..servers {
-                    let id = ServerId::new(i);
-                    let storage = StorageServer::new(id, make_store(i)?).into_shared();
-                    let mut slot = Slot {
-                        id,
-                        storage,
-                        plan: faults.plan(id),
-                        tcp_server: None,
-                    };
-                    let srv = slot.spawn_tcp()?;
-                    tcp.add_server(id, srv.addr());
-                    slot.tcp_server = Some(srv);
-                    slots.push(slot);
-                }
-                Ok(Cluster {
-                    kind,
-                    store_kind,
-                    faults,
-                    tcp: Some(tcp),
-                    slots,
-                    _store_dir: store_dir,
-                })
-            }
+            slots.push(slot);
         }
+        let transport: Arc<dyn Transport> = match &tcp {
+            Some(tcp) => tcp.clone(),
+            None => mem,
+        };
+        Ok(Cluster {
+            kind,
+            store_kind,
+            transport,
+            tcp,
+            slots,
+            _store_dir: store_dir,
+        })
     }
 
     /// Which transport this cluster runs on.
@@ -268,9 +254,10 @@ impl Cluster {
         self.slots.len() as u32
     }
 
-    /// The fault-wrapped transport the client log should use.
+    /// The transport the client log should use: the bare production
+    /// transport, with no fault wrapper in front of it.
     pub fn transport(&self) -> Arc<dyn Transport> {
-        self.faults.clone()
+        self.transport.clone()
     }
 
     /// The fault plan for server `index`.
@@ -278,9 +265,9 @@ impl Cluster {
         self.slots[index as usize].plan.clone()
     }
 
-    /// Takes server `index` down. The plan flag makes new connects fail
-    /// fast on both transports; on TCP the listener is also shut down,
-    /// severing established connections like a process exit.
+    /// Takes server `index` down. The plan flag makes the server refuse
+    /// connects and calls on both transports; on TCP the listener is also
+    /// shut down, severing established connections like a process exit.
     pub fn kill(&mut self, index: u32) {
         let slot = &mut self.slots[index as usize];
         slot.plan.set_down(true);

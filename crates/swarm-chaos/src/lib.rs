@@ -13,8 +13,10 @@
 //!    schedule (and the same [`schedule::Schedule::hash`]).
 //! 2. [`cluster::Cluster`] stands up the same cluster over either
 //!    transport: in-process [`swarm_net::MemTransport`] or real sockets
-//!    via [`swarm_net::tcp::TcpTransport`], both wrapped in the shared
-//!    [`swarm_net::FaultTransport`] so one schedule drives both.
+//!    via [`swarm_net::tcp::TcpTransport`]. Each server reads its own
+//!    [`swarm_net::FaultPlan`], so one schedule drives both while the
+//!    client runs its production path (on TCP, a window of RPCs in flight
+//!    per server).
 //! 3. [`runner::Runner`] executes the schedule against a live
 //!    log + cleaner + service stack while maintaining a model of every
 //!    *acknowledged* write, and checks the crash-consistency invariants at
@@ -32,9 +34,17 @@
 //! other ([`install_panic_hook`]): the run fails and its report carries
 //! the message and a backtrace.
 //!
-//! A failing seed prints a one-line replay command; because neither the
-//! schedule nor the verdict depends on wall-clock time or unseeded
-//! randomness, rerunning that command reproduces the failure.
+//! A failing seed prints a one-line replay command. What replays exactly
+//! is the schedule (and its hash) and the verdict: neither depends on
+//! wall-clock time or unseeded randomness. What may not is the *amount*
+//! of work a run did: the `acked` and `reads` counts. Each client's
+//! writer threads race the schedule's one-shot injections (a reset or a
+//! truncation hits whichever request reaches the server first), so
+//! identical reruns can ack a different number of blocks and verify a
+//! different number of reads — `--seed 5 --transport mem --store mem
+//! --geometry 4+2` has shown both `acked=10 reads=48` and `acked=15
+//! reads=77`, passing every time. Making time an input so those replay
+//! too is open work.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

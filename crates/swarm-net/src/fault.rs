@@ -1,4 +1,5 @@
-//! Deterministic fault injection for both transports.
+//! Deterministic fault injection, applied at the server end of each
+//! transport.
 //!
 //! Swarm's headline claim is tolerance of server failures, so the test
 //! suite needs to *cause* them precisely: a server that is down, a server
@@ -7,50 +8,46 @@
 //! deterministically (no wall-clock or RNG in the plan itself) so failing
 //! tests replay exactly.
 //!
-//! Three consumers read a plan:
+//! A plan is read where the failure it models happens — at the server —
+//! and nowhere else, so a client under test runs its production path:
 //!
-//! * [`crate::MemTransport`] consults its own per-member plans on every
-//!   connect and call (the original, mem-only fault path).
-//! * [`FaultTransport`] decorates *any* [`Transport`] — including
-//!   [`crate::tcp::TcpTransport`] — and applies the same plan semantics
-//!   client-side, so one fault schedule replays identically on mem and
-//!   TCP.
-//! * [`FaultHandler`] wraps a [`RequestHandler`] server-side (disk-full
-//!   on store), and a TCP server given the plan in
-//!   [`crate::tcp::ServerConfig::faults`] consumes truncation server-side
-//!   so a genuinely torn frame crosses a real socket.
+//! * [`crate::MemTransport`] consults each member's plan on every connect
+//!   and on every call, around the handler.
+//! * A [`crate::tcp::TcpServer`] given the plan in
+//!   [`crate::tcp::ServerConfig::faults`] consults it on its reactor before
+//!   a request is dispatched (down, fail-after, reset: the socket closes,
+//!   and every call in flight on it dies with it), on the worker just
+//!   before the handler (delay, stall, disk-full), and when the reply is
+//!   framed (truncation: a genuinely torn frame crosses the socket).
 //!
 //! ## Fault semantics
 //!
+//! Checked in this order for each request:
+//!
 //! | fault            | request delivered? | observable error            |
 //! |------------------|--------------------|-----------------------------|
-//! | down             | no                 | `ServerUnavailable`         |
+//! | down, fail-after | no                 | `ServerUnavailable`         |
 //! | connection reset | no                 | `ServerUnavailable`, severed|
 //! | delay            | yes                | none (slow reply)           |
-//! | truncated frame  | **yes**            | `ServerUnavailable`, severed|
 //! | disk-full        | yes                | `OutOfSpace` response       |
+//! | store stall      | yes                | none (slow store)           |
+//! | truncated frame  | **yes**            | `ServerUnavailable`, severed|
 //!
 //! The truncation row is the interesting one: the server processed the
 //! request but the ack was lost, so a retried store hits
 //! `FragmentExists` — exactly the duplicate-ack-loss case the writer's
 //! retry path must treat as success.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::RwLock;
-use swarm_types::{ClientId, Result, ServerId, SwarmError};
+use swarm_types::SwarmError;
 
-use crate::handler::RequestHandler;
-use crate::proto::{PreparedRequest, Request, Response};
-use crate::transport::{Connection, Transport};
+use crate::proto::{Request, Response};
 
-/// Per-server fault state consulted by [`crate::MemTransport`],
-/// [`FaultTransport`], [`FaultHandler`], and the TCP server's truncation
-/// hook on every connect and call.
-#[derive(Debug, Default)]
+/// Per-server fault state, consulted by [`crate::MemTransport`] and by a
+/// [`crate::tcp::TcpServer`] configured with it.
+#[derive(Debug)]
 pub struct FaultPlan {
     /// Server refuses connections and calls entirely.
     down: AtomicBool,
@@ -71,6 +68,14 @@ pub struct FaultPlan {
     stall_next_ms: AtomicU64,
     /// While set, stores and preallocations fail with `OutOfSpace`.
     disk_full: AtomicBool,
+}
+
+/// A plan with no faults (not all-zero fields: `fail_after` = 0 would fail
+/// the first call).
+impl Default for FaultPlan {
+    fn default() -> Self {
+        FaultPlan::new()
+    }
 }
 
 fn take_one(counter: &AtomicU64) -> bool {
@@ -126,18 +131,13 @@ impl FaultPlan {
     }
 
     /// Consumes one pending reset, if any.
-    pub fn take_reset(&self) -> bool {
+    pub(crate) fn take_reset(&self) -> bool {
         take_one(&self.reset_next)
     }
 
-    /// Delays the next call by `micros` microseconds (one-shot).
+    /// Delays the next delivered call by `micros` microseconds (one-shot).
     pub fn inject_delay_us(&self, micros: u64) {
         self.delay_next_us.store(micros, Ordering::SeqCst);
-    }
-
-    /// Consumes the pending delay, returning it (0 = none).
-    pub fn take_delay_us(&self) -> u64 {
-        self.delay_next_us.swap(0, Ordering::SeqCst)
     }
 
     /// Schedules `n` response truncations: the request *is* processed,
@@ -148,26 +148,20 @@ impl FaultPlan {
     }
 
     /// Consumes one pending truncation, if any.
-    pub fn take_truncate(&self) -> bool {
+    pub(crate) fn take_truncate(&self) -> bool {
         take_one(&self.truncate_next)
     }
 
     /// Stalls the next store for `millis` milliseconds server-side
-    /// (one-shot): [`FaultHandler`] sleeps *before* delegating, modelling
-    /// a journal committer held mid-commit. With group commit, stores
-    /// queued behind the stalled one must still commit exactly once —
-    /// late, not lost.
+    /// (one-shot), *before* it reaches the handler, modelling a journal
+    /// committer held mid-commit. With group commit, stores queued behind
+    /// the stalled one must still commit exactly once — late, not lost.
     pub fn inject_stall_ms(&self, millis: u64) {
         self.stall_next_ms.store(millis, Ordering::SeqCst);
     }
 
-    /// Consumes the pending server-side stall, returning it (0 = none).
-    pub fn take_stall_ms(&self) -> u64 {
-        self.stall_next_ms.swap(0, Ordering::SeqCst)
-    }
-
-    /// Simulates a full (or freed) disk: while set, [`FaultHandler`]
-    /// rejects stores and preallocations with [`SwarmError::OutOfSpace`].
+    /// Simulates a full (or freed) disk: while set, stores and
+    /// preallocations are refused with [`SwarmError::OutOfSpace`].
     pub fn set_disk_full(&self, full: bool) {
         self.disk_full.store(full, Ordering::SeqCst);
     }
@@ -188,16 +182,8 @@ impl FaultPlan {
         self.stall_next_ms.store(0, Ordering::SeqCst);
     }
 
-    /// Clears every fault: scheduled failures, transients, and disk-full.
-    pub fn clear(&self) {
-        self.set_down(false);
-        self.fail_after.store(u64::MAX, Ordering::SeqCst);
-        self.set_disk_full(false);
-        self.clear_transients();
-    }
-
     /// Records one attempted call; returns `true` if it should fail.
-    pub fn on_call(&self) -> bool {
+    pub(crate) fn on_call(&self) -> bool {
         if self.is_down() {
             return true;
         }
@@ -209,202 +195,57 @@ impl FaultPlan {
             false
         }
     }
-}
 
-/// A fault-injecting decorator over any [`Transport`].
-///
-/// Holds one [`FaultPlan`] per server (created on demand) and applies it
-/// client-side on every connect and call, so the same fault schedule
-/// drives [`crate::MemTransport`] and [`crate::tcp::TcpTransport`]
-/// identically. Server-side faults (disk-full, TCP frame truncation) share
-/// the same plan objects via [`FaultTransport::plan`].
-pub struct FaultTransport {
-    inner: Arc<dyn Transport>,
-    plans: RwLock<BTreeMap<ServerId, Arc<FaultPlan>>>,
-    /// When true (the default), pending truncations are consumed
-    /// client-side: the inner call completes (request processed) and the
-    /// response is discarded. A TCP cluster whose servers were given the
-    /// plan in [`crate::tcp::ServerConfig::faults`] disables this so the
-    /// truncation happens at the socket, byte-for-byte.
-    client_truncation: AtomicBool,
-}
-
-impl std::fmt::Debug for FaultTransport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FaultTransport")
-            .field("servers", &self.plans.read().keys().collect::<Vec<_>>())
-            .finish()
-    }
-}
-
-impl FaultTransport {
-    /// Wraps `inner` with an empty fault registry.
-    pub fn new(inner: Arc<dyn Transport>) -> FaultTransport {
-        FaultTransport {
-            inner,
-            plans: RwLock::new(BTreeMap::new()),
-            client_truncation: AtomicBool::new(true),
-        }
-    }
-
-    /// Chooses where truncation faults are consumed (see the field docs on
-    /// the type). Affects connections opened after the call.
-    pub fn set_client_truncation(&self, on: bool) {
-        self.client_truncation.store(on, Ordering::SeqCst);
-    }
-
-    /// The fault plan for `server`, created on first use. The same `Arc`
-    /// may be shared with a server-side [`FaultHandler`] or
-    /// [`crate::tcp::ServerConfig::faults`].
-    pub fn plan(&self, server: ServerId) -> Arc<FaultPlan> {
-        if let Some(plan) = self.plans.read().get(&server) {
-            return plan.clone();
-        }
-        self.plans
-            .write()
-            .entry(server)
-            .or_insert_with(|| Arc::new(FaultPlan::new()))
-            .clone()
-    }
-
-    /// Clears every registered plan completely.
-    pub fn clear_all(&self) {
-        for plan in self.plans.read().values() {
-            plan.clear();
-        }
-    }
-
-    /// The wrapped transport.
-    pub fn inner(&self) -> &Arc<dyn Transport> {
-        &self.inner
-    }
-}
-
-impl Transport for FaultTransport {
-    fn connect(&self, server: ServerId, client: ClientId) -> Result<Box<dyn Connection>> {
-        let plan = self.plan(server);
-        if plan.is_down() {
-            return Err(SwarmError::ServerUnavailable(server));
-        }
-        let inner = self.inner.connect(server, client)?;
-        Ok(Box::new(FaultConnection {
-            server,
-            plan,
-            inner: Some(inner),
-            client_truncation: self.client_truncation.load(Ordering::SeqCst),
-        }))
-    }
-
-    fn servers(&self) -> Vec<ServerId> {
-        self.inner.servers()
-    }
-}
-
-struct FaultConnection {
-    server: ServerId,
-    plan: Arc<FaultPlan>,
-    /// `None` after an injected sever — like a dead socket, every
-    /// subsequent call on this connection fails until the caller redials.
-    inner: Option<Box<dyn Connection>>,
-    client_truncation: bool,
-}
-
-impl FaultConnection {
-    fn exchange(
-        &mut self,
-        f: impl FnOnce(&mut Box<dyn Connection>) -> Result<Response>,
-    ) -> Result<Response> {
-        if self.plan.on_call() {
-            self.inner = None;
-            return Err(SwarmError::ServerUnavailable(self.server));
-        }
-        if self.plan.take_reset() {
-            // Severed before the request left: the server never sees it.
-            self.inner = None;
-            swarm_metrics::trace!("net.fault", "injected reset to server {}", self.server);
-            return Err(SwarmError::ServerUnavailable(self.server));
-        }
-        let delay = self.plan.take_delay_us();
+    /// The faults a delivered request meets on its way to the handler:
+    /// the one-shot delay, then, for a store, disk-full and the one-shot
+    /// stall. Returns the reply that stands in for the handler's, if any.
+    /// Both transports call this just before the handler (TCP on the
+    /// worker, never on the reactor).
+    pub(crate) fn before_handler(&self, request: &Request) -> Option<Response> {
+        let delay = self.delay_next_us.swap(0, Ordering::SeqCst);
         if delay > 0 {
             std::thread::sleep(Duration::from_micros(delay));
         }
-        let Some(inner) = self.inner.as_mut() else {
-            return Err(SwarmError::ServerUnavailable(self.server));
-        };
-        if self.client_truncation && self.plan.take_truncate() {
-            // The request is delivered and processed; the ack is lost and
-            // the connection severed — the duplicate-store case.
-            let _ = f(inner);
-            self.inner = None;
-            swarm_metrics::trace!(
-                "net.fault",
-                "injected truncation from server {}",
-                self.server
-            );
-            return Err(SwarmError::ServerUnavailable(self.server));
-        }
-        f(inner)
-    }
-}
-
-impl Connection for FaultConnection {
-    fn call(&mut self, request: &Request) -> Result<Response> {
-        self.exchange(|c| c.call(request))
-    }
-
-    fn call_prepared(&mut self, prepared: &PreparedRequest) -> Result<Response> {
-        self.exchange(|c| c.call_prepared(prepared))
-    }
-
-    fn server(&self) -> ServerId {
-        self.server
-    }
-}
-
-/// A server-side [`RequestHandler`] decorator driven by the same
-/// [`FaultPlan`]: while [`FaultPlan::set_disk_full`] is active, `Store`
-/// and `Preallocate` requests fail with [`SwarmError::OutOfSpace`] —
-/// exercising the client's non-retryable store-error path on both
-/// transports without filling a real disk.
-pub struct FaultHandler {
-    inner: Arc<dyn RequestHandler>,
-    plan: Arc<FaultPlan>,
-}
-
-impl FaultHandler {
-    /// Wraps `inner`, consulting `plan` on every request.
-    pub fn new(inner: Arc<dyn RequestHandler>, plan: Arc<FaultPlan>) -> FaultHandler {
-        FaultHandler { inner, plan }
-    }
-}
-
-impl RequestHandler for FaultHandler {
-    fn handle(&self, client: ClientId, request: Request) -> Response {
-        if self.plan.is_disk_full()
+        if self.is_disk_full()
             && matches!(request, Request::Store { .. } | Request::Preallocate { .. })
         {
-            return Response::from_error(&SwarmError::OutOfSpace("injected disk-full".to_string()));
+            return Some(Response::from_error(&SwarmError::OutOfSpace(
+                "injected disk-full".to_string(),
+            )));
         }
         if matches!(request, Request::Store { .. }) {
-            let stall = self.plan.take_stall_ms();
+            let stall = self.stall_next_ms.swap(0, Ordering::SeqCst);
             if stall > 0 {
                 swarm_metrics::trace!("net.fault", "injected store stall of {stall}ms");
                 std::thread::sleep(Duration::from_millis(stall));
             }
         }
-        self.inner.handle(client, request)
+        None
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Instant;
+    use swarm_types::{ClientId, FragmentId};
+
+    fn store() -> Request {
+        Request::Store {
+            fid: FragmentId::new(ClientId::new(1), 0),
+            marked: false,
+            ranges: vec![],
+            data: vec![1u8; 8].into(),
+        }
+    }
 
     #[test]
     fn healthy_plan_never_fails() {
-        let plan = FaultPlan::new();
-        for _ in 0..1000 {
-            assert!(!plan.on_call());
+        for plan in [FaultPlan::new(), FaultPlan::default()] {
+            for _ in 0..1000 {
+                assert!(!plan.on_call());
+                assert!(plan.before_handler(&store()).is_none());
+            }
         }
     }
 
@@ -431,15 +272,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_resets_everything() {
-        let plan = FaultPlan::new();
-        plan.fail_after(0);
-        assert!(plan.on_call());
-        plan.clear();
-        assert!(!plan.on_call());
-    }
-
-    #[test]
     fn one_shot_injections_are_counted() {
         let plan = FaultPlan::new();
         assert!(!plan.take_reset());
@@ -452,13 +284,40 @@ mod tests {
         assert!(plan.take_truncate());
         assert!(!plan.take_truncate());
 
-        plan.inject_delay_us(500);
-        assert_eq!(plan.take_delay_us(), 500);
-        assert_eq!(plan.take_delay_us(), 0);
+        // Sleeps of 100 ms, so a loaded box cannot blur slept and not.
+        let slept = |request: &Request| {
+            let t0 = Instant::now();
+            assert!(plan.before_handler(request).is_none());
+            t0.elapsed() >= Duration::from_millis(100)
+        };
+        plan.inject_delay_us(100_000);
+        assert!(slept(&Request::Ping), "delay not applied");
+        assert!(!slept(&Request::Ping), "delay is one-shot");
 
-        plan.inject_stall_ms(25);
-        assert_eq!(plan.take_stall_ms(), 25);
-        assert_eq!(plan.take_stall_ms(), 0);
+        // A stall waits for a store; a ping leaves it pending.
+        plan.inject_stall_ms(100);
+        assert!(!slept(&Request::Ping), "a ping was stalled");
+        assert!(slept(&store()), "store not stalled");
+        assert!(!slept(&store()), "stall is one-shot");
+    }
+
+    #[test]
+    fn disk_full_refuses_stores_and_preallocations_only() {
+        let plan = FaultPlan::new();
+        plan.set_disk_full(true);
+        let refused = plan.before_handler(&store()).expect("store refused");
+        assert!(matches!(
+            refused.into_result(),
+            Err(SwarmError::OutOfSpace(_))
+        ));
+        let prealloc = Request::Preallocate {
+            fid: FragmentId::new(ClientId::new(1), 1),
+            len: 64,
+        };
+        assert!(plan.before_handler(&prealloc).is_some());
+        assert!(plan.before_handler(&Request::Ping).is_none());
+        plan.set_disk_full(false);
+        assert!(plan.before_handler(&store()).is_none());
     }
 
     #[test]
@@ -466,16 +325,19 @@ mod tests {
         let plan = FaultPlan::new();
         plan.inject_reset(3);
         plan.inject_truncate(3);
-        plan.inject_delay_us(1000);
-        plan.inject_stall_ms(40);
+        plan.inject_delay_us(1_000_000);
+        plan.inject_stall_ms(1_000);
         plan.set_disk_full(true);
         plan.clear_transients();
         assert!(!plan.take_reset());
         assert!(!plan.take_truncate());
-        assert_eq!(plan.take_delay_us(), 0);
-        assert_eq!(plan.take_stall_ms(), 0);
         assert!(plan.is_disk_full(), "disk-full is not a transient");
-        plan.clear();
-        assert!(!plan.is_disk_full());
+        plan.set_disk_full(false);
+        let t0 = Instant::now();
+        assert!(plan.before_handler(&store()).is_none());
+        assert!(
+            t0.elapsed() < Duration::from_millis(500),
+            "a delay or stall survived"
+        );
     }
 }

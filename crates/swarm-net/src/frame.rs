@@ -36,43 +36,11 @@ pub const READ_AHEAD: usize = 256 << 10;
 /// # Errors
 ///
 /// Returns [`SwarmError::Io`] if the underlying writer fails, or
-/// [`SwarmError::InvalidArgument`] if the payload exceeds [`MAX_FRAME_LEN`].
-pub fn write_frame<W: Write>(w: W, payload: &[u8]) -> Result<()> {
-    write_frame_vectored(w, payload, &[])
-}
-
-/// Writes one frame whose payload is the concatenation `head ++ tail`,
-/// without assembling it contiguously.
-///
-/// This is the zero-copy store path: `head` is the few-dozen-byte message
-/// header encoded by the codec, `tail` is the (possibly megabyte-sized)
-/// fragment payload borrowed from its shared buffer. The frame on the
-/// wire is byte-identical to `write_frame(w, [head, tail].concat())`.
-///
-/// # Errors
-///
-/// Returns [`SwarmError::Io`] if the underlying writer fails, or
-/// [`SwarmError::InvalidArgument`] if the combined payload exceeds
-/// [`MAX_FRAME_LEN`].
-pub fn write_frame_vectored<W: Write>(mut w: W, head: &[u8], tail: &[u8]) -> Result<()> {
-    let len = head.len() + tail.len();
-    if len > MAX_FRAME_LEN {
-        return Err(SwarmError::invalid(format!(
-            "frame payload {len} exceeds {MAX_FRAME_LEN}"
-        )));
-    }
-    let mut crc = Crc32::new();
-    crc.update(head);
-    crc.update(tail);
-    let mut header = [0u8; 12];
-    header[0..4].copy_from_slice(&FRAME_MAGIC.to_le_bytes());
-    header[4..8].copy_from_slice(&(len as u32).to_le_bytes());
-    header[8..12].copy_from_slice(&crc.finish().to_le_bytes());
-    w.write_all(&header)?;
-    w.write_all(head)?;
-    if !tail.is_empty() {
-        w.write_all(tail)?;
-    }
+/// [`SwarmError::InvalidArgument`] if the payload exceeds [`MAX_FRAME_LEN`]
+/// (nothing is written then).
+pub fn write_frame<W: Write>(mut w: W, payload: &[u8]) -> Result<()> {
+    w.write_all(&frame_header_for(&[payload])?)?;
+    w.write_all(payload)?;
     w.flush()?;
     Ok(())
 }
@@ -80,10 +48,11 @@ pub fn write_frame_vectored<W: Write>(mut w: W, head: &[u8], tail: &[u8]) -> Res
 /// Builds the 12-byte frame header for a payload given as scattered
 /// `parts`, without concatenating them.
 ///
-/// The reactor paths queue frames as segment lists (header `Vec` + shared
-/// payload `Bytes`) and write them with plain non-blocking `write` calls;
-/// this helper produces the exact header `write_frame_vectored` would
-/// have emitted for the same bytes.
+/// This is how the TCP send path frames: the reactor queues a frame as a
+/// segment list (header `Vec` + shared payload `Bytes`, a store's fragment
+/// never copied into a contiguous message) and writes it with plain
+/// non-blocking `write` calls. `header ++ parts` on the wire is
+/// byte-identical to [`write_frame`] of the concatenated parts.
 ///
 /// # Errors
 ///
@@ -328,28 +297,6 @@ mod tests {
         assert_eq!(read_frame(&mut cur).unwrap(), b"two");
     }
 
-    #[test]
-    fn vectored_matches_contiguous_on_the_wire() {
-        let head = b"header bytes";
-        let tail = b"and a payload that follows";
-        let mut contiguous = Vec::new();
-        write_frame(&mut contiguous, &[&head[..], &tail[..]].concat()).unwrap();
-        let mut vectored = Vec::new();
-        write_frame_vectored(&mut vectored, head, tail).unwrap();
-        assert_eq!(contiguous, vectored);
-        let got = read_frame(Cursor::new(&vectored)).unwrap();
-        assert_eq!(got, [&head[..], &tail[..]].concat());
-    }
-
-    #[test]
-    fn vectored_with_empty_tail_is_plain_frame() {
-        let mut a = Vec::new();
-        write_frame(&mut a, b"solo").unwrap();
-        let mut b = Vec::new();
-        write_frame_vectored(&mut b, b"solo", b"").unwrap();
-        assert_eq!(a, b);
-    }
-
     /// A reader that yields its input in `chunk`-byte dribbles with a
     /// `WouldBlock` between each, like a slow non-blocking socket.
     struct Dribble {
@@ -373,14 +320,20 @@ mod tests {
         }
     }
 
+    /// A frame queued as scattered parts behind `frame_header_for` (the
+    /// TCP send path) is byte-identical to `write_frame` of the whole.
     #[test]
     fn frame_header_for_matches_write_frame() {
         let head = b"header";
         let tail = b"payload bytes";
-        let mut wire = Vec::new();
-        write_frame_vectored(&mut wire, head, tail).unwrap();
+        let mut contiguous = Vec::new();
+        write_frame(&mut contiguous, &[&head[..], &tail[..]].concat()).unwrap();
         let header = frame_header_for(&[head, tail]).unwrap();
-        assert_eq!(&wire[..12], &header);
+        assert_eq!(contiguous, [&header[..], head, tail].concat());
+        assert_eq!(
+            frame_header_for(&[b"solo"]).unwrap(),
+            frame_header_for(&[b"so", b"", b"lo"]).unwrap()
+        );
         assert!(frame_header_for(&[&[0u8; MAX_FRAME_LEN], b"x"]).is_err());
     }
 
@@ -441,10 +394,10 @@ mod tests {
     }
 
     #[test]
-    fn vectored_oversize_is_rejected() {
-        let tail = vec![0u8; MAX_FRAME_LEN];
+    fn oversize_frame_is_rejected_before_writing() {
+        let payload = vec![0u8; MAX_FRAME_LEN + 1];
         let mut sink = Vec::new();
-        let err = write_frame_vectored(&mut sink, b"x", &tail).unwrap_err();
+        let err = write_frame(&mut sink, &payload).unwrap_err();
         assert!(matches!(err, SwarmError::InvalidArgument(_)), "{err}");
         assert!(sink.is_empty(), "nothing written on reject");
     }

@@ -7,14 +7,16 @@
 //! as typed [`Request`]/[`Response`] enums over a checksummed binary frame
 //! format, and a [`Transport`] abstraction with two implementations:
 //!
-//! * [`MemTransport`] — in-process dispatch with fault injection (server
-//!   down, dropped calls). Used by tests, examples, and benchmarks: it is
-//!   the moral equivalent of the paper's switched Ethernet for functional
-//!   purposes.
+//! * [`MemTransport`] — in-process dispatch. Used by tests, examples, and
+//!   benchmarks: it is the moral equivalent of the paper's switched
+//!   Ethernet for functional purposes.
 //! * [`tcp::TcpTransport`] / [`tcp::TcpServer`] — real sockets, one
 //!   multiplexed session driven by a readiness reactor with handlers on
 //!   a bounded [`WorkerPool`], matching the prototype's user-level
 //!   server processes.
+//!
+//! Faults ([`FaultPlan`]) are injected at the server end of either
+//! transport, so the client under test is the production client.
 //!
 //! The paper locates stripe neighbours by *broadcast* (§2.3.3). Both
 //! transports expose the member set, and [`ConnectionPool::broadcast`]
@@ -38,7 +40,7 @@ pub mod transport;
 pub mod workpool;
 
 pub use admission::{Admission, AdmissionConfig, Submitted};
-pub use fault::{FaultHandler, FaultPlan, FaultTransport};
+pub use fault::FaultPlan;
 pub use frame::{read_frame, write_frame};
 pub use handler::RequestHandler;
 pub use mem::MemTransport;

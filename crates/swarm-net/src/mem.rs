@@ -6,6 +6,12 @@
 //! Requests still travel through the full encode → frame → decode path so
 //! the exact bytes that would cross a socket are exercised; only the socket
 //! itself is elided.
+//!
+//! Each member has a [`FaultPlan`] ([`MemTransport::faults`]), read on
+//! every connect and call in the order the module docs of
+//! [`crate::fault`] give: down and fail-after, reset, the request faults
+//! just before the handler, truncation after it. A reset or truncation
+//! severs the connection it hit.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -141,6 +147,7 @@ impl Transport for MemTransport {
                     handler,
                     faults: Arc::new(FaultPlan::new()),
                     verify_codec: self.verify_codec,
+                    severed: false,
                 }));
             }
         };
@@ -153,6 +160,7 @@ impl Transport for MemTransport {
             handler: member.handler.clone(),
             faults: member.faults.clone(),
             verify_codec: self.verify_codec,
+            severed: false,
         }))
     }
 
@@ -178,6 +186,28 @@ struct MemConnection {
     handler: Arc<dyn RequestHandler>,
     faults: Arc<FaultPlan>,
     verify_codec: bool,
+    /// Set by an injected reset or truncation: like a dead socket, every
+    /// later call on this connection fails until the caller redials.
+    severed: bool,
+}
+
+impl MemConnection {
+    /// An injected failure: counted, traced, and `ServerUnavailable`.
+    fn injected(&mut self, what: &str, sever: bool) -> Result<Response> {
+        mem_metrics().injected_faults.inc();
+        swarm_metrics::trace!("net.mem.fault", "injected {what} at server {}", self.server);
+        self.severed |= sever;
+        Err(SwarmError::ServerUnavailable(self.server))
+    }
+
+    /// The server's side of a delivered request: its request faults, then
+    /// the handler.
+    fn serve(&self, request: Request) -> Response {
+        match self.faults.before_handler(&request) {
+            Some(refused) => refused,
+            None => self.handler.handle(self.client, request),
+        }
+    }
 }
 
 impl Connection for MemConnection {
@@ -185,12 +215,12 @@ impl Connection for MemConnection {
         let m = mem_metrics();
         m.requests.inc();
         if self.faults.on_call() {
-            m.injected_faults.inc();
-            swarm_metrics::trace!(
-                "net.mem.fault",
-                "injected failure calling server {}",
-                self.server
-            );
+            return self.injected("failure", false);
+        }
+        if self.faults.take_reset() {
+            return self.injected("reset", true);
+        }
+        if self.severed {
             return Err(SwarmError::ServerUnavailable(self.server));
         }
         let span = m.call_us.span("net.mem.call");
@@ -200,14 +230,18 @@ impl Connection for MemConnection {
             let wire = Bytes::from(request.encode_to_vec());
             m.bytes_out.add(wire.len() as u64);
             let decoded = Request::decode_all_shared(&wire)?;
-            let response = self.handler.handle(self.client, decoded);
+            let response = self.serve(decoded);
             let wire = Bytes::from(response.encode_to_vec());
             m.bytes_in.add(wire.len() as u64);
             Response::decode_all_shared(&wire)?
         } else {
-            self.handler.handle(self.client, request.clone())
+            self.serve(request.clone())
         };
         drop(span);
+        if self.faults.take_truncate() {
+            // Processed, but the ack is lost with the connection.
+            return self.injected("truncation", true);
+        }
         Ok(response)
     }
 

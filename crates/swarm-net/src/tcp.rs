@@ -30,6 +30,7 @@ use parking_lot::Mutex;
 use swarm_metrics::{Counter, Histogram};
 use swarm_types::{ByteWriter, Bytes, ClientId, Decode, Encode, Result, ServerId, SwarmError};
 
+use crate::fault::FaultPlan;
 use crate::frame::{frame_header_for, FrameProgress, FrameReader};
 use crate::handler::RequestHandler;
 use crate::mux::{mux_dial, parse_mux_hello, MuxChannel, MuxSource, Seg, MUX_ID_PREFIX};
@@ -107,15 +108,17 @@ pub struct ServerConfig {
     /// request of its is in flight (`None` = never reap). Clients whose
     /// pooled idle connection is reaped redial transparently.
     pub read_deadline: Option<Duration>,
-    /// Server-side fault plan. When the plan has a pending truncation
-    /// ([`FaultPlan::inject_truncate`]), the server processes the request,
-    /// writes only a *prefix* of the response frame, and severs the
-    /// connection — a genuinely torn frame on a real socket. The client
-    /// observes [`SwarmError::ServerUnavailable`] with the ack lost, so a
-    /// retried store hits the duplicate-store path.
-    ///
-    /// [`FaultPlan::inject_truncate`]: crate::fault::FaultPlan::inject_truncate
-    pub faults: Option<Arc<crate::fault::FaultPlan>>,
+    /// Fault plan (`None` on every production server). While the plan is
+    /// down the server refuses the mux hello and closes any connection a
+    /// request arrives on; fail-after and a pending reset close the
+    /// connection before the request is dispatched, so every call in
+    /// flight on it dies too. Delay, store stall and disk-full are met on
+    /// the worker just before the handler. A pending truncation lets the
+    /// request run, writes only a *prefix* of the response frame and
+    /// severs the connection — a genuinely torn frame on a real socket,
+    /// with the ack lost, so a retried store hits the duplicate-store
+    /// path. A server with a plan never answers on the reactor fast path.
+    pub faults: Option<Arc<FaultPlan>>,
     /// Per-client fairness when the worker pool saturates. See
     /// [`crate::admission::Admission`].
     pub admission: crate::admission::AdmissionConfig,
@@ -246,7 +249,7 @@ struct ListenerSource {
     listener: TcpListener,
     id: ServerId,
     handler: Arc<dyn RequestHandler>,
-    faults: Option<Arc<crate::fault::FaultPlan>>,
+    faults: Option<Arc<FaultPlan>>,
     admission: Arc<crate::admission::Admission>,
     read_deadline: Option<Duration>,
     consecutive_errors: u32,
@@ -324,7 +327,7 @@ struct ConnSource {
     stream: TcpStream,
     id: ServerId,
     handler: Arc<dyn RequestHandler>,
-    faults: Option<Arc<crate::fault::FaultPlan>>,
+    faults: Option<Arc<FaultPlan>>,
     admission: Arc<crate::admission::Admission>,
     handle: Handle,
     reader: FrameReader,
@@ -345,7 +348,7 @@ impl ConnSource {
         stream: TcpStream,
         id: ServerId,
         handler: Arc<dyn RequestHandler>,
-        faults: Option<Arc<crate::fault::FaultPlan>>,
+        faults: Option<Arc<FaultPlan>>,
         admission: Arc<crate::admission::Admission>,
         handle: Handle,
         read_deadline: Option<Duration>,
@@ -417,10 +420,14 @@ impl ConnSource {
     /// Handles one inbound frame. Returns false to close the connection.
     fn on_frame(&mut self, frame: Vec<u8>) -> bool {
         let Some(client) = self.client else {
-            // Handshake: anything but the mux hello closes the connection.
+            // Handshake: anything but the mux hello closes the connection,
+            // and so does any hello while the fault plan has us down.
             let Ok(client) = parse_mux_hello(&frame) else {
                 return false;
             };
+            if self.faults.as_ref().is_some_and(|plan| plan.is_down()) {
+                return false;
+            }
             let mut w = ByteWriter::new();
             self.id.encode(&mut w);
             let Ok(fh) = frame_header_for(&[w.as_slice()]) else {
@@ -434,6 +441,18 @@ impl ConnSource {
             return true;
         };
 
+        if let Some(plan) = &self.faults {
+            // Down, fail-after and reset: the request is never delivered,
+            // and closing the socket kills every sibling in flight on it.
+            if plan.on_call() || plan.take_reset() {
+                swarm_metrics::trace!(
+                    "net.fault",
+                    "server {} closing a connection before dispatch",
+                    self.id.raw()
+                );
+                return false;
+            }
+        }
         let m = metrics();
         m.server_requests.inc();
         m.server_bytes_in.add(frame.len() as u64);
@@ -527,7 +546,7 @@ impl ConnSource {
 fn run_request(
     server: ServerId,
     handler: &dyn RequestHandler,
-    faults: Option<&crate::fault::FaultPlan>,
+    faults: Option<&FaultPlan>,
     client: ClientId,
     mux_id: u64,
     body: &Bytes,
@@ -535,7 +554,10 @@ fn run_request(
     let m = metrics();
     let span = m.server_request_us.span("net.server.request");
     let response = match Request::decode_all_shared(body) {
-        Ok(request) => handler.handle(client, request),
+        Ok(request) => match faults.and_then(|plan| plan.before_handler(&request)) {
+            Some(refused) => refused,
+            None => handler.handle(client, request),
+        },
         Err(e) => Response::from_error(&e),
     };
     drop(span);
@@ -547,7 +569,7 @@ fn run_request(
 /// frame is byte-identical regardless of which thread produced it.
 fn encode_completion(
     server: ServerId,
-    faults: Option<&crate::fault::FaultPlan>,
+    faults: Option<&FaultPlan>,
     mux_id: u64,
     response: Response,
 ) -> Completion {

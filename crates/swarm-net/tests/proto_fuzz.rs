@@ -2,9 +2,7 @@
 //! and valid messages must survive frame + codec round trips bit-exactly.
 
 use proptest::prelude::*;
-use swarm_net::frame::{
-    write_frame_vectored, FrameProgress, FrameReader, MAX_FRAME_LEN, READ_AHEAD,
-};
+use swarm_net::frame::{frame_header_for, FrameProgress, FrameReader, MAX_FRAME_LEN, READ_AHEAD};
 use swarm_net::{read_frame, write_frame, Request, Response, ServerStats, StoreRange};
 use swarm_types::{Aid, ByteWriter, ClientId, Decode, Encode, FragmentId, SwarmError};
 
@@ -92,14 +90,17 @@ fn arb_response() -> impl Strategy<Value = Response> {
 }
 
 /// Frames `msg` both ways — the contiguous path (`write_frame` over
-/// `encode_to_vec`) and the vectored path (`encode_split` header + payload
-/// through `write_frame_vectored`) — and asserts identical wire bytes.
+/// `encode_to_vec`) and the TCP send path (`encode_split` header + payload
+/// behind `frame_header_for`, never concatenated) — and asserts identical
+/// wire bytes.
 fn assert_vectored_framing_identical(header: &[u8], payload: &[u8], contiguous: &[u8]) {
-    let mut old_wire = Vec::new();
-    write_frame(&mut old_wire, contiguous).unwrap();
-    let mut new_wire = Vec::new();
-    write_frame_vectored(&mut new_wire, header, payload).unwrap();
-    assert_eq!(old_wire, new_wire);
+    let mut contiguous_wire = Vec::new();
+    write_frame(&mut contiguous_wire, contiguous).unwrap();
+    let frame_header = frame_header_for(&[header, payload]).unwrap();
+    assert_eq!(
+        contiguous_wire,
+        [&frame_header[..], header, payload].concat()
+    );
 }
 
 /// A non-blocking socket as the reactor sees one: `data` arrives in

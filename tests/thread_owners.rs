@@ -1,29 +1,35 @@
 //! No thread outlives its owner.
 //!
-//! The non-test source of `swarm-net` and `swarm-log` may start a thread
-//! only at the sites listed here, each of which keeps the `JoinHandle` in a
-//! value whose `Drop` joins it. Everything else that wants RPCs in flight
-//! at once holds pending calls (`ConnectionPool::fan_out`). A new
-//! `thread::spawn` fails this test until its owner is named below — which
-//! is the moment to ask who joins it.
+//! The non-test source of `swarm-net`, `swarm-log`, `swarm-cleaner` and
+//! `swarm-server` may start a thread only at the sites listed here, each of
+//! which keeps the `JoinHandle` in a value whose `Drop` joins it.
+//! Everything else that wants RPCs in flight at once holds pending calls
+//! (`ConnectionPool::fan_out`). A new `thread::spawn` fails this test
+//! until its owner is named below — which is the moment to ask who joins
+//! it.
 
 use std::fs;
 use std::path::PathBuf;
 
 /// (file, spawn sites, who joins them).
-const OWNERS: [(&str, usize, &str); 3] = [
+const OWNERS: [(&str, usize, &str); 4] = [
     ("swarm-net/src/reactor.rs", 1, "Reactor::drop"),
     ("swarm-net/src/workpool.rs", 1, "WorkerPool::drop"),
     ("swarm-log/src/writer.rs", 1, "WritePool::drop"),
+    ("swarm-cleaner/src/cleaner.rs", 1, "CleanerHandle::drop"),
 ];
+
+/// The crates under the rule. `swarm-server` starts no thread of its own:
+/// its server's threads are `swarm-net`'s reactor and worker pool.
+const CRATES: [&str; 4] = ["swarm-net", "swarm-log", "swarm-cleaner", "swarm-server"];
 
 const STARTS: [&str; 3] = ["thread::spawn", "thread::Builder", "thread::scope"];
 
 #[test]
-fn net_and_log_start_threads_only_where_an_owner_joins_them() {
+fn threads_start_only_where_an_owner_joins_them() {
     let crates = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("crates");
     let mut wrong = Vec::new();
-    for krate in ["swarm-net", "swarm-log"] {
+    for krate in CRATES {
         for entry in fs::read_dir(crates.join(krate).join("src")).unwrap() {
             let path = entry.unwrap().path();
             let name = format!(
