@@ -60,15 +60,15 @@ fn bench_fragment_codec(c: &mut Criterion) {
 }
 
 fn make_log(servers: u32) -> Log {
-    // new_fast skips the per-call codec round trip so the bench measures
-    // the log layer, not the test harness.
-    let fast = Arc::new(MemTransport::new_fast());
+    // Every in-process call round-trips the wire codec, so these numbers
+    // include encoding and decoding each request and response.
+    let transport = Arc::new(MemTransport::new());
     for s in 0..servers {
         let srv = swarm_server::StorageServer::new(ServerId::new(s), swarm_server::MemStore::new())
             .into_shared();
-        fast.register(ServerId::new(s), srv);
+        transport.register(ServerId::new(s), srv);
     }
-    Log::create(fast, log_config(1, servers)).unwrap()
+    Log::create(transport, log_config(1, servers)).unwrap()
 }
 
 fn bench_log_append(c: &mut Criterion) {

@@ -1,6 +1,5 @@
-//! Metric-name snapshot coverage for the contention layer (ISSUE 10):
-//! the cooperative cache's `coop.*` accounting and the cleaner budget's
-//! `cleaner.budget_*` accounting must appear in the process-wide
+//! Metric-name snapshot coverage for the contention layer: the cleaner
+//! budget's `cleaner.budget_*` accounting must appear in the process-wide
 //! `swarm_metrics::snapshot()` under exactly these names — dashboards
 //! and the `Metrics` RPC key on them, so a silent rename is a break.
 
@@ -12,7 +11,7 @@ use swarm_cleaner::{CleanPolicy, Cleaner, CleanerConfig};
 use swarm_log::{Log, LogConfig, ReplayEntry};
 use swarm_net::MemTransport;
 use swarm_server::{MemStore, StorageServer};
-use swarm_services::{CoopCache, CoopCacheGroup, Service, ServiceStack};
+use swarm_services::{Service, ServiceStack};
 use swarm_types::{BlockAddr, ClientId, Result, ServerId, ServiceId, SwarmError};
 
 const SVC: ServiceId = ServiceId::new(1);
@@ -73,37 +72,8 @@ impl Service for Owner {
 }
 
 #[test]
-fn coop_and_cleaner_budget_metric_names_appear_in_the_snapshot() {
+fn cleaner_budget_metric_names_appear_in_the_snapshot() {
     let transport = cluster();
-
-    // --- Cooperative cache traffic: server fetch, local hit, and (after
-    // gossip) peer-served reads, all on the global coop.* counters.
-    let group = CoopCacheGroup::new();
-    let writer = log_for(&transport, 1);
-    let blocks: Vec<(BlockAddr, Vec<u8>)> = (0..8u8)
-        .map(|i| {
-            let data = vec![i ^ 0xa5; 256 + i as usize * 7];
-            (writer.append_block(SVC, b"", &data).unwrap(), data)
-        })
-        .collect();
-    writer.flush().unwrap();
-    let caches: Vec<Arc<CoopCache>> = (1..=4u32)
-        .map(|c| {
-            let log = if c == 1 {
-                writer.clone()
-            } else {
-                log_for(&transport, c)
-            };
-            CoopCache::join(group.clone(), ClientId::new(c), log, 16, transport.clone()).unwrap()
-        })
-        .collect();
-    for _round in 0..3 {
-        for cache in &caches {
-            for (addr, expect) in &blocks {
-                assert_eq!(&cache.read(*addr).unwrap()[..], &expect[..]);
-            }
-        }
-    }
 
     // --- A budgeted clean pass: the budget is small enough that the
     // relocation charges outrun one second of tokens, so the cleaner
@@ -146,18 +116,7 @@ fn coop_and_cleaner_budget_metric_names_appear_in_the_snapshot() {
 
     // --- The names, exactly as dashboards consume them.
     let snap = swarm_metrics::snapshot();
-    for name in [
-        "coop.local_hits",
-        "coop.peer_hits",
-        "coop.stale_hints",
-        "coop.server_fetches",
-        "coop.served_to_peers",
-        "coop.peer_errors",
-        "coop.gossip_sent",
-        "coop.gossip_received",
-        "cleaner.budget_bytes",
-        "cleaner.budget_waits",
-    ] {
+    for name in ["cleaner.budget_bytes", "cleaner.budget_waits"] {
         assert!(
             snap.counters.contains_key(name),
             "counter {name} missing from snapshot; got {:?}",
@@ -169,12 +128,8 @@ fn coop_and_cleaner_budget_metric_names_appear_in_the_snapshot() {
         "histogram cleaner.budget_wait_us missing from snapshot"
     );
 
-    // Value-level sanity on the accounting that must have fired here:
-    // every first read came from a server, repeat rounds hit caches, and
-    // the budgeted pass charged the bucket and waited on it.
-    assert!(snap.counter("coop.server_fetches") > 0);
-    assert!(snap.counter("coop.local_hits") > 0);
+    // Value-level sanity on the accounting that must have fired here: the
+    // budgeted pass charged the bucket and waited on it.
     assert!(snap.counter("cleaner.budget_bytes") >= 2 * 1500);
     assert!(snap.counter("cleaner.budget_waits") >= 1);
-    assert!(snap.counter("coop.gossip_sent") > 0);
 }

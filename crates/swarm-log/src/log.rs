@@ -989,8 +989,8 @@ impl Log {
     /// without touching its home ([`reconstruct::rebuild_range`]). The
     /// stripe's description comes from the cache or one direct `Locate` to
     /// a parity mate, placed by this log's stripe plan for the block's
-    /// writer (`addr` may be another client's, read through a cooperative
-    /// cache). `None` — no such mate, too few survivors, a bad range —
+    /// writer (`addr` may be another client's: a log reads any client's
+    /// blocks). `None` — no such mate, too few survivors, a bad range —
     /// leaves the read to the slow path.
     fn read_degraded(&self, addr: BlockAddr) -> Option<Bytes> {
         let _span = metrics().reconstruct_us.span("log.reconstruct");

@@ -260,8 +260,8 @@ fn a_recovered_survivor_home_is_probed_by_the_read_that_is_elected() {
     assert!(rig.log.engine().should_try(also_down));
 }
 
-/// Regression: a degraded read of *another* client's block (a cooperative
-/// cache reads peers' addresses through its own log) was decoded from the
+/// Regression: a degraded read of *another* client's block (a reader of a
+/// shared log reads its writer's addresses through its own log) was decoded from the
 /// reading log's own stripe at the same sequence numbers — the reader's
 /// bytes, returned as `Ok`.
 #[test]

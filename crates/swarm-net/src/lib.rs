@@ -46,10 +46,7 @@ pub use handler::RequestHandler;
 pub use mem::MemTransport;
 pub use pool::ConnectionPool;
 pub use proto::{
-    BatchItem, BatchReply, HintSpec, PreparedRequest, ReadSpec, Request, Response, ServerStats,
-    StoreRange,
+    BatchItem, BatchReply, PreparedRequest, ReadSpec, Request, Response, ServerStats, StoreRange,
 };
-pub use transport::{
-    peer_server_id, Connection, PeerHost, PeerTransport, PendingCall, Transport, PEER_SERVER_BASE,
-};
+pub use transport::{Connection, PendingCall, Transport};
 pub use workpool::WorkerPool;

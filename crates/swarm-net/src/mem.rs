@@ -22,7 +22,7 @@ use swarm_types::{Bytes, ClientId, Decode, Encode, Result, ServerId, SwarmError}
 use crate::fault::FaultPlan;
 use crate::handler::RequestHandler;
 use crate::proto::{Request, Response};
-use crate::transport::{Connection, PeerHost, Transport};
+use crate::transport::{Connection, Transport};
 
 struct Member {
     handler: Arc<dyn RequestHandler>,
@@ -67,34 +67,13 @@ fn mem_metrics() -> &'static MemMetrics {
 #[derive(Default)]
 pub struct MemTransport {
     members: RwLock<BTreeMap<ServerId, Member>>,
-    /// Client-embedded peer responders (cooperative cache). Kept apart from
-    /// `members` so they never appear in [`Transport::servers`] — locate
-    /// broadcasts and reconstruction fan-out must not dial peers.
-    peers: RwLock<BTreeMap<ServerId, Arc<dyn RequestHandler>>>,
-    /// When true, requests/responses are serialized through the wire codec
-    /// on every call (catches codec asymmetries in tests; small overhead).
-    verify_codec: bool,
 }
 
 impl MemTransport {
-    /// Creates an empty cluster that round-trips every message through the
-    /// wire codec (the safe default).
+    /// Creates an empty cluster. Every message it carries round-trips
+    /// through the wire codec.
     pub fn new() -> Self {
-        MemTransport {
-            members: RwLock::new(BTreeMap::new()),
-            peers: RwLock::new(BTreeMap::new()),
-            verify_codec: true,
-        }
-    }
-
-    /// Creates an empty cluster that skips codec round-trips, dispatching
-    /// requests by reference. Use for throughput-sensitive benchmarks.
-    pub fn new_fast() -> Self {
-        MemTransport {
-            members: RwLock::new(BTreeMap::new()),
-            peers: RwLock::new(BTreeMap::new()),
-            verify_codec: false,
-        }
+        MemTransport::default()
     }
 
     /// Adds (or replaces) a server.
@@ -130,27 +109,9 @@ impl MemTransport {
 impl Transport for MemTransport {
     fn connect(&self, server: ServerId, client: ClientId) -> Result<Box<dyn Connection>> {
         let members = self.members.read();
-        let member = match members.get(&server) {
-            Some(member) => member,
-            None => {
-                drop(members);
-                // Not a cluster member — maybe a published peer responder.
-                let handler = self
-                    .peers
-                    .read()
-                    .get(&server)
-                    .cloned()
-                    .ok_or(SwarmError::ServerUnavailable(server))?;
-                return Ok(Box::new(MemConnection {
-                    server,
-                    client,
-                    handler,
-                    faults: Arc::new(FaultPlan::new()),
-                    verify_codec: self.verify_codec,
-                    severed: false,
-                }));
-            }
-        };
+        let member = members
+            .get(&server)
+            .ok_or(SwarmError::ServerUnavailable(server))?;
         if member.faults.is_down() {
             return Err(SwarmError::ServerUnavailable(server));
         }
@@ -159,7 +120,6 @@ impl Transport for MemTransport {
             client,
             handler: member.handler.clone(),
             faults: member.faults.clone(),
-            verify_codec: self.verify_codec,
             severed: false,
         }))
     }
@@ -169,23 +129,11 @@ impl Transport for MemTransport {
     }
 }
 
-impl PeerHost for MemTransport {
-    fn publish(&self, peer: ServerId, handler: Arc<dyn RequestHandler>) -> Result<()> {
-        self.peers.write().insert(peer, handler);
-        Ok(())
-    }
-
-    fn withdraw(&self, peer: ServerId) {
-        self.peers.write().remove(&peer);
-    }
-}
-
 struct MemConnection {
     server: ServerId,
     client: ClientId,
     handler: Arc<dyn RequestHandler>,
     faults: Arc<FaultPlan>,
-    verify_codec: bool,
     /// Set by an injected reset or truncation: like a dead socket, every
     /// later call on this connection fails until the caller redials.
     severed: bool,
@@ -224,19 +172,15 @@ impl Connection for MemConnection {
             return Err(SwarmError::ServerUnavailable(self.server));
         }
         let span = m.call_us.span("net.mem.call");
-        let response = if self.verify_codec {
-            // Round-trip through the exact bytes a socket would carry,
-            // decoding them shared just like the TCP path does.
-            let wire = Bytes::from(request.encode_to_vec());
-            m.bytes_out.add(wire.len() as u64);
-            let decoded = Request::decode_all_shared(&wire)?;
-            let response = self.serve(decoded);
-            let wire = Bytes::from(response.encode_to_vec());
-            m.bytes_in.add(wire.len() as u64);
-            Response::decode_all_shared(&wire)?
-        } else {
-            self.serve(request.clone())
-        };
+        // Round-trip through the exact bytes a socket would carry, decoding
+        // them shared just like the TCP path does.
+        let wire = Bytes::from(request.encode_to_vec());
+        m.bytes_out.add(wire.len() as u64);
+        let decoded = Request::decode_all_shared(&wire)?;
+        let response = self.serve(decoded);
+        let wire = Bytes::from(response.encode_to_vec());
+        m.bytes_in.add(wire.len() as u64);
+        let response = Response::decode_all_shared(&wire)?;
         drop(span);
         if self.faults.take_truncate() {
             // Processed, but the ack is lost with the connection.
@@ -337,19 +281,5 @@ mod tests {
         let t = cluster(2);
         t.deregister(ServerId::new(0));
         assert_eq!(t.servers(), vec![ServerId::new(1)]);
-    }
-
-    #[test]
-    fn published_peers_are_dialable_but_not_listed() {
-        use crate::transport::{peer_server_id, PeerHost};
-        let t = cluster(2);
-        let peer = peer_server_id(ClientId::new(9));
-        t.publish(peer, Arc::new(EchoStore::default())).unwrap();
-        // Not a cluster member: broadcasts and locate must skip it.
-        assert_eq!(t.servers(), vec![ServerId::new(0), ServerId::new(1)]);
-        let mut conn = t.connect(peer, ClientId::new(1)).unwrap();
-        assert_eq!(conn.call(&Request::Ping).unwrap(), Response::Ok);
-        t.withdraw(peer);
-        assert!(t.connect(peer, ClientId::new(1)).is_err());
     }
 }

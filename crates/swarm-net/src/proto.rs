@@ -14,8 +14,7 @@
 //! self-identifying stripe-group header at the front of every fragment.
 
 use swarm_types::{
-    Aid, BlockAddr, ByteReader, ByteWriter, Bytes, ClientId, Decode, Encode, FragmentId, Result,
-    SwarmError,
+    Aid, ByteReader, ByteWriter, Bytes, ClientId, Decode, Encode, FragmentId, Result, SwarmError,
 };
 
 /// An access-controlled byte range within a stored fragment (§2.3.2).
@@ -46,35 +45,6 @@ impl Decode for StoreRange {
             offset: r.get_u32()?,
             len: r.get_u32()?,
             aid: Aid::decode(r)?,
-        })
-    }
-}
-
-/// One cooperative-cache directory hint: "`holder` probably caches
-/// `addr`". Hints ride piggy-back on [`Request::PeerRead`] (both
-/// directions) and on [`Request::PeerGossip`] pushes; they are lazy and
-/// possibly stale by design — a wrong hint costs one extra probe, never
-/// wrong bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct HintSpec {
-    /// Block the hint is about.
-    pub addr: BlockAddr,
-    /// Client believed to cache it.
-    pub holder: ClientId,
-}
-
-impl Encode for HintSpec {
-    fn encode(&self, w: &mut ByteWriter) {
-        self.addr.encode(w);
-        self.holder.encode(w);
-    }
-}
-
-impl Decode for HintSpec {
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self> {
-        Ok(HintSpec {
-            addr: BlockAddr::decode(r)?,
-            holder: ClientId::decode(r)?,
         })
     }
 }
@@ -338,27 +308,6 @@ pub enum Request {
     /// every subsystem registered with `swarm-metrics`, not just the
     /// fragment-store counters.
     Metrics,
-    /// Cooperative-cache probe, served by a *client-embedded* peer
-    /// responder rather than a storage server: "do you still cache
-    /// `addr`?" The requester piggybacks a batch of directory hints it
-    /// recently learned; the responder's [`Response::PeerData`] carries
-    /// hints back the other way — the gossip channel of the hint-based
-    /// cooperative caching design (§2.2) rides entirely on the RPCs the
-    /// cache was already making.
-    PeerRead {
-        /// Block being sought in the peer's cache.
-        addr: BlockAddr,
-        /// Piggybacked directory gossip from the requester.
-        hints: Vec<HintSpec>,
-    },
-    /// Opportunistic directory push to a peer responder (bootstrap: the
-    /// first fetch of a block has no [`Request::PeerRead`] to piggyback
-    /// on, so the new holder pushes its hint to a few members directly).
-    /// Answered with [`Response::Ok`].
-    PeerGossip {
-        /// Hints the sender wants the receiver to learn.
-        hints: Vec<HintSpec>,
-    },
 }
 
 /// A reply from a storage server.
@@ -383,16 +332,6 @@ pub enum Response {
     Stats(ServerStats),
     /// `Metrics` result: a JSON metrics snapshot (see `swarm-metrics`).
     Metrics(String),
-    /// `PeerRead` result: the block bytes if the peer still caches them
-    /// (`None` = the hint was stale), plus piggybacked hints from the
-    /// responder's own directory. On the receive path the [`Bytes`]
-    /// aliases the decoded network frame.
-    PeerData {
-        /// The cached block, if the peer still holds it.
-        data: Option<Bytes>,
-        /// Directory gossip from the responder.
-        hints: Vec<HintSpec>,
-    },
     /// The operation failed; see [`wire_error`].
     Err {
         /// Error category code (see `wire_error` mapping).
@@ -525,8 +464,9 @@ pub(crate) mod tag {
     pub const PING: u8 = 11;
     pub const METRICS: u8 = 12;
     pub const READ_BATCH: u8 = 13;
-    pub const PEER_READ: u8 = 14;
-    pub const PEER_GOSSIP: u8 = 15;
+    // 14, 15 and 136 carried a cooperative cache between clients, since
+    // removed. They are retired: decoders refuse them, and no new message
+    // may reuse them.
 
     pub const R_OK: u8 = 128;
     pub const R_DATA: u8 = 129;
@@ -536,7 +476,6 @@ pub(crate) mod tag {
     pub const R_STATS: u8 = 133;
     pub const R_METRICS: u8 = 134;
     pub const R_BATCH: u8 = 135;
-    pub const R_PEER_DATA: u8 = 136;
     pub const R_ERR: u8 = 255;
 }
 
@@ -615,21 +554,6 @@ impl Request {
             Request::Stat => w.put_u8(tag::STAT),
             Request::Ping => w.put_u8(tag::PING),
             Request::Metrics => w.put_u8(tag::METRICS),
-            Request::PeerRead { addr, hints } => {
-                w.put_u8(tag::PEER_READ);
-                addr.encode(w);
-                w.put_u32(hints.len() as u32);
-                for h in hints {
-                    h.encode(w);
-                }
-            }
-            Request::PeerGossip { hints } => {
-                w.put_u8(tag::PEER_GOSSIP);
-                w.put_u32(hints.len() as u32);
-                for h in hints {
-                    h.encode(w);
-                }
-            }
         }
         None
     }
@@ -641,20 +565,6 @@ impl Encode for Request {
             w.put_raw(payload);
         }
     }
-}
-
-/// Decodes a length-prefixed hint list with the same count sanity cap the
-/// batch-read path uses: a corrupt frame must not trigger a huge allocation.
-fn decode_hints(r: &mut ByteReader<'_>) -> Result<Vec<HintSpec>> {
-    let n = r.get_u32()? as usize;
-    if n > crate::frame::MAX_FRAME_LEN / 16 {
-        return Err(SwarmError::corrupt("too many peer hints"));
-    }
-    let mut hints = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        hints.push(HintSpec::decode(r)?);
-    }
-    Ok(hints)
 }
 
 impl Decode for Request {
@@ -722,14 +632,6 @@ impl Decode for Request {
             tag::STAT => Request::Stat,
             tag::PING => Request::Ping,
             tag::METRICS => Request::Metrics,
-            tag::PEER_READ => {
-                let addr = BlockAddr::decode(r)?;
-                let hints = decode_hints(r)?;
-                Request::PeerRead { addr, hints }
-            }
-            tag::PEER_GOSSIP => Request::PeerGossip {
-                hints: decode_hints(r)?,
-            },
             other => return Err(SwarmError::protocol(format!("unknown request tag {other}"))),
         })
     }
@@ -798,21 +700,6 @@ impl Response {
             Response::Metrics(json) => {
                 w.put_u8(tag::R_METRICS);
                 w.put_str(json);
-            }
-            Response::PeerData { data, hints } => {
-                w.put_u8(tag::R_PEER_DATA);
-                w.put_u32(hints.len() as u32);
-                for h in hints {
-                    h.encode(w);
-                }
-                match data {
-                    None => w.put_bool(false),
-                    Some(d) => {
-                        w.put_bool(true);
-                        w.put_u32(u32::try_from(d.len()).expect("field too long"));
-                        return Some(d);
-                    }
-                }
             }
             Response::Err {
                 code,
@@ -883,15 +770,6 @@ impl Decode for Response {
             tag::R_ACL_CREATED => Response::AclCreated(Aid::decode(r)?),
             tag::R_STATS => Response::Stats(ServerStats::decode(r)?),
             tag::R_METRICS => Response::Metrics(r.get_str()?),
-            tag::R_PEER_DATA => {
-                let hints = decode_hints(r)?;
-                let data = if r.get_bool()? {
-                    Some(r.get_shared_bytes()?)
-                } else {
-                    None
-                };
-                Response::PeerData { data, hints }
-            }
             tag::R_ERR => Response::Err {
                 code: r.get_u16()?,
                 datum: r.get_u64()?,
@@ -1028,30 +906,6 @@ mod tests {
             ],
         });
         roundtrip_req(Request::ReadBatch { reads: vec![] });
-        roundtrip_req(Request::PeerRead {
-            addr: BlockAddr::new(fid(9), 64, 256),
-            hints: vec![
-                HintSpec {
-                    addr: BlockAddr::new(fid(10), 0, 512),
-                    holder: ClientId::new(3),
-                },
-                HintSpec {
-                    addr: BlockAddr::new(fid(11), 128, 128),
-                    holder: ClientId::new(4),
-                },
-            ],
-        });
-        roundtrip_req(Request::PeerRead {
-            addr: BlockAddr::new(fid(9), 0, 32),
-            hints: vec![],
-        });
-        roundtrip_req(Request::PeerGossip {
-            hints: vec![HintSpec {
-                addr: BlockAddr::new(fid(12), 0, 64),
-                holder: ClientId::new(5),
-            }],
-        });
-        roundtrip_req(Request::PeerGossip { hints: vec![] });
     }
 
     #[test]
@@ -1093,17 +947,6 @@ mod tests {
             items: vec![],
             data: Bytes::new(),
         }));
-        roundtrip_resp(Response::PeerData {
-            data: Some(vec![6; 300].into()),
-            hints: vec![HintSpec {
-                addr: BlockAddr::new(fid(13), 0, 300),
-                holder: ClientId::new(6),
-            }],
-        });
-        roundtrip_resp(Response::PeerData {
-            data: None,
-            hints: vec![],
-        });
     }
 
     #[test]
@@ -1230,13 +1073,6 @@ mod tests {
                 Ok(vec![1u8; 32].into()),
                 Ok(vec![2u8; 16].into()),
             ])),
-            Response::PeerData {
-                data: Some(vec![8u8; 48].into()),
-                hints: vec![HintSpec {
-                    addr: BlockAddr::new(fid(3), 0, 48),
-                    holder: ClientId::new(2),
-                }],
-            },
         ] {
             let mut w = ByteWriter::new();
             let payload = resp.encode_split(&mut w).expect("has a payload");
@@ -1253,14 +1089,7 @@ mod tests {
             assert!(req.encode_split(&mut w).is_none());
             assert_eq!(w.as_slice(), req.encode_to_vec());
         }
-        for resp in [
-            Response::Ok,
-            Response::Located(None),
-            Response::PeerData {
-                data: None,
-                hints: vec![],
-            },
-        ] {
+        for resp in [Response::Ok, Response::Located(None)] {
             let mut w = ByteWriter::new();
             assert!(resp.encode_split(&mut w).is_none());
             assert_eq!(w.as_slice(), resp.encode_to_vec());

@@ -583,7 +583,6 @@ fn encode_completion(
         Response::Data(b) => b.share(),
         Response::Located(Some(b)) => b.share(),
         Response::Batch(reply) => reply.data.share(),
-        Response::PeerData { data: Some(b), .. } => b.share(),
         _ => Bytes::new(),
     };
     m.server_bytes_out
@@ -706,11 +705,6 @@ impl Source for ConnSource {
 /// [`SwarmError::ServerUnavailable`] instead of wedging the caller.
 pub struct TcpTransport {
     servers: Mutex<BTreeMap<ServerId, SocketAddr>>,
-    /// Client-embedded peer responders (cooperative cache), each backed by
-    /// its own tiny listener. Kept apart from `servers` so they never
-    /// appear in [`Transport::servers`] — locate broadcasts and
-    /// reconstruction fan-out must not dial peers.
-    peers: Mutex<HashMap<ServerId, PeerEntry>>,
     call_timeout: Mutex<Option<Duration>>,
     channels: Mutex<HashMap<(ServerId, ClientId), Arc<MuxChannel>>>,
     /// Per-pair dial locks: concurrent `connect` calls for the same
@@ -722,13 +716,6 @@ pub struct TcpTransport {
 
 /// Lock serializing dials for one `(server, client)` pair.
 type DialLock = Arc<Mutex<()>>;
-
-/// A published peer responder: the listener serving it plus its address.
-/// Dropping the entry shuts the listener down and joins its threads.
-struct PeerEntry {
-    addr: SocketAddr,
-    _server: TcpServer,
-}
 
 impl std::fmt::Debug for TcpTransport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -749,7 +736,6 @@ impl TcpTransport {
     pub fn new() -> Self {
         TcpTransport {
             servers: Mutex::new(BTreeMap::new()),
-            peers: Mutex::new(HashMap::new()),
             call_timeout: Mutex::new(Some(DEFAULT_CALL_TIMEOUT)),
             channels: Mutex::new(HashMap::new()),
             dialing: Mutex::new(HashMap::new()),
@@ -856,16 +842,11 @@ impl Transport for TcpTransport {
     /// process-wide client reactor cannot start — retrying a dial cannot
     /// fix that, so it is not dressed up as unavailability.
     fn connect(&self, server: ServerId, client: ClientId) -> Result<Box<dyn Connection>> {
-        let addr = match self.servers.lock().get(&server) {
-            Some(addr) => *addr,
-            // Not a cluster member — maybe a published peer responder.
-            None => self
-                .peers
-                .lock()
-                .get(&server)
-                .map(|p| p.addr)
-                .ok_or(SwarmError::ServerUnavailable(server))?,
-        };
+        let addr = *self
+            .servers
+            .lock()
+            .get(&server)
+            .ok_or(SwarmError::ServerUnavailable(server))?;
         let reactor = crate::reactor::client_reactor()?;
         let timeout = self.call_timeout();
         let connection = |channel| -> Result<Box<dyn Connection>> {
@@ -911,37 +892,6 @@ impl Transport for TcpTransport {
 
     fn servers(&self) -> Vec<ServerId> {
         self.servers.lock().keys().copied().collect()
-    }
-}
-
-impl crate::transport::PeerHost for TcpTransport {
-    fn publish(&self, peer: ServerId, handler: Arc<dyn RequestHandler>) -> Result<()> {
-        // A peer responder serves cache-resident blocks only, so a narrow
-        // worker pool is plenty; the listener dies with the entry.
-        let server = TcpServer::spawn_with_config(
-            peer,
-            "127.0.0.1:0",
-            handler,
-            ServerConfig {
-                workers: 2,
-                ..ServerConfig::default()
-            },
-        )?;
-        let addr = server.addr();
-        self.peers.lock().insert(
-            peer,
-            PeerEntry {
-                addr,
-                _server: server,
-            },
-        );
-        Ok(())
-    }
-
-    fn withdraw(&self, peer: ServerId) {
-        self.close_channels_for(peer);
-        // Dropping the entry shuts the responder down and joins it.
-        self.peers.lock().remove(&peer);
     }
 }
 
@@ -1109,76 +1059,33 @@ mod tests {
         assert_eq!(healthy.call(&Request::Ping).unwrap(), Response::Ok);
     }
 
-    /// Peer responders published through [`PeerHost`] are dialable like
-    /// servers — over a real socket, speaking the PeerRead protocol —
-    /// but stay out of the member list, and withdrawing one makes later
-    /// dials fail.
+    /// A request under a retired tag (14 was the cooperative cache's peer
+    /// read) on a live mux session is answered with a `Protocol` error
+    /// under its own request id, and the session keeps serving.
     #[test]
-    fn published_peer_responders_serve_peer_reads_over_tcp() {
-        use crate::transport::{peer_server_id, PeerHost};
-        use swarm_types::{BlockAddr, SwarmError};
+    fn retired_request_tag_gets_a_protocol_error_and_the_session_lives() {
+        let server = spawn_echo(5, ServerConfig::default());
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        write_frame(&mut stream, &encode_mux_hello(ClientId::new(3))).unwrap();
+        let ack = read_frame(&mut stream).unwrap();
+        assert_eq!(ServerId::decode_all(&ack).unwrap(), server.id());
 
-        struct OneBlock {
-            addr: BlockAddr,
-            data: Vec<u8>,
-        }
-        impl crate::handler::RequestHandler for OneBlock {
-            fn handle(&self, _client: ClientId, request: Request) -> Response {
-                match request {
-                    Request::PeerRead { addr, .. } => Response::PeerData {
-                        data: (addr == self.addr).then(|| self.data.clone().into()),
-                        hints: vec![crate::proto::HintSpec {
-                            addr: self.addr,
-                            holder: ClientId::new(7),
-                        }],
-                    },
-                    _ => Response::from_error(&SwarmError::invalid("peer only")),
-                }
-            }
-        }
-
-        let server = spawn_echo(1, ServerConfig::default());
-        let transport = Arc::new(TcpTransport::with_servers([(server.id(), server.addr())]));
-        let addr = BlockAddr::new(FragmentId::new(ClientId::new(7), 3), 128, 11);
-        let peer = peer_server_id(ClientId::new(7));
-        transport
-            .publish(
-                peer,
-                Arc::new(OneBlock {
-                    addr,
-                    data: b"peer bytes!".to_vec(),
-                }),
-            )
-            .unwrap();
-
-        assert_eq!(
-            transport.servers(),
-            vec![server.id()],
-            "peers must not join the member list"
-        );
-
-        let mut conn = transport.connect(peer, ClientId::new(8)).unwrap();
-        match conn
-            .call(&Request::PeerRead {
-                addr,
-                hints: vec![],
-            })
-            .unwrap()
-        {
-            Response::PeerData { data, hints } => {
-                assert_eq!(data.as_deref(), Some(&b"peer bytes!"[..]));
-                assert_eq!(hints.len(), 1);
-                assert_eq!(hints[0].holder, ClientId::new(7));
-            }
-            other => panic!("unexpected response: {other:?}"),
-        }
-        drop(conn);
-
-        transport.withdraw(peer);
-        assert!(
-            transport.connect(peer, ClientId::new(8)).is_err(),
-            "withdrawn peers must not be dialable"
-        );
+        let exchange = |stream: &mut TcpStream, mux_id: u64, body: &[u8]| {
+            write_frame(&mut *stream, &[&mux_id.to_le_bytes()[..], body].concat()).unwrap();
+            let reply = read_frame(&mut *stream).unwrap();
+            assert_eq!(reply[..MUX_ID_PREFIX], mux_id.to_le_bytes(), "reply id");
+            Response::decode_all(&reply[MUX_ID_PREFIX..]).unwrap()
+        };
+        // A peer read with no hints, byte for byte as it used to be sent.
+        let retired = [
+            14u8, 3, 0, 0, 0, 0, 7, 0, 0, 128, 0, 0, 0, 11, 0, 0, 0, 0, 0, 0, 0,
+        ];
+        let err = exchange(&mut stream, 41, &retired)
+            .into_result()
+            .unwrap_err();
+        assert!(matches!(err, SwarmError::Protocol(_)), "{err}");
+        let ping = Request::Ping.encode_to_vec();
+        assert_eq!(exchange(&mut stream, 42, &ping), Response::Ok);
     }
 
     #[test]

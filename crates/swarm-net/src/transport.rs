@@ -1,10 +1,7 @@
 //! Client-side transport abstraction.
 
-use std::sync::Arc;
-
 use swarm_types::{ClientId, Result, ServerId};
 
-use crate::handler::RequestHandler;
 use crate::proto::{PreparedRequest, Request, Response};
 
 /// An RPC that has been shipped but whose response has not been consumed.
@@ -120,54 +117,3 @@ impl<T: Transport + ?Sized> Transport for std::sync::Arc<T> {
         (**self).servers()
     }
 }
-
-/// The reserved [`ServerId`] bit marking client-embedded peer responders.
-///
-/// Cooperative-cache peers are dialed through the same [`Transport`]
-/// machinery as storage servers, but they are *not* cluster members: they
-/// never appear in [`Transport::servers`], so locate broadcasts and
-/// reconstruction fan-out skip them. Setting the top-ish bit keeps the two
-/// id spaces disjoint without a second addressing scheme.
-pub const PEER_SERVER_BASE: u32 = 0x4000_0000;
-
-/// The [`ServerId`] a client's cooperative-cache responder is published at.
-pub fn peer_server_id(client: ClientId) -> ServerId {
-    ServerId::new(PEER_SERVER_BASE | client.raw())
-}
-
-/// A transport that can additionally host client-embedded peer responders
-/// (the cooperative cache's `PeerRead` servers).
-///
-/// `publish` makes `handler` dialable at `peer` by every other client of
-/// the same transport; `withdraw` removes it. Published peers are invisible
-/// to [`Transport::servers`] — they serve point-to-point fetches only.
-pub trait PeerHost: Send + Sync {
-    /// Publishes `handler` at `peer` so other clients can dial it.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the transport cannot host a responder (e.g. a
-    /// TCP listener cannot be bound).
-    fn publish(&self, peer: ServerId, handler: Arc<dyn RequestHandler>) -> Result<()>;
-
-    /// Withdraws a previously published peer responder. Dials to `peer`
-    /// fail with `ServerUnavailable` afterwards; idempotent.
-    fn withdraw(&self, peer: ServerId);
-}
-
-impl<T: PeerHost + ?Sized> PeerHost for Arc<T> {
-    fn publish(&self, peer: ServerId, handler: Arc<dyn RequestHandler>) -> Result<()> {
-        (**self).publish(peer, handler)
-    }
-
-    fn withdraw(&self, peer: ServerId) {
-        (**self).withdraw(peer)
-    }
-}
-
-/// A transport that both dials servers and hosts peer responders — what
-/// the cooperative cache needs from its network. Blanket-implemented for
-/// every `Transport + PeerHost` (both built-in transports qualify).
-pub trait PeerTransport: Transport + PeerHost {}
-
-impl<T: Transport + PeerHost + ?Sized> PeerTransport for T {}

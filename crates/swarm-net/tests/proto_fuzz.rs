@@ -1,6 +1,9 @@
 //! Protocol robustness: arbitrary bytes must never panic the decoders,
 //! and valid messages must survive frame + codec round trips bit-exactly.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
 use proptest::prelude::*;
 use swarm_net::frame::{frame_header_for, FrameProgress, FrameReader, MAX_FRAME_LEN, READ_AHEAD};
 use swarm_net::{read_frame, write_frame, Request, Response, ServerStats, StoreRange};
@@ -133,6 +136,88 @@ impl std::io::Read for Dribble<'_> {
         self.data = &self.data[n..];
         self.burst_left -= n;
         Ok(n)
+    }
+}
+
+/// The system allocator, counting the bytes each thread asks for, so a
+/// test can bound what one decode call reserves.
+struct Counting;
+
+thread_local! {
+    static ALLOCATED: Cell<usize> = const { Cell::new(0) };
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counter is a const-initialised thread-local
+// `Cell` with no destructor, so touching it neither allocates nor recurses.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCATED.try_with(|n| n.set(n.get() + layout.size()));
+        // SAFETY: the caller's guarantees for `layout` are passed through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+fn allocated_here() -> usize {
+    ALLOCATED.with(Cell::get)
+}
+
+/// A cooperative cache between clients once spoke tags 14 (a peer read), 15
+/// (a hint push) and 136 (a peer's reply); these are the exact bytes it sent.
+/// The tags are retired: a peer that still sends them gets a `Protocol`
+/// error, and the hint counts and payload length inside are never read.
+const RETIRED_PEER_READ: [u8; 41] = [
+    14, 3, 0, 0, 0, 0, 7, 0, 0, 128, 0, 0, 0, 11, 0, 0, 0, 1, 0, 0, 0, 4, 0, 0, 0, 0, 7, 0, 0, 0,
+    0, 0, 0, 0, 16, 0, 0, 2, 0, 0, 0,
+];
+const RETIRED_PEER_GOSSIP: [u8; 25] = [
+    15, 1, 0, 0, 0, 4, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 16, 0, 0, 2, 0, 0, 0,
+];
+const RETIRED_PEER_DATA: [u8; 41] = [
+    136, 1, 0, 0, 0, 4, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 16, 0, 0, 2, 0, 0, 0, 1, 11, 0, 0, 0,
+    112, 101, 101, 114, 32, 98, 121, 116, 101, 115, 33,
+];
+
+#[test]
+fn retired_peer_tags_are_protocol_errors_that_reserve_nothing() {
+    // Each message as sent, then with every length field it carries (hint
+    // count; payload length) claiming u32::MAX.
+    let inflated = |bytes: &[u8], fields: &[usize]| {
+        let mut wire = bytes.to_vec();
+        for &at in fields {
+            wire[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        }
+        wire
+    };
+    let refused = |wire: &[u8], decode: fn(&[u8]) -> Result<(), SwarmError>| {
+        let before = allocated_here();
+        let err = decode(wire).unwrap_err();
+        let reserved = allocated_here() - before;
+        assert!(matches!(err, SwarmError::Protocol(_)), "{wire:?}: {err}");
+        // The error's message is all a refusal may allocate.
+        assert!(reserved < 256, "{wire:?}: {reserved} bytes allocated");
+    };
+    for wire in [
+        RETIRED_PEER_READ.to_vec(),
+        inflated(&RETIRED_PEER_READ, &[17]),
+        RETIRED_PEER_GOSSIP.to_vec(),
+        inflated(&RETIRED_PEER_GOSSIP, &[1]),
+    ] {
+        refused(&wire, |w| Request::decode_all(w).map(drop));
+    }
+    for wire in [
+        RETIRED_PEER_DATA.to_vec(),
+        inflated(&RETIRED_PEER_DATA, &[1, 26]),
+    ] {
+        refused(&wire, |w| Response::decode_all(w).map(drop));
     }
 }
 

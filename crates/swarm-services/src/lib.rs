@@ -25,7 +25,6 @@
 
 pub mod aru;
 pub mod cache;
-pub mod coop;
 pub mod logical_disk;
 pub mod lzss;
 pub mod service;
@@ -34,7 +33,6 @@ pub mod xtea;
 
 pub use aru::{AruId, AruService, AruServiceAdapter};
 pub use cache::{CachingReader, LruCache};
-pub use coop::{CoopCache, CoopCacheGroup, CoopStats};
 pub use logical_disk::{LogicalDisk, LogicalDiskService};
 pub use service::{Service, ServiceStack};
 pub use transform::{

@@ -1,8 +1,8 @@
 //! A tour of the service stack (§2.2): "applications pick and choose the
 //! exact services needed". One shared log hosts atomic recovery units, an
 //! overwritable logical disk with a compression+encryption+checksum
-//! transform stack, cooperative caching between two clients, and a
-//! background cleaner — then everything recovers from a crash together.
+//! transform stack, and a background cleaner — then everything recovers
+//! from a crash together.
 //!
 //! Run with: `cargo run --example services_tour`
 
@@ -13,10 +13,10 @@ use swarm::local::LocalCluster;
 use swarm_cleaner::{CleanPolicy, Cleaner};
 use swarm_log::{recover, Log};
 use swarm_services::{
-    AruService, AruServiceAdapter, ChecksumTransform, CompressTransform, CoopCache, CoopCacheGroup,
-    EncryptTransform, LogicalDisk, LogicalDiskService, Service, ServiceStack, TransformStack,
+    AruService, AruServiceAdapter, ChecksumTransform, CompressTransform, EncryptTransform,
+    LogicalDisk, LogicalDiskService, Service, ServiceStack, TransformStack,
 };
-use swarm_types::{ClientId, ServiceId};
+use swarm_types::ServiceId;
 
 const DISK_SVC: ServiceId = ServiceId::new(3);
 const ARU_SVC: ServiceId = ServiceId::new(5);
@@ -87,34 +87,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .iter()
             .map(|p| String::from_utf8_lossy(p).into_owned())
             .collect::<Vec<_>>()
-    );
-
-    // ------------------------------------------------------------------
-    // Cooperative caching between two clients
-    // ------------------------------------------------------------------
-    let log2 = Arc::new(Log::create(cluster.transport(), cluster.log_config(2)?)?);
-    let addr = log2.append_block(ServiceId::new(9), b"", b"hot shared block")?;
-    log2.flush()?;
-    let group = CoopCacheGroup::new();
-    let c1 = CoopCache::join(
-        group.clone(),
-        ClientId::new(1),
-        log.clone(),
-        64,
-        cluster.transport(),
-    )?;
-    let c2 = CoopCache::join(
-        group.clone(),
-        ClientId::new(2),
-        log2,
-        64,
-        cluster.transport(),
-    )?;
-    c2.read(addr)?; // fetches from the servers, announces a hint
-    c1.read(addr)?; // served from client 2's memory
-    println!(
-        "cooperative cache: client 1 stats {:?} (peer_hits=1 means client 2's memory served it)",
-        c1.stats()
     );
 
     // ------------------------------------------------------------------
