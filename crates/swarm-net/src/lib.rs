@@ -13,7 +13,9 @@
 //! * [`tcp::TcpTransport`] / [`tcp::TcpServer`] — real sockets, one
 //!   multiplexed session driven by a readiness reactor with handlers on
 //!   a bounded [`WorkerPool`], matching the prototype's user-level
-//!   server processes.
+//!   server processes. The pool is the server's one request queue: it
+//!   shares workers among clients by deficit round robin and answers a
+//!   backlogged client's stores with `Busy`.
 //!
 //! Faults ([`FaultPlan`]) are injected at the server end of either
 //! transport, so the client under test is the production client.
@@ -26,7 +28,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod admission;
 pub mod fault;
 pub mod frame;
 pub mod handler;
@@ -39,7 +40,6 @@ pub mod tcp;
 pub mod transport;
 pub mod workpool;
 
-pub use admission::{Admission, AdmissionConfig, Submitted};
 pub use fault::FaultPlan;
 pub use frame::{read_frame, write_frame};
 pub use handler::RequestHandler;

@@ -119,9 +119,6 @@ pub struct ServerConfig {
     /// with the ack lost, so a retried store hits the duplicate-store
     /// path. A server with a plan never answers on the reactor fast path.
     pub faults: Option<Arc<FaultPlan>>,
-    /// Per-client fairness when the worker pool saturates. See
-    /// [`crate::admission::Admission`].
-    pub admission: crate::admission::AdmissionConfig,
 }
 
 impl Default for ServerConfig {
@@ -130,7 +127,6 @@ impl Default for ServerConfig {
             workers: DEFAULT_WORKERS,
             read_deadline: Some(DEFAULT_READ_DEADLINE),
             faults: None,
-            admission: crate::admission::AdmissionConfig::default(),
         }
     }
 }
@@ -174,7 +170,7 @@ impl TcpServer {
     }
 
     /// Binds `bind_addr` and serves `handler` with full control over the
-    /// worker width, read deadline, fault plan, and admission policy.
+    /// worker width, read deadline and fault plan.
     ///
     /// # Errors
     ///
@@ -199,7 +195,7 @@ impl TcpServer {
             id,
             handler,
             faults: config.faults,
-            admission: crate::admission::Admission::new(pool.clone(), config.admission),
+            pool: pool.clone(),
             read_deadline: config.read_deadline,
             consecutive_errors: 0,
         };
@@ -250,7 +246,7 @@ struct ListenerSource {
     id: ServerId,
     handler: Arc<dyn RequestHandler>,
     faults: Option<Arc<FaultPlan>>,
-    admission: Arc<crate::admission::Admission>,
+    pool: Arc<WorkerPool>,
     read_deadline: Option<Duration>,
     consecutive_errors: u32,
 }
@@ -280,7 +276,7 @@ impl Source for ListenerSource {
                         self.id,
                         self.handler.clone(),
                         self.faults.clone(),
-                        self.admission.clone(),
+                        self.pool.clone(),
                         handle.clone(),
                         self.read_deadline,
                     );
@@ -328,7 +324,7 @@ struct ConnSource {
     id: ServerId,
     handler: Arc<dyn RequestHandler>,
     faults: Option<Arc<FaultPlan>>,
-    admission: Arc<crate::admission::Admission>,
+    pool: Arc<WorkerPool>,
     handle: Handle,
     reader: FrameReader,
     /// The peer's identity; `None` until its hello frame arrives.
@@ -349,7 +345,7 @@ impl ConnSource {
         id: ServerId,
         handler: Arc<dyn RequestHandler>,
         faults: Option<Arc<FaultPlan>>,
-        admission: Arc<crate::admission::Admission>,
+        pool: Arc<WorkerPool>,
         handle: Handle,
         read_deadline: Option<Duration>,
     ) -> ConnSource {
@@ -358,7 +354,7 @@ impl ConnSource {
             id,
             handler,
             faults,
-            admission,
+            pool,
             handle,
             reader: FrameReader::new(),
             client: None,
@@ -491,18 +487,18 @@ impl ConnSource {
         let mailbox = self.mailbox.clone();
         let handle = self.handle.clone();
         let server = self.id;
-        // Only stores are rejectable under admission backpressure: the
+        // Only stores are rejectable under the pool's backpressure: the
         // writer is the one caller with retry machinery, and a bounced
         // read would surface as a data-path failure.
         let rejectable = body.first() == Some(&crate::proto::tag::STORE);
         let cost = body.len() as u64;
-        let outcome = self.admission.submit(client, cost, rejectable, move || {
+        let queued = self.pool.submit(client, cost, rejectable, move || {
             let completion =
                 run_request(server, &*handler, faults.as_deref(), client, mux_id, &body);
             mailbox.lock().push(completion);
             handle.notify();
         });
-        if outcome == crate::admission::Submitted::Rejected {
+        if !queued {
             // Busy pushback: answered from the reactor thread, bypassing
             // the very queue that is full.
             let response = Response::from_error(&SwarmError::Busy(self.id));
@@ -1423,48 +1419,107 @@ mod tests {
         );
     }
 
-    /// A saturated server with a bounded per-client backlog answers
-    /// excess stores with `Busy` pushback instead of queueing unboundedly;
-    /// reads are never bounced.
-    #[test]
-    fn saturated_server_bounces_stores_with_busy() {
-        struct SlowStore;
-        impl RequestHandler for SlowStore {
-            fn handle(&self, _client: ClientId, _request: Request) -> Response {
-                std::thread::sleep(Duration::from_millis(5));
-                Response::Ok
-            }
+    /// Holds every request until the test opens it (or it opens itself
+    /// after 10 s, so a failing test cannot hang the suite), then logs
+    /// which client's request ran, in order.
+    #[derive(Default)]
+    struct Gated {
+        open: Mutex<bool>,
+        opened: parking_lot::Condvar,
+        ran: Mutex<Vec<ClientId>>,
+    }
+
+    impl Gated {
+        fn open(&self) {
+            *self.open.lock() = true;
+            self.opened.notify_all();
         }
-        let server = TcpServer::spawn_with_config(
-            ServerId::new(9),
+    }
+
+    impl RequestHandler for Gated {
+        fn handle(&self, client: ClientId, _request: Request) -> Response {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            let mut open = self.open.lock();
+            while !*open {
+                self.opened.wait_for(&mut open, Duration::from_millis(50));
+                *open |= Instant::now() >= deadline;
+            }
+            drop(open);
+            self.ran.lock().push(client);
+            Response::Ok
+        }
+    }
+
+    /// A one-worker server in front of `gate`.
+    fn spawn_gated(id: u32, gate: &Arc<Gated>) -> TcpServer {
+        TcpServer::spawn_with_config(
+            ServerId::new(id),
             "127.0.0.1:0",
-            Arc::new(SlowStore),
+            gate.clone(),
             ServerConfig {
                 workers: 1,
-                admission: crate::admission::AdmissionConfig {
-                    quantum: 4096,
-                    max_client_backlog: 1,
-                },
                 ..ServerConfig::default()
             },
         )
-        .unwrap();
+        .unwrap()
+    }
+
+    /// Waits until the server's pool shows `(busy workers, queued jobs)`.
+    fn wait_for_load(server: &TcpServer, load: (usize, usize)) {
+        let pool = server.pool.as_ref().unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while pool.load() != load {
+            assert!(
+                Instant::now() < deadline,
+                "pool load {:?}, want {load:?}",
+                pool.load()
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    fn store(client: ClientId, seq: u64, len: usize) -> PreparedRequest {
+        PreparedRequest::new(Request::Store {
+            fid: FragmentId::new(client, seq),
+            marked: false,
+            ranges: vec![],
+            data: vec![0u8; len].into(),
+        })
+    }
+
+    fn read(client: ClientId) -> PreparedRequest {
+        PreparedRequest::new(Request::Read {
+            fid: FragmentId::new(client, 0),
+            offset: 0,
+            len: 1,
+        })
+    }
+
+    /// A saturated server answers a client's stores beyond its backlog
+    /// with `Busy` pushback instead of queueing them; a read behind them
+    /// on the same connection still queues. The gate makes the count
+    /// exact: with the one worker held by a first store, 32 (the
+    /// per-client backlog) of the next 47 queue and 15 bounce.
+    #[test]
+    fn saturated_server_bounces_stores_with_busy() {
+        let gate = Arc::new(Gated::default());
+        let server = spawn_gated(9, &gate);
         let throttled_before = swarm_metrics::snapshot().counter("server.client_throttled");
         let transport = TcpTransport::with_servers([(server.id(), server.addr())]);
-        let mut conn = transport.connect(server.id(), ClientId::new(1)).unwrap();
-        // Pipeline a burst of stores: with one worker, a 5 ms handler, and
-        // a backlog of one, most of the burst must bounce.
-        let mut pending = Vec::new();
-        for i in 0..48 {
-            let prepared = PreparedRequest::new(Request::Store {
-                fid: FragmentId::new(ClientId::new(1), i),
-                marked: false,
-                ranges: vec![],
-                data: vec![0u8; 512].into(),
-            });
-            pending.push(conn.start_prepared(&prepared));
-        }
-        let mut busy = 0;
+        let client = ClientId::new(1);
+        let mut conn = transport.connect(server.id(), client).unwrap();
+        let mut pending = vec![conn.start_prepared(&store(client, 0, 512))];
+        wait_for_load(&server, (1, 0));
+        pending.extend((1..48).map(|i| conn.start_prepared(&store(client, i, 512))));
+        // One socket's stores are dispatched in order, so the last one's
+        // `Busy` means every store is queued or bounced. The read goes
+        // out only now: the client sends reads ahead of queued stores.
+        let last = pending.pop().unwrap().wait().unwrap().into_result();
+        assert!(matches!(last, Err(SwarmError::Busy(_))), "{last:?}");
+        let read = conn.start_prepared(&read(client));
+        wait_for_load(&server, (1, 32 + 1));
+        gate.open();
+        let mut busy = 1;
         for p in pending {
             match p.wait().unwrap().into_result() {
                 Ok(_) => {}
@@ -1475,25 +1530,50 @@ mod tests {
                 Err(e) => panic!("unexpected store outcome: {e}"),
             }
         }
-        assert!(busy > 0, "no store was throttled");
+        assert_eq!(busy, 48 - 1 - 32, "stores bounced");
         let throttled_after = swarm_metrics::snapshot().counter("server.client_throttled");
         assert!(
             throttled_after - throttled_before >= busy,
             "throttle counter moved by {} for {busy} bounces",
             throttled_after - throttled_before
         );
-        // A read on the same saturated connection queues rather than
-        // bouncing (only stores are rejectable).
-        let resp = conn
-            .call(&Request::Read {
-                fid: FragmentId::new(ClientId::new(1), 0),
-                offset: 0,
-                len: 1,
-            })
-            .unwrap();
-        assert!(
-            !matches!(resp.into_result(), Err(SwarmError::Busy(_))),
+        assert_eq!(
+            read.wait().unwrap(),
+            Response::Ok,
             "a read must never bounce with Busy"
+        );
+    }
+
+    /// Deficit round robin through a real server: client A's first store
+    /// holds the one worker while the rest of A's burst of 64 KiB stores
+    /// queues behind it, then client B's single read queues behind those.
+    /// When the worker frees, B's read runs within two jobs; FIFO would
+    /// run it after all 16 of A's stores.
+    #[test]
+    fn a_light_clients_read_overtakes_a_heavy_clients_backlog() {
+        const BURST: u64 = 16;
+        let gate = Arc::new(Gated::default());
+        let server = spawn_gated(10, &gate);
+        let transport = TcpTransport::with_servers([(server.id(), server.addr())]);
+        let (heavy, light) = (ClientId::new(1), ClientId::new(2));
+        let mut conn = transport.connect(server.id(), heavy).unwrap();
+        let pending: Vec<_> = (0..BURST)
+            .map(|i| conn.start_prepared(&store(heavy, i, 64 * 1024)))
+            .collect();
+        wait_for_load(&server, (1, BURST as usize - 1));
+        let mut conn = transport.connect(server.id(), light).unwrap();
+        let read = conn.start_prepared(&read(light));
+        wait_for_load(&server, (1, BURST as usize));
+        gate.open();
+        assert_eq!(read.wait().unwrap(), Response::Ok);
+        for p in pending {
+            assert_eq!(p.wait().unwrap(), Response::Ok);
+        }
+        let ran = gate.ran.lock().clone();
+        let at = ran.iter().position(|&c| c == light).unwrap();
+        assert!(
+            at <= 2,
+            "B's read ran at {at}, FIFO would be {BURST}: {ran:?}"
         );
     }
 }

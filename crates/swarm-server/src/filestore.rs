@@ -614,23 +614,7 @@ impl FileStore {
     /// [`SwarmError::Corrupt`] if the journal references slot files that
     /// have disappeared.
     pub fn open(dir: impl AsRef<Path>) -> Result<FileStore> {
-        Self::open_with(dir, 0, true)
-    }
-
-    /// Opens a store with a slot capacity (0 = unbounded) and a boolean
-    /// durability switch: `true` = [`Durability::Strict`], `false` =
-    /// [`Durability::None`].
-    ///
-    /// # Errors
-    ///
-    /// See [`FileStore::open`].
-    pub fn open_with(dir: impl AsRef<Path>, capacity: u64, durable: bool) -> Result<FileStore> {
-        let durability = if durable {
-            Durability::Strict
-        } else {
-            Durability::None
-        };
-        Self::open_with_durability(dir, capacity, durability)
+        Self::open_with_durability(dir, 0, Durability::Strict)
     }
 
     /// Opens a store with a slot capacity (0 = unbounded) and an explicit
@@ -1159,7 +1143,7 @@ mod tests {
         ];
         for (tag, case) in cases {
             let d = TempDir::new(tag);
-            let s = FileStore::open_with(&d.0, 0, false).unwrap();
+            let s = FileStore::open_with_durability(&d.0, 0, Durability::None).unwrap();
             case(&s);
         }
     }
@@ -1167,7 +1151,7 @@ mod tests {
     #[test]
     fn conformance_capacity() {
         let d = TempDir::new("cap");
-        let s = FileStore::open_with(&d.0, 2, false).unwrap();
+        let s = FileStore::open_with_durability(&d.0, 2, Durability::None).unwrap();
         conformance::capacity_enforced(&s);
     }
 
@@ -1206,13 +1190,13 @@ mod tests {
     fn reopen_recovers_contents_and_marks() {
         let d = TempDir::new("reopen");
         {
-            let s = FileStore::open_with(&d.0, 0, false).unwrap();
+            let s = FileStore::open_with_durability(&d.0, 0, Durability::None).unwrap();
             s.store(fid(1, 0), b"alpha".into(), false).unwrap();
             s.store(fid(1, 1), b"beta".into(), true).unwrap();
             s.store(fid(1, 2), b"gamma".into(), false).unwrap();
             s.delete(fid(1, 0)).unwrap();
         }
-        let s = FileStore::open_with(&d.0, 0, false).unwrap();
+        let s = FileStore::open_with_durability(&d.0, 0, Durability::None).unwrap();
         assert_eq!(s.read(fid(1, 1), 0, 4).unwrap(), b"beta");
         assert_eq!(s.read(fid(1, 2), 0, 5).unwrap(), b"gamma");
         assert!(s.read(fid(1, 0), 0, 1).is_err());
@@ -1226,12 +1210,12 @@ mod tests {
         // Simulates a crash between rename (2) and journal append (3).
         let d = TempDir::new("orphan");
         {
-            let s = FileStore::open_with(&d.0, 0, false).unwrap();
+            let s = FileStore::open_with_durability(&d.0, 0, Durability::None).unwrap();
             s.store(fid(1, 0), b"committed".into(), false).unwrap();
         }
         let orphan = FileStore::slot_path(&d.0, fid(1, 99));
         fs::write(&orphan, b"never committed").unwrap();
-        let s = FileStore::open_with(&d.0, 0, false).unwrap();
+        let s = FileStore::open_with_durability(&d.0, 0, Durability::None).unwrap();
         assert!(!orphan.exists(), "orphan should be swept");
         assert!(s.read(fid(1, 99), 0, 1).is_err());
         assert_eq!(s.read(fid(1, 0), 0, 9).unwrap(), b"committed");
@@ -1245,7 +1229,7 @@ mod tests {
     fn zero_length_journal_entry_does_not_panic_open() {
         let d = TempDir::new("zerolen");
         {
-            let s = FileStore::open_with(&d.0, 0, false).unwrap();
+            let s = FileStore::open_with_durability(&d.0, 0, Durability::None).unwrap();
             s.store(fid(1, 0), b"good".into(), false).unwrap();
         }
         let mut f = OpenOptions::new()
@@ -1255,7 +1239,7 @@ mod tests {
         f.write_all(&0u32.to_le_bytes()).unwrap(); // len = 0
         f.write_all(&crc32(b"").to_le_bytes()).unwrap(); // valid CRC
         drop(f);
-        let s = FileStore::open_with(&d.0, 0, false).unwrap();
+        let s = FileStore::open_with_durability(&d.0, 0, Durability::None).unwrap();
         assert_eq!(s.read(fid(1, 0), 0, 4).unwrap(), b"good");
         assert_eq!(s.fragment_count(), 1);
     }
@@ -1264,7 +1248,7 @@ mod tests {
     fn torn_journal_tail_is_discarded() {
         let d = TempDir::new("torn");
         {
-            let s = FileStore::open_with(&d.0, 0, false).unwrap();
+            let s = FileStore::open_with_durability(&d.0, 0, Durability::None).unwrap();
             s.store(fid(1, 0), b"good".into(), false).unwrap();
         }
         // Append garbage (a torn record) to the journal.
@@ -1274,7 +1258,7 @@ mod tests {
             .unwrap();
         f.write_all(&[14, 0, 0, 0, 0xde, 0xad]).unwrap();
         drop(f);
-        let s = FileStore::open_with(&d.0, 0, false).unwrap();
+        let s = FileStore::open_with_durability(&d.0, 0, Durability::None).unwrap();
         assert_eq!(s.fragment_count(), 1);
         assert_eq!(s.read(fid(1, 0), 0, 4).unwrap(), b"good");
         // And the store remains writable afterwards.
@@ -1289,7 +1273,7 @@ mod tests {
     fn store_after_torn_tail_survives_second_reopen() {
         let d = TempDir::new("torn2");
         {
-            let s = FileStore::open_with(&d.0, 0, false).unwrap();
+            let s = FileStore::open_with_durability(&d.0, 0, Durability::None).unwrap();
             s.store(fid(1, 0), b"good".into(), false).unwrap();
         }
         let mut f = OpenOptions::new()
@@ -1299,10 +1283,10 @@ mod tests {
         f.write_all(&[14, 0, 0, 0, 0xde, 0xad]).unwrap();
         drop(f);
         {
-            let s = FileStore::open_with(&d.0, 0, false).unwrap();
+            let s = FileStore::open_with_durability(&d.0, 0, Durability::None).unwrap();
             s.store(fid(1, 1), b"after-recovery".into(), false).unwrap();
         }
-        let s = FileStore::open_with(&d.0, 0, false).unwrap();
+        let s = FileStore::open_with_durability(&d.0, 0, Durability::None).unwrap();
         assert_eq!(s.fragment_count(), 2);
         assert_eq!(s.read(fid(1, 1), 0, 14).unwrap(), b"after-recovery");
     }
@@ -1311,18 +1295,18 @@ mod tests {
     fn missing_slot_file_for_mapped_fragment_is_corruption() {
         let d = TempDir::new("missing");
         {
-            let s = FileStore::open_with(&d.0, 0, false).unwrap();
+            let s = FileStore::open_with_durability(&d.0, 0, Durability::None).unwrap();
             s.store(fid(1, 0), b"data".into(), false).unwrap();
         }
         fs::remove_file(FileStore::slot_path(&d.0, fid(1, 0))).unwrap();
-        let err = FileStore::open_with(&d.0, 0, false).unwrap_err();
+        let err = FileStore::open_with_durability(&d.0, 0, Durability::None).unwrap_err();
         assert!(matches!(err, SwarmError::Corrupt(_)), "{err}");
     }
 
     #[test]
     fn journal_compaction_preserves_state() {
         let d = TempDir::new("compact");
-        let s = FileStore::open_with(&d.0, 0, false).unwrap();
+        let s = FileStore::open_with_durability(&d.0, 0, Durability::None).unwrap();
         for i in 0..50 {
             s.store(
                 fid(2, i),
@@ -1339,7 +1323,7 @@ mod tests {
         assert_eq!(s.fragment_count(), 25);
         drop(s);
         // …and after reopen.
-        let s = FileStore::open_with(&d.0, 0, false).unwrap();
+        let s = FileStore::open_with_durability(&d.0, 0, Durability::None).unwrap();
         assert_eq!(s.fragment_count(), 25);
         assert_eq!(s.read(fid(2, 1), 0, 5).unwrap(), b"frag1");
         assert!(s.read(fid(2, 0), 0, 1).is_err());
@@ -1356,14 +1340,14 @@ mod tests {
     fn tmp_leftovers_are_cleaned() {
         let d = TempDir::new("tmp");
         {
-            let s = FileStore::open_with(&d.0, 0, false).unwrap();
+            let s = FileStore::open_with_durability(&d.0, 0, Durability::None).unwrap();
             s.store(fid(1, 0), b"kept".into(), false).unwrap();
         }
         let junk = d.0.join(TMP).join("deadbeef");
         let staged = d.0.join(TMP).join(format!("{:016x}.3", fid(1, 0).raw()));
         fs::write(&junk, b"junk").unwrap();
         fs::write(&staged, b"half-written").unwrap();
-        let s = FileStore::open_with(&d.0, 0, false).unwrap();
+        let s = FileStore::open_with_durability(&d.0, 0, Durability::None).unwrap();
         assert!(!junk.exists());
         assert!(!staged.exists());
         assert_eq!(s.read(fid(1, 0), 0, 4).unwrap(), b"kept");
@@ -1411,7 +1395,7 @@ mod tests {
             s.journal_batches()
         );
         drop(s);
-        let s = FileStore::open_with(&d.0, 0, false).unwrap();
+        let s = FileStore::open_with_durability(&d.0, 0, Durability::None).unwrap();
         assert_eq!(s.fragment_count(), stores);
     }
 
@@ -1476,7 +1460,7 @@ mod tests {
     #[test]
     fn duplicate_of_an_unresolved_fid_waits_for_the_outcome() {
         let d = TempDir::new("unresolved");
-        let s = FileStore::open_with(&d.0, 0, false).unwrap();
+        let s = FileStore::open_with_durability(&d.0, 0, Durability::None).unwrap();
         // Pin the claim as a first attempt in its data phase would.
         s.index.lock().inflight.insert(fid(1, 0));
         std::thread::scope(|scope| {
@@ -1540,7 +1524,7 @@ mod tests {
     #[test]
     fn store_during_delete_of_same_fid_is_refused() {
         let d = TempDir::new("storedel");
-        let s = FileStore::open_with(&d.0, 0, false).unwrap();
+        let s = FileStore::open_with_durability(&d.0, 0, Durability::None).unwrap();
         s.store(fid(1, 0), b"old".into(), false).unwrap();
         {
             // Pin the FID in `deleting` as the journal append would.

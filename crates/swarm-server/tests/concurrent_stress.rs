@@ -114,7 +114,7 @@ fn eight_threads_mixed_ops_no_torn_reads() {
 
     // And the whole history replays: a reopen sees the identical set.
     drop(store);
-    let reopened = FileStore::open_with(&dir.0, 0, true).unwrap();
+    let reopened = FileStore::open_with_durability(&dir.0, 0, Durability::Strict).unwrap();
     let mut before: Vec<u64> = live.iter().map(|f| f.raw()).collect();
     let mut after: Vec<u64> = reopened.list().iter().map(|f| f.raw()).collect();
     before.sort_unstable();

@@ -161,17 +161,17 @@ fn crash_matrix_group_commit() {
 fn journal_append_crash_then_store_then_reopen() {
     let dir = TempDir::new("append-tail");
     {
-        let store = FileStore::open_with(&dir.0, 0, true).unwrap();
+        let store = FileStore::open_with_durability(&dir.0, 0, Durability::Strict).unwrap();
         store.store(fid(0), BASELINE.into(), false).unwrap();
         store.inject_crash(CrashPoint::JournalAppend);
         store.store(fid(1), VICTIM.into(), false).unwrap_err();
     }
     {
-        let store = FileStore::open_with(&dir.0, 0, true).unwrap();
+        let store = FileStore::open_with_durability(&dir.0, 0, Durability::Strict).unwrap();
         assert!(store.meta(fid(1)).is_none());
         store.store(fid(2), b"post-recovery".into(), false).unwrap();
     }
-    let store = FileStore::open_with(&dir.0, 0, true).unwrap();
+    let store = FileStore::open_with_durability(&dir.0, 0, Durability::Strict).unwrap();
     assert_eq!(store.fragment_count(), 2);
     assert_eq!(store.read(fid(2), 0, 13).unwrap(), b"post-recovery");
 }
@@ -183,7 +183,7 @@ fn journal_append_crash_then_store_then_reopen() {
 fn repeated_crashes_accumulate_no_damage() {
     let dir = TempDir::new("repeat");
     for (i, point) in CrashPoint::ALL.into_iter().enumerate() {
-        let store = FileStore::open_with(&dir.0, 0, true).unwrap();
+        let store = FileStore::open_with_durability(&dir.0, 0, Durability::Strict).unwrap();
         // Everything committed by earlier generations survived.
         for j in 0..i as u64 {
             let want = format!("keep-{j}").into_bytes();
@@ -206,7 +206,7 @@ fn repeated_crashes_accumulate_no_damage() {
             .unwrap_err();
         drop(store); // crash: no cleanup, straight to the next reopen
     }
-    let store = FileStore::open_with(&dir.0, 0, true).unwrap();
+    let store = FileStore::open_with_durability(&dir.0, 0, Durability::Strict).unwrap();
     for i in 0..CrashPoint::ALL.len() as u64 {
         let want = format!("keep-{i}").into_bytes();
         assert_eq!(

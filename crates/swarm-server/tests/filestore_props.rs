@@ -3,7 +3,7 @@
 //! simulated torn journal), the store matches a reference model.
 
 use proptest::prelude::*;
-use swarm_server::{FileStore, FragmentStore};
+use swarm_server::{Durability, FileStore, FragmentStore};
 use swarm_types::{ClientId, FragmentId};
 
 struct TempDir(std::path::PathBuf);
@@ -58,7 +58,7 @@ proptest! {
         // Model: seq → (contents, marked)
         let mut model: std::collections::BTreeMap<u8, (Vec<u8>, bool)> = Default::default();
         {
-            let store = FileStore::open_with(&dir.0, 0, false).unwrap();
+            let store = FileStore::open_with_durability(&dir.0, 0, Durability::None).unwrap();
             for op in &ops {
                 match op {
                     StoreOp::Store { seq, marked, len } => {
@@ -103,7 +103,7 @@ proptest! {
             // in reality the entry always survives the file). The store
             // rightly reports Corrupt for such impossible states; accept
             // that outcome, verify invariants otherwise.
-            let store = match FileStore::open_with(&dir.0, 0, false) {
+            let store = match FileStore::open_with_durability(&dir.0, 0, Durability::None) {
                 Ok(s) => s,
                 Err(swarm_types::SwarmError::Corrupt(_)) => return Ok(()),
                 Err(e) => return Err(TestCaseError::fail(format!("unexpected: {e}"))),
@@ -121,7 +121,7 @@ proptest! {
             return Ok(());
         }
         // Clean reopen: exact model equality.
-        let store = FileStore::open_with(&dir.0, 0, false).unwrap();
+        let store = FileStore::open_with_durability(&dir.0, 0, Durability::None).unwrap();
         let listed: Vec<u8> = store.list().iter().map(|f| f.seq() as u8).collect();
         let expect: Vec<u8> = model.keys().copied().collect();
         prop_assert_eq!(listed, expect);

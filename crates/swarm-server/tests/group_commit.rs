@@ -139,7 +139,7 @@ fn group_commit_issues_at_most_one_fsync_per_batch() {
 
     // Nothing was lost to batching: all fragments durable after reopen.
     drop(store);
-    let reopened = FileStore::open_with(&dir.0, 0, true).unwrap();
+    let reopened = FileStore::open_with_durability(&dir.0, 0, Durability::Strict).unwrap();
     assert_eq!(reopened.fragment_count(), stores);
 }
 

@@ -2,10 +2,12 @@
 //!
 //! The files people and CI runners follow — README, DESIGN, EXPERIMENTS,
 //! the verify skill and the workflow — are scanned for `--bin NAME`,
-//! `--bench NAME`, `-p CRATE`, `--manifest-path PATH`, `tools/*.sh` and
-//! `*.json` / `*.md` file names; each must resolve to a cargo target, a
-//! package or a file in the checkout. A deleted binary or data file that is
-//! still cited fails here, not in a nightly job that quietly skips it.
+//! `--bench NAME`, `-p CRATE`, `--manifest-path PATH`, `tools/*.sh`,
+//! `*.json` / `*.md` file names and `dir/*.rs` source paths; each must
+//! resolve to a cargo target, a package or a file in the checkout (a
+//! source path from the root, from `crates/` or from inside a crate). A
+//! deleted binary, data or source file that is still cited fails here, not
+//! in a nightly job that quietly skips it.
 //! Flags are held to the same rule: every `--flag` in one of README's flag
 //! tables, or on a `-p swarm-chaos --` command line anywhere, must be a
 //! string the CLI sources read. So is API: a back-ticked `Log::name` (or
@@ -105,6 +107,14 @@ fn is_pattern(token: &str) -> bool {
 #[test]
 fn docs_and_ci_name_only_things_that_exist() {
     let t = targets();
+    // A source path may be written from the root, from `crates/` or from
+    // inside one crate.
+    let mut source_roots = vec![root(), root().join("crates")];
+    source_roots.extend(
+        fs::read_dir(root().join("crates"))
+            .unwrap()
+            .map(|e| e.unwrap().path()),
+    );
     let mut missing = Vec::new();
     for file in SCANNED {
         let text = fs::read_to_string(root().join(file)).unwrap_or_else(|e| panic!("{file}: {e}"));
@@ -137,11 +147,19 @@ fn docs_and_ci_name_only_things_that_exist() {
                 }
                 let script = tok.starts_with("tools/") && tok.ends_with(".sh");
                 let data = tok.ends_with(".json") || tok.ends_with(".md");
+                let source = tok.ends_with(".rs") && tok.contains('/');
+                let found = || {
+                    if source {
+                        source_roots.iter().any(|dir| dir.join(tok).is_file())
+                    } else {
+                        root().join(tok).is_file()
+                    }
+                };
                 // Relative names only: `/tmp/...` and `~/...` are not ours.
-                if (script || data)
+                if (script || data || source)
                     && !is_pattern(tok)
                     && !tok.starts_with(['/', '~'])
-                    && !root().join(tok).is_file()
+                    && !found()
                 {
                     complain("no file", tok);
                 }

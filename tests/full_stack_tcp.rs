@@ -7,7 +7,7 @@ use std::sync::Arc;
 use sting::{StingConfig, StingFs, StingService};
 use swarm_log::{recover, Log, LogConfig};
 use swarm_net::tcp::{TcpServer, TcpTransport};
-use swarm_server::{FileStore, StorageServer};
+use swarm_server::{Durability, FileStore, StorageServer};
 use swarm_services::Service;
 use swarm_types::{ClientId, ServerId, ServiceId};
 
@@ -48,7 +48,7 @@ fn tcp_cluster(n: u32, tag: &str) -> TcpCluster {
         let dir = TempDir::new(&format!("{tag}-{i}"));
         // Non-durable file store: the semantics are identical, and tests
         // shouldn't hammer fsync.
-        let store = FileStore::open_with(&dir.0, 0, false).unwrap();
+        let store = FileStore::open_with_durability(&dir.0, 0, Durability::None).unwrap();
         let handler = StorageServer::new(ServerId::new(i), store).into_shared();
         let server = TcpServer::spawn(ServerId::new(i), "127.0.0.1:0", handler).unwrap();
         transport.add_server(ServerId::new(i), server.addr());
@@ -146,7 +146,7 @@ fn server_restart_preserves_fragments_on_disk() {
     let svc = ServiceId::new(1);
     let addr;
     {
-        let store = FileStore::open_with(&dir.0, 0, false).unwrap();
+        let store = FileStore::open_with_durability(&dir.0, 0, Durability::None).unwrap();
         let handler = StorageServer::new(ServerId::new(0), store).into_shared();
         let handler2 =
             StorageServer::new(ServerId::new(1), swarm_server::MemStore::new()).into_shared();
@@ -165,7 +165,7 @@ fn server_restart_preserves_fragments_on_disk() {
     }
     // Restart server 0 from the same directory; server 1's MemStore is
     // gone for good (that's the single-failure the parity covers).
-    let store = FileStore::open_with(&dir.0, 0, false).unwrap();
+    let store = FileStore::open_with_durability(&dir.0, 0, Durability::None).unwrap();
     let handler = StorageServer::new(ServerId::new(0), store).into_shared();
     let s0 = TcpServer::spawn(ServerId::new(0), "127.0.0.1:0", handler).unwrap();
     let transport2 = Arc::new(TcpTransport::new());
@@ -193,7 +193,7 @@ fn pooled_connections_reconnect_across_server_restart() {
     let mut servers = Vec::new();
     for i in 0..2u32 {
         let dir = TempDir::new(&format!("poolrestart-{i}"));
-        let store = FileStore::open_with(&dir.0, 0, false).unwrap();
+        let store = FileStore::open_with_durability(&dir.0, 0, Durability::None).unwrap();
         let handler = StorageServer::new(ServerId::new(i), store).into_shared();
         let server = TcpServer::spawn(ServerId::new(i), "127.0.0.1:0", handler).unwrap();
         transport.add_server(ServerId::new(i), server.addr());
@@ -218,7 +218,8 @@ fn pooled_connections_reconnect_across_server_restart() {
         let mut old = servers.remove(0);
         old.shutdown();
         drop(old);
-        let store = FileStore::open_with(&dirs[i as usize].0, 0, false).unwrap();
+        let store =
+            FileStore::open_with_durability(&dirs[i as usize].0, 0, Durability::None).unwrap();
         let handler = StorageServer::new(ServerId::new(i), store).into_shared();
         let server = TcpServer::spawn(ServerId::new(i), "127.0.0.1:0", handler).unwrap();
         transport.remove_server(ServerId::new(i));

@@ -3,7 +3,9 @@
 //! parseable snapshot, and counters must move monotonically.
 //!
 //! The registry is process-global and tests run in parallel, so every
-//! assertion here compares before/after *deltas*, never absolute values.
+//! assertion here compares before/after *deltas*, never absolute values —
+//! except the server queue's depth gauge, which only this file's one
+//! `TcpServer` sets.
 
 use std::sync::Arc;
 
@@ -312,6 +314,132 @@ fn journal_metrics_appear_in_snapshot() {
         after.counters.contains_key("server.journal_window_expired"),
         "journal_window_expired counter not registered"
     );
+}
+
+/// The server queue's instruments (DESIGN.md §18), provoked through a
+/// one-worker `TcpServer` whose handler holds every request until the test
+/// lets go. `net.workpool_panics` is registered with the pool, so a
+/// healthy server shows it at 0. With the worker held by a first store,
+/// 32 of the next 47 queue (`server.admission_queue_depth`) and 15 bounce
+/// with `Busy` (`server.client_throttled`); the queued ones are admitted
+/// once the worker frees (`server.drr_admits`); a panicking handler is
+/// counted and its worker goes on serving.
+#[test]
+fn server_queue_metrics_appear_in_snapshot() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::{Condvar, Mutex};
+    use std::time::{Duration, Instant};
+    use swarm_net::tcp::{ServerConfig, TcpServer, TcpTransport};
+    use swarm_net::{PreparedRequest, RequestHandler};
+    use swarm_types::{FragmentId, SwarmError};
+
+    /// Holds requests until opened (or for 10 s, so a failure cannot
+    /// hang the suite); panics on `Ping`.
+    #[derive(Default)]
+    struct Held {
+        open: Mutex<bool>,
+        opened: Condvar,
+        entered: AtomicUsize,
+    }
+    impl RequestHandler for Held {
+        fn handle(&self, _client: ClientId, request: Request) -> Response {
+            if matches!(request, Request::Ping) {
+                panic!("a handler panics");
+            }
+            self.entered.fetch_add(1, Ordering::SeqCst);
+            let deadline = Instant::now() + Duration::from_secs(10);
+            let mut open = self.open.lock().unwrap();
+            while !*open {
+                open = self
+                    .opened
+                    .wait_timeout(open, Duration::from_millis(50))
+                    .unwrap()
+                    .0;
+                *open |= Instant::now() >= deadline;
+            }
+            Response::Ok
+        }
+    }
+    let eventually = |what: &str, cond: &dyn Fn() -> bool| {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !cond() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    };
+
+    let before = swarm_metrics::snapshot();
+    let held = Arc::new(Held::default());
+    let server = TcpServer::spawn_with_config(
+        ServerId::new(40),
+        "127.0.0.1:0",
+        held.clone(),
+        ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let healthy = swarm_metrics::snapshot();
+    assert!(
+        healthy.counters.contains_key("net.workpool_panics"),
+        "net.workpool_panics not registered with the pool"
+    );
+
+    let client = ClientId::new(4);
+    let transport = TcpTransport::with_servers([(server.id(), server.addr())]);
+    let mut conn = transport.connect(server.id(), client).unwrap();
+    let store = |seq: u64| {
+        PreparedRequest::new(Request::Store {
+            fid: FragmentId::new(client, seq),
+            marked: false,
+            ranges: vec![],
+            data: vec![0u8; 512].into(),
+        })
+    };
+    let mut pending = vec![conn.start_prepared(&store(0))];
+    eventually("the worker to take the first store", &|| {
+        held.entered.load(Ordering::SeqCst) == 1
+    });
+    pending.extend((1..48).map(|seq| conn.start_prepared(&store(seq))));
+    // One socket's stores are dispatched in order: the last one's `Busy`
+    // means all of them are queued or bounced.
+    let last = pending.pop().unwrap().wait().unwrap().into_result();
+    assert!(matches!(last, Err(SwarmError::Busy(_))), "{last:?}");
+    let saturated = swarm_metrics::snapshot();
+    assert_eq!(
+        saturated.gauges.get("server.admission_queue_depth"),
+        Some(&32)
+    );
+    assert_eq!(
+        saturated.counter("server.client_throttled") - before.counter("server.client_throttled"),
+        15
+    );
+
+    // Queued behind the stores, never answered: its handler panics.
+    drop(conn.start_prepared(&PreparedRequest::new(Request::Ping)));
+    *held.open.lock().unwrap() = true;
+    held.opened.notify_all();
+    let acked = pending
+        .into_iter()
+        .map(|p| p.wait().unwrap())
+        .filter(|reply| *reply == Response::Ok)
+        .count();
+    assert_eq!(acked, 1 + 32);
+    let panics = |snap: &swarm_metrics::Snapshot| snap.counter("net.workpool_panics");
+    eventually("the panic to be counted", &|| {
+        panics(&swarm_metrics::snapshot()) > panics(&before)
+    });
+    // The panicking job freed the one worker.
+    assert_eq!(
+        conn.call_prepared(&store(48)).unwrap(),
+        Response::Ok,
+        "the worker serves on after a panic"
+    );
+
+    let after = swarm_metrics::snapshot();
+    assert!(after.counter("server.drr_admits") >= before.counter("server.drr_admits") + 32);
+    assert_eq!(after.gauges.get("server.admission_queue_depth"), Some(&0));
 }
 
 #[test]
