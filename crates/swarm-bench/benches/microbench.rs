@@ -1,6 +1,6 @@
 //! Microbenchmarks of the real implementation (not the testbed model):
 //! parity XOR, fragment encode/parse, log append throughput, Sting file
-//! operations, reconstruction, and the LRU/LZSS substrates.
+//! operations, reconstruction, and the LRU every cache uses.
 
 use std::sync::Arc;
 
@@ -9,8 +9,7 @@ use sting::{StingConfig, StingFs};
 use swarm_bench::{log_config, mem_cluster};
 use swarm_log::{Log, LogConfig, StripeGroup};
 use swarm_net::MemTransport;
-use swarm_services::{lzss, LruCache, TransformStack};
-use swarm_types::{ClientId, ServerId, ServiceId};
+use swarm_types::{ClientId, LruCache, ServerId, ServiceId};
 
 const SVC: ServiceId = ServiceId::new(1);
 
@@ -170,27 +169,6 @@ fn bench_substrates(c: &mut Criterion) {
             },
             BatchSize::SmallInput,
         );
-    });
-    let text: Vec<u8> = include_str!("microbench.rs").as_bytes().repeat(4);
-    g.throughput(Throughput::Bytes(text.len() as u64));
-    g.bench_function("lzss_compress_source", |b| {
-        b.iter(|| lzss::compress(&text));
-    });
-    let packed = lzss::compress(&text);
-    g.bench_function("lzss_decompress_source", |b| {
-        b.iter(|| lzss::decompress(&packed).unwrap());
-    });
-    let stack = TransformStack::new()
-        .push(swarm_services::CompressTransform)
-        .push(swarm_services::EncryptTransform::new(b"bench key"))
-        .push(swarm_services::ChecksumTransform);
-    let block = vec![0x5au8; 4096];
-    g.throughput(Throughput::Bytes(4096));
-    g.bench_function("transform_stack_4k_roundtrip", |b| {
-        b.iter(|| {
-            let enc = stack.encode(block.clone(), 7);
-            stack.decode(enc, 7).unwrap()
-        });
     });
     g.finish();
 }

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-use swarm_log::{Log, LogPosition};
+use swarm_log::Log;
 use swarm_services::ServiceStack;
 use swarm_types::{FragmentId, Result, ServiceId};
 
@@ -386,11 +386,6 @@ impl Cleaner {
         let mut v: Vec<u64> = self.cleaned.lock().iter().copied().collect();
         v.sort_unstable();
         v
-    }
-
-    /// The cleaner's gating view for one service (diagnostics/tests).
-    pub fn checkpoint_of(&self, service: ServiceId) -> Option<LogPosition> {
-        self.log.last_checkpoint(service)
     }
 
     /// Spawns a background thread running [`Cleaner::clean_pass`] every

@@ -84,16 +84,6 @@ impl FragmentHeader {
         i >= self.parity_index
     }
 
-    /// Coding row of parity member `i` (0 = the XOR row).
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) if `i` is a data member.
-    pub fn parity_row(&self, i: u8) -> u8 {
-        debug_assert!(self.is_parity_member(i));
-        i - self.parity_index
-    }
-
     /// Encoded header length in bytes (stable once `group` and
     /// `member_lens` are fixed).
     pub fn encoded_len(&self) -> usize {

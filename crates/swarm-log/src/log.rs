@@ -16,8 +16,8 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use swarm_net::{ConnectionPool, Request, Response, Transport};
 use swarm_types::{
-    BlockAddr, Bytes, ClientId, FragmentId, Result, ServerId, ServiceId, StripeSeq, SwarmError,
-    DEFAULT_FRAGMENT_SIZE,
+    BlockAddr, Bytes, ClientId, FragmentId, LruCache, Result, ServerId, ServiceId, StripeSeq,
+    SwarmError, DEFAULT_FRAGMENT_SIZE,
 };
 
 use crate::entry::Entry;
@@ -238,64 +238,10 @@ impl ReadSource {
     }
 }
 
-/// Tiny LRU fragment cache for the read path. Entries are [`Bytes`]
-/// views, so caching a sealed fragment shares its buffer with the write
-/// pipeline instead of copying it. A hit refreshes the entry's position
-/// so hot fragments survive eviction (the order deque is short — the
-/// cache holds at most `cache_fragments` entries — so the linear refresh
-/// is cheaper than a linked structure would be). The degraded read path
-/// keeps its stripe descriptions in a second one, keyed by each stripe's
-/// first member and bounded by [`STRIPE_INFO_CACHE`].
-struct FragCache<V = Bytes> {
-    capacity: usize,
-    map: HashMap<FragmentId, V>,
-    order: std::collections::VecDeque<FragmentId>,
-}
-
 /// Stripe descriptions ([`reconstruct::stripe_info`] headers, ~100 B)
-/// the degraded read path remembers, so such a read costs no `Locate`.
-/// Small enough that [`FragCache`]'s linear refresh is a 4 KiB scan.
+/// the degraded read path remembers, keyed by each stripe's first member,
+/// so such a read costs no `Locate`.
 const STRIPE_INFO_CACHE: usize = 256;
-
-impl<V: Clone> FragCache<V> {
-    fn new(capacity: usize) -> Self {
-        FragCache {
-            capacity,
-            map: HashMap::new(),
-            order: std::collections::VecDeque::new(),
-        }
-    }
-
-    fn get(&mut self, fid: FragmentId) -> Option<V> {
-        let bytes = self.map.get(&fid).cloned()?;
-        if self.order.back() != Some(&fid) {
-            if let Some(pos) = self.order.iter().position(|f| *f == fid) {
-                self.order.remove(pos);
-                self.order.push_back(fid);
-            }
-        }
-        Some(bytes)
-    }
-
-    fn insert(&mut self, fid: FragmentId, bytes: V) {
-        if self.capacity == 0 {
-            return;
-        }
-        if self.map.insert(fid, bytes).is_none() {
-            self.order.push_back(fid);
-            while self.order.len() > self.capacity {
-                if let Some(old) = self.order.pop_front() {
-                    self.map.remove(&old);
-                }
-            }
-        }
-    }
-
-    fn remove(&mut self, fid: FragmentId) {
-        self.map.remove(&fid);
-        self.order.retain(|f| *f != fid);
-    }
-}
 
 struct LogState {
     next_seq: u64,
@@ -351,10 +297,12 @@ pub struct Log {
     /// fast path and scans.
     reader: ReadEngine,
     /// Client fragment cache. Outside `state` so whole-fragment fetches
-    /// (cleaner, recovery) fill it without holding up appends.
-    cache: Mutex<FragCache>,
+    /// (cleaner, recovery) fill it without holding up appends. Entries
+    /// are [`Bytes`] views, so caching a sealed fragment shares its
+    /// buffer with the write pipeline instead of copying it.
+    cache: Mutex<LruCache<FragmentId, Bytes>>,
     /// Stripe descriptions learnt by degraded reads.
-    stripes: Mutex<FragCache<Arc<FragmentHeader>>>,
+    stripes: Mutex<LruCache<FragmentId, Arc<FragmentHeader>>>,
     state: Mutex<LogState>,
 }
 
@@ -425,8 +373,8 @@ impl Log {
             transport,
             reader,
             engine,
-            cache: Mutex::new(FragCache::new(config.cache_fragments)),
-            stripes: Mutex::new(FragCache::new(STRIPE_INFO_CACHE)),
+            cache: Mutex::new(LruCache::new(config.cache_fragments)),
+            stripes: Mutex::new(LruCache::new(STRIPE_INFO_CACHE)),
             state: Mutex::new(LogState {
                 next_seq,
                 stripe: None,
@@ -919,7 +867,7 @@ impl Log {
                 return Some((ReadSource::Builder, result));
             }
         }
-        let bytes = self.cache.lock().get(addr.fid)?;
+        let bytes = self.cache.lock().get(&addr.fid)?.share();
         state.stats.cache_hits += 1;
         Some((ReadSource::Cache, slice_fragment(&bytes, addr)))
     }
@@ -1003,7 +951,7 @@ impl Log {
             return None; // parity holds no blocks
         }
         let key = plan.member_fid(0);
-        let cached = self.stripes.lock().get(key);
+        let cached = self.stripes.lock().get(&key).cloned();
         let stripe = match cached {
             Some(stripe) => stripe,
             None => {
@@ -1114,7 +1062,8 @@ impl Log {
     ///
     /// Propagates transport errors and corruption.
     pub fn fetch_fragment_view(&self, fid: FragmentId) -> Result<Option<FragmentView>> {
-        if let Some(bytes) = self.cache.lock().get(fid) {
+        let cached = self.cache.lock().get(&fid).map(Bytes::share);
+        if let Some(bytes) = cached {
             return Ok(Some(FragmentView::parse(&bytes)?));
         }
         match reconstruct::read_fragment_anywhere(&self.reader, fid)? {
@@ -1129,7 +1078,7 @@ impl Log {
 
     /// Forgets the home-server mapping of a deleted fragment.
     pub fn forget_fragment(&self, fid: FragmentId) {
-        self.cache.lock().remove(fid);
+        self.cache.lock().remove(&fid);
         self.state.lock().fragment_map.remove(&fid);
     }
 
@@ -1268,38 +1217,4 @@ fn slice_fragment(bytes: &Bytes, addr: BlockAddr) -> Result<Bytes> {
         });
     }
     Ok(bytes.slice(start..end))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::FragCache;
-    use swarm_types::{Bytes, ClientId, FragmentId};
-
-    fn fid(seq: u64) -> FragmentId {
-        FragmentId::new(ClientId::new(1), seq)
-    }
-
-    /// Regression test for the FIFO→LRU switch: a `get` must refresh the
-    /// entry so the least-*recently*-used fragment is evicted, not the
-    /// least-recently-*inserted* one.
-    #[test]
-    fn frag_cache_evicts_least_recently_used_not_oldest_insert() {
-        let mut cache = FragCache::new(2);
-        cache.insert(fid(1), Bytes::from(vec![1]));
-        cache.insert(fid(2), Bytes::from(vec![2]));
-        // Touch fid(1): under FIFO it would still be evicted next; under
-        // LRU the untouched fid(2) goes first.
-        assert!(cache.get(fid(1)).is_some());
-        cache.insert(fid(3), Bytes::from(vec![3]));
-        assert!(cache.get(fid(1)).is_some(), "recently-used entry evicted");
-        assert!(cache.get(fid(2)).is_none(), "stale entry survived");
-        assert!(cache.get(fid(3)).is_some());
-    }
-
-    #[test]
-    fn frag_cache_zero_capacity_caches_nothing() {
-        let mut cache = FragCache::new(0);
-        cache.insert(fid(1), Bytes::from(vec![1]));
-        assert!(cache.get(fid(1)).is_none());
-    }
 }

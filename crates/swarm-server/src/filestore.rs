@@ -993,7 +993,8 @@ impl FragmentStore for FileStore {
                 .ok_or(SwarmError::FragmentNotFound(fid))?;
             *stored
         };
-        if offset > stored || offset + len > stored {
+        // In u64: `offset + len` from the wire may wrap a u32.
+        if offset as u64 + len as u64 > stored as u64 {
             return Err(SwarmError::RangeOutOfBounds {
                 addr: BlockAddr::new(fid, offset, len),
                 stored,

@@ -1,13 +1,12 @@
 //! The storage server request handler: glues a [`FragmentStore`] and an
 //! [`AclDb`] behind the wire protocol.
 
-use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 use swarm_net::{BatchReply, Request, RequestHandler, Response, ServerStats};
-use swarm_types::{Bytes, ClientId, FragmentId, Result, ServerId, SwarmError};
+use swarm_types::{Bytes, ClientId, FragmentId, LruCache, Result, ServerId, SwarmError};
 
 use crate::acl::AclDb;
 use crate::store::FragmentStore;
@@ -17,7 +16,6 @@ struct ServerMetrics {
     store_bytes: swarm_metrics::Counter,
     reads: swarm_metrics::Counter,
     deletes: swarm_metrics::Counter,
-    cache_hits: swarm_metrics::Counter,
     read_cache_hits: swarm_metrics::Counter,
     read_cache_misses: swarm_metrics::Counter,
     read_cache_bypass: swarm_metrics::Counter,
@@ -33,7 +31,6 @@ fn metrics() -> &'static ServerMetrics {
         store_bytes: swarm_metrics::counter("server.store_bytes"),
         reads: swarm_metrics::counter("server.reads"),
         deletes: swarm_metrics::counter("server.deletes"),
-        cache_hits: swarm_metrics::counter("server.cache_hits"),
         read_cache_hits: swarm_metrics::counter("server.read_cache_hits"),
         read_cache_misses: swarm_metrics::counter("server.read_cache_misses"),
         read_cache_bypass: swarm_metrics::counter("server.read_cache_bypass"),
@@ -71,7 +68,6 @@ pub struct StorageServer<S> {
     stores: AtomicU64,
     reads: AtomicU64,
     deletes: AtomicU64,
-    cache_hits: AtomicU64,
     /// Optional in-memory fragment cache (sharded LRU). The paper's
     /// prototype had none ("the prototype servers do not cache log
     /// fragments in memory", §3.4) — this is the extension it names.
@@ -84,37 +80,15 @@ pub struct StorageServer<S> {
 /// discipline as the FileStore index.
 const CACHE_SHARDS: usize = 8;
 
-/// A fragment cache split into [`CACHE_SHARDS`] independently-locked LRU
-/// shards keyed by a hash of the fragment id. The lock only guards
-/// bookkeeping (map + recency index); the cached payloads are shared
-/// [`Bytes`], so holding a shard lock never copies fragment data.
+/// A fragment cache split into [`CACHE_SHARDS`] independently-locked
+/// [`LruCache`] shards keyed by a hash of the fragment id. The lock only
+/// guards bookkeeping; the cached payloads are shared [`Bytes`], so
+/// holding a shard lock never copies fragment data.
 struct ShardedCache {
-    shards: Vec<Mutex<CacheShard>>,
+    shards: Vec<Mutex<LruCache<FragmentId, Bytes>>>,
     hits: Vec<AtomicU64>,
     misses: Vec<AtomicU64>,
     bypasses: Vec<AtomicU64>,
-}
-
-/// One LRU shard: recency is a monotonic stamp per entry plus a
-/// stamp→fid index, so get-refresh and evict-oldest are both O(log n).
-struct CacheShard {
-    capacity: usize,
-    clock: u64,
-    map: HashMap<FragmentId, (Bytes, u64)>,
-    by_age: BTreeMap<u64, FragmentId>,
-}
-
-impl CacheShard {
-    fn touch(&mut self, fid: FragmentId) -> Option<Bytes> {
-        let next = self.clock;
-        let (bytes, stamp) = self.map.get_mut(&fid)?;
-        self.by_age.remove(&*stamp);
-        *stamp = next;
-        let out = bytes.share();
-        self.by_age.insert(next, fid);
-        self.clock += 1;
-        Some(out)
-    }
 }
 
 impl ShardedCache {
@@ -125,14 +99,7 @@ impl ShardedCache {
         let per_shard = capacity.div_ceil(CACHE_SHARDS).max(1);
         ShardedCache {
             shards: (0..CACHE_SHARDS)
-                .map(|_| {
-                    Mutex::new(CacheShard {
-                        capacity: per_shard,
-                        clock: 0,
-                        map: HashMap::new(),
-                        by_age: BTreeMap::new(),
-                    })
-                })
+                .map(|_| Mutex::new(LruCache::new(per_shard)))
                 .collect(),
             hits: (0..CACHE_SHARDS).map(|_| AtomicU64::new(0)).collect(),
             misses: (0..CACHE_SHARDS).map(|_| AtomicU64::new(0)).collect(),
@@ -147,10 +114,15 @@ impl ShardedCache {
         (mixed >> 56) as usize % CACHE_SHARDS
     }
 
+    /// Looks `fid` up in `shard`, refreshing its recency on a hit.
+    fn touch(&self, shard: usize, fid: FragmentId) -> Option<Bytes> {
+        self.shards[shard].lock().get(&fid).map(Bytes::share)
+    }
+
     /// LRU probe: a hit refreshes the entry's recency.
     fn get(&self, fid: FragmentId) -> Option<Bytes> {
         let shard = Self::shard_of(fid);
-        let got = self.shards[shard].lock().touch(fid);
+        let got = self.touch(shard, fid);
         match &got {
             Some(_) => {
                 self.hits[shard].fetch_add(1, Ordering::Relaxed);
@@ -169,7 +141,7 @@ impl ShardedCache {
     /// it, so one logical read counts at most one miss.
     fn get_resident(&self, fid: FragmentId) -> Option<Bytes> {
         let shard = Self::shard_of(fid);
-        let got = self.shards[shard].lock().touch(fid);
+        let got = self.touch(shard, fid);
         if got.is_some() {
             self.hits[shard].fetch_add(1, Ordering::Relaxed);
             metrics().read_cache_hits.inc();
@@ -181,7 +153,7 @@ impl ShardedCache {
     /// caller (a `ReadBatch` sweep) will not admit what it fetches.
     fn get_bypass(&self, fid: FragmentId) -> Option<Bytes> {
         let shard = Self::shard_of(fid);
-        let got = self.shards[shard].lock().touch(fid);
+        let got = self.touch(shard, fid);
         match &got {
             Some(_) => {
                 self.hits[shard].fetch_add(1, Ordering::Relaxed);
@@ -195,38 +167,14 @@ impl ShardedCache {
         got
     }
 
+    /// Admits `fid` (a re-store of a live fid replaces its bytes and
+    /// refreshes its recency), evicting the shard's coldest if full.
     fn insert(&self, fid: FragmentId, bytes: Bytes) {
-        let mut shard = self.shards[Self::shard_of(fid)].lock();
-        if let Some((slot, stamp)) = shard.map.get_mut(&fid) {
-            // Replace in place (re-store of a live fid): new bytes, new
-            // recency.
-            *slot = bytes;
-            let old = *stamp;
-            let next = shard.clock;
-            shard.clock += 1;
-            shard.map.get_mut(&fid).expect("present").1 = next;
-            shard.by_age.remove(&old);
-            shard.by_age.insert(next, fid);
-            return;
-        }
-        while shard.map.len() >= shard.capacity {
-            let Some((&oldest, &victim)) = shard.by_age.iter().next() else {
-                break;
-            };
-            shard.by_age.remove(&oldest);
-            shard.map.remove(&victim);
-        }
-        let next = shard.clock;
-        shard.clock += 1;
-        shard.map.insert(fid, (bytes, next));
-        shard.by_age.insert(next, fid);
+        self.shards[Self::shard_of(fid)].lock().insert(fid, bytes);
     }
 
     fn remove(&self, fid: FragmentId) {
-        let mut shard = self.shards[Self::shard_of(fid)].lock();
-        if let Some((_, stamp)) = shard.map.remove(&fid) {
-            shard.by_age.remove(&stamp);
-        }
+        self.shards[Self::shard_of(fid)].lock().remove(&fid);
     }
 
     /// Per-shard `(hits, misses, bypasses)` counters.
@@ -253,7 +201,6 @@ impl<S: FragmentStore> StorageServer<S> {
             stores: AtomicU64::new(0),
             reads: AtomicU64::new(0),
             deletes: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
             cache: None,
         }
     }
@@ -268,11 +215,6 @@ impl<S: FragmentStore> StorageServer<S> {
             self.cache = Some(ShardedCache::new(fragments));
         }
         self
-    }
-
-    /// Cache hits served so far.
-    pub fn cache_hits(&self) -> u64 {
-        self.cache_hits.load(Ordering::Relaxed)
     }
 
     /// Per-shard read-cache `(hits, misses, bypasses)` counters; empty
@@ -355,8 +297,6 @@ impl<S: FragmentStore> StorageServer<S> {
                     if let Some(bytes) = cache.get(fid) {
                         let end = offset as usize + len as usize;
                         if end <= bytes.len() {
-                            self.cache_hits.fetch_add(1, Ordering::Relaxed);
-                            m.cache_hits.inc();
                             return Ok(Response::Data(bytes.slice(offset as usize..end)));
                         }
                     }
@@ -395,8 +335,6 @@ impl<S: FragmentStore> StorageServer<S> {
                             if let Some(bytes) = cache.get_bypass(spec.fid) {
                                 let end = spec.offset as usize + spec.len as usize;
                                 if end <= bytes.len() {
-                                    self.cache_hits.fetch_add(1, Ordering::Relaxed);
-                                    m.cache_hits.inc();
                                     return Ok(bytes.slice(spec.offset as usize..end));
                                 }
                             }
@@ -513,8 +451,6 @@ impl<S: FragmentStore> RequestHandler for StorageServer<S> {
         }
         self.reads.fetch_add(1, Ordering::Relaxed);
         m.reads.inc();
-        self.cache_hits.fetch_add(1, Ordering::Relaxed);
-        m.cache_hits.inc();
         Some(Response::Data(bytes.slice(offset as usize..end)))
     }
 }
@@ -962,6 +898,13 @@ mod cache_tests {
         )
     }
 
+    /// `(hits, misses, bypasses)` summed over the read cache's shards.
+    fn cache_totals(srv: &StorageServer<CountingStore>) -> (u64, u64, u64) {
+        srv.read_cache_shard_stats()
+            .iter()
+            .fold((0, 0, 0), |a, s| (a.0 + s.0, a.1 + s.1, a.2 + s.2))
+    }
+
     #[test]
     fn cached_reads_never_hit_the_disk() {
         let srv = counting_server(4);
@@ -973,7 +916,7 @@ mod cache_tests {
             );
         }
         assert_eq!(srv.store().reads.load(Ordering::Relaxed), 0);
-        assert_eq!(srv.cache_hits(), 10);
+        assert_eq!(cache_totals(&srv).0, 10);
     }
 
     #[test]
@@ -1005,10 +948,7 @@ mod cache_tests {
                 },
             )
             .is_none());
-        let (hits, misses, _) = srv
-            .read_cache_shard_stats()
-            .into_iter()
-            .fold((0, 0, 0), |a, s| (a.0 + s.0, a.1 + s.1, a.2 + s.2));
+        let (hits, misses, _) = cache_totals(&srv);
         assert_eq!(hits, 1);
         assert_eq!(misses, 0);
         // Anything but a single Read never qualifies.
@@ -1041,7 +981,7 @@ mod cache_tests {
             read_frag(&srv, 0, 0, 8);
         }
         assert_eq!(srv.store().reads.load(Ordering::Relaxed), 5);
-        assert_eq!(srv.cache_hits(), 0);
+        assert!(srv.read_cache_shard_stats().is_empty());
     }
 
     /// First `n` fragment seqs that all land in the same cache shard,
@@ -1138,12 +1078,9 @@ mod cache_tests {
         // Both sweeps re-read `a` (and re-attempt the missing fid) from
         // the store: batches never admit.
         assert_eq!(srv.store().reads.load(Ordering::Relaxed), 4);
-        let stats = srv.read_cache_shard_stats();
-        let (hits, _misses, bypasses) = stats
-            .iter()
-            .fold((0, 0, 0), |acc, s| (acc.0 + s.0, acc.1 + s.1, acc.2 + s.2));
+        let (hits, _misses, bypasses) = cache_totals(&srv);
         assert_eq!(bypasses, 4, "bypassed probes of `a` and the missing fid");
-        assert!(hits >= 2, "cached `b` probed twice: {stats:?}");
+        assert!(hits >= 2, "cached `b` probed twice: {hits}");
     }
 
     #[test]

@@ -171,6 +171,10 @@ pub(crate) mod conformance {
         assert!(matches!(err, SwarmError::RangeOutOfBounds { .. }), "{err}");
         let err = s.read(fid(1, 2), 11, 0).unwrap_err();
         assert!(matches!(err, SwarmError::RangeOutOfBounds { .. }), "{err}");
+        // `offset + len` wraps a u32: still out of range, and refused
+        // before anything is allocated.
+        let err = s.read(fid(1, 2), 1, u32::MAX).unwrap_err();
+        assert!(matches!(err, SwarmError::RangeOutOfBounds { .. }), "{err}");
     }
 
     pub fn delete_frees_fragment(s: &dyn FragmentStore) {

@@ -13,12 +13,8 @@
 //!   example): groups of records that replay all-or-nothing.
 //! * [`LogicalDisk`] — an overwritable block-device abstraction that hides
 //!   the append-only log (the paper's "logical disk" service).
-//! * [`LruCache`] / [`CachingReader`] — the client-side caching service
-//!   the paper credits for masking read latency.
-//! * [`transform`] — stackable per-block transforms: checksums
-//!   ([`ChecksumTransform`]), LZSS compression ([`CompressTransform`]),
-//!   and XTEA-CTR encryption ([`EncryptTransform`]) — the paper's
-//!   "compression service; an encryption service; etc."
+//! * [`CachingReader`] — the client-side caching service the paper
+//!   credits for masking read latency.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,15 +22,9 @@
 pub mod aru;
 pub mod cache;
 pub mod logical_disk;
-pub mod lzss;
 pub mod service;
-pub mod transform;
-pub mod xtea;
 
 pub use aru::{AruId, AruService, AruServiceAdapter};
-pub use cache::{CachingReader, LruCache};
+pub use cache::CachingReader;
 pub use logical_disk::{LogicalDisk, LogicalDiskService};
 pub use service::{Service, ServiceStack};
-pub use transform::{
-    BlockTransform, ChecksumTransform, CompressTransform, EncryptTransform, TransformStack,
-};

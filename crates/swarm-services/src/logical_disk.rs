@@ -16,20 +16,10 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use swarm_log::{Entry, Log, ReplayEntry};
 use swarm_types::{
-    BlockAddr, ByteReader, ByteWriter, Bytes, Decode, Encode, FragmentId, Result, ServiceId,
-    SwarmError,
+    BlockAddr, ByteReader, ByteWriter, Bytes, Decode, Encode, Result, ServiceId, SwarmError,
 };
 
 use crate::service::Service;
-
-/// Interval (in writes) between automatic checkpoints; 0 disables.
-const DEFAULT_CHECKPOINT_EVERY: u64 = 0;
-
-#[derive(Debug, Default)]
-struct DiskState {
-    map: BTreeMap<u64, BlockAddr>,
-    writes_since_checkpoint: u64,
-}
 
 /// An overwritable array of logical blocks stored in the Swarm log.
 ///
@@ -51,15 +41,15 @@ struct DiskState {
 pub struct LogicalDisk {
     id: ServiceId,
     log: Arc<Log>,
-    state: Mutex<DiskState>,
-    checkpoint_every: u64,
+    /// Logical block number → address of its live copy.
+    map: Mutex<BTreeMap<u64, BlockAddr>>,
 }
 
 impl std::fmt::Debug for LogicalDisk {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LogicalDisk")
             .field("id", &self.id)
-            .field("blocks", &self.state.lock().map.len())
+            .field("blocks", &self.map.lock().len())
             .finish()
     }
 }
@@ -82,16 +72,8 @@ impl LogicalDisk {
         LogicalDisk {
             id,
             log,
-            state: Mutex::new(DiskState::default()),
-            checkpoint_every: DEFAULT_CHECKPOINT_EVERY,
+            map: Mutex::new(BTreeMap::new()),
         }
-    }
-
-    /// Automatically checkpoint after every `n` writes (0 = only on
-    /// demand).
-    pub fn with_checkpoint_every(mut self, n: u64) -> LogicalDisk {
-        self.checkpoint_every = n;
-        self
     }
 
     /// Writes (or overwrites) logical block `lba`.
@@ -101,20 +83,11 @@ impl LogicalDisk {
     /// Propagates log append failures.
     pub fn write(&self, lba: u64, data: &[u8]) -> Result<()> {
         let addr = self.log.append_block(self.id, &create_info(lba), data)?;
-        let old = {
-            let mut state = self.state.lock();
-            state.writes_since_checkpoint += 1;
-            state.map.insert(lba, addr)
-        };
+        let old = self.map.lock().insert(lba, addr);
         if let Some(old) = old {
             // The superseded copy is now dead; tell the cleaner via a
             // delete record.
             self.log.delete_block(self.id, old)?;
-        }
-        let due = self.checkpoint_every > 0
-            && self.state.lock().writes_since_checkpoint >= self.checkpoint_every;
-        if due {
-            self.checkpoint()?;
         }
         Ok(())
     }
@@ -126,7 +99,7 @@ impl LogicalDisk {
     /// Propagates log read failures (the mapped block should always be
     /// readable, via reconstruction if needed).
     pub fn read(&self, lba: u64) -> Result<Option<Bytes>> {
-        let addr = { self.state.lock().map.get(&lba).copied() };
+        let addr = { self.map.lock().get(&lba).copied() };
         match addr {
             None => Ok(None),
             Some(addr) => Ok(Some(self.log.read(addr)?)),
@@ -139,7 +112,7 @@ impl LogicalDisk {
     ///
     /// Propagates log append failures.
     pub fn trim(&self, lba: u64) -> Result<()> {
-        let old = self.state.lock().map.remove(&lba);
+        let old = self.map.lock().remove(&lba);
         if let Some(old) = old {
             self.log.delete_block(self.id, old)?;
         }
@@ -148,7 +121,7 @@ impl LogicalDisk {
 
     /// Number of live logical blocks.
     pub fn len(&self) -> usize {
-        self.state.lock().map.len()
+        self.map.lock().len()
     }
 
     /// `true` if no logical block is live.
@@ -172,11 +145,10 @@ impl LogicalDisk {
     /// Propagates log failures.
     pub fn checkpoint(&self) -> Result<()> {
         let payload = {
-            let mut state = self.state.lock();
-            state.writes_since_checkpoint = 0;
+            let map = self.map.lock();
             let mut w = ByteWriter::new();
-            w.put_u64(state.map.len() as u64);
-            for (lba, addr) in &state.map {
+            w.put_u64(map.len() as u64);
+            for (lba, addr) in map.iter() {
                 w.put_u64(*lba);
                 addr.encode(&mut w);
             }
@@ -200,7 +172,7 @@ impl LogicalDisk {
                 "trailing bytes in logical disk checkpoint",
             ));
         }
-        self.state.lock().map = map;
+        *self.map.lock() = map;
         Ok(())
     }
 }
@@ -238,14 +210,13 @@ impl Service for LogicalDiskService {
                 let addr = entry
                     .block_addr
                     .ok_or_else(|| SwarmError::corrupt("block entry without address"))?;
-                self.disk.state.lock().map.insert(lba, addr);
+                self.disk.map.lock().insert(lba, addr);
             }
             Entry::Delete { addr, .. } => {
-                let mut state = self.disk.state.lock();
                 // A delete record marks the *old* copy dead. Only remove
                 // the mapping if it still points at that copy (an
                 // overwrite's delete must not kill the new mapping).
-                state.map.retain(|_, v| v != addr);
+                self.disk.map.lock().retain(|_, v| v != addr);
             }
             Entry::Record { .. } => {} // logical disk writes no custom records
             Entry::Checkpoint { .. } => {
@@ -257,10 +228,10 @@ impl Service for LogicalDiskService {
 
     fn block_moved(&mut self, old: BlockAddr, new: BlockAddr, create: &[u8]) -> Result<()> {
         let lba = parse_create(create)?;
-        let mut state = self.disk.state.lock();
-        match state.map.get(&lba) {
+        let mut map = self.disk.map.lock();
+        match map.get(&lba) {
             Some(current) if *current == old => {
-                state.map.insert(lba, new);
+                map.insert(lba, new);
                 Ok(())
             }
             // The block was overwritten since the cleaner read it; the
@@ -273,10 +244,6 @@ impl Service for LogicalDiskService {
         self.disk.checkpoint()
     }
 }
-
-// Keep FragmentId referenced so docs can link it (it appears in BlockAddr).
-#[allow(unused)]
-fn _doc_anchor(_: FragmentId) {}
 
 #[cfg(test)]
 mod tests {
@@ -385,28 +352,17 @@ mod tests {
         let disk = Arc::new(LogicalDisk::new(DISK_SVC, log.clone()));
         disk.write(4, b"payload").unwrap();
         disk.flush().unwrap();
-        let old = *disk.state.lock().map.get(&4).unwrap();
+        let old = *disk.map.lock().get(&4).unwrap();
         let new_addr = log
             .append_block(DISK_SVC, &create_info(4), b"payload")
             .unwrap();
         log.flush().unwrap();
         let mut svc = LogicalDiskService::new(disk.clone());
         svc.block_moved(old, new_addr, &create_info(4)).unwrap();
-        assert_eq!(*disk.state.lock().map.get(&4).unwrap(), new_addr);
+        assert_eq!(*disk.map.lock().get(&4).unwrap(), new_addr);
         // A stale move (old addr no longer current) is a no-op.
         svc.block_moved(old, new_addr, &create_info(4)).unwrap();
-        assert_eq!(*disk.state.lock().map.get(&4).unwrap(), new_addr);
-    }
-
-    #[test]
-    fn auto_checkpoint_interval() {
-        let transport = cluster(2);
-        let log = Arc::new(Log::create(transport, config(2)).unwrap());
-        let disk = LogicalDisk::new(DISK_SVC, log.clone()).with_checkpoint_every(3);
-        for i in 0..7 {
-            disk.write(i, b"data").unwrap();
-        }
-        assert!(log.last_checkpoint(DISK_SVC).is_some());
+        assert_eq!(*disk.map.lock().get(&4).unwrap(), new_addr);
     }
 
     #[test]

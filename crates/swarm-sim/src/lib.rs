@@ -22,9 +22,6 @@
 //! * [`mab`] — the Modified Andrew Benchmark workload and runners for
 //!   Sting-model vs ext2-model (Figure 5), plus an op list that can be
 //!   replayed against the *real* `StingFs` for functional cross-checks.
-//! * [`manyclient`] — hundreds-of-clients closed-loop contention runs
-//!   stressing the scalability claim itself (per-client logs scale until
-//!   the servers' aggregate service rate, then queue — never collapse).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,7 +31,6 @@ pub mod cluster;
 pub mod disk;
 pub mod ext2sim;
 pub mod mab;
-pub mod manyclient;
 pub mod timeline;
 
 pub use calib::Calibration;
@@ -45,5 +41,4 @@ pub use cluster::{
 pub use disk::SimDisk;
 pub use ext2sim::Ext2Sim;
 pub use mab::{mab_workload, run_ext2_model, run_sting_model, FsOp, MabConfig, MabResult};
-pub use manyclient::{simulate_closed_loop, ClosedLoopConfig, ClosedLoopPoint};
 pub use timeline::Timeline;

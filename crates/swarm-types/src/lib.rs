@@ -6,8 +6,8 @@
 //! together with parity, and storage servers that hold fragments. This crate
 //! defines the identifiers for those concepts, the error type used across
 //! the workspace, the binary wire/disk codec every on-disk and on-wire
-//! structure is expressed in, and small utilities (CRC32) that the codec and
-//! fragment formats rely on.
+//! structure is expressed in, small utilities (CRC32) that the codec and
+//! fragment formats rely on, and the one [`LruCache`] every cache uses.
 //!
 //! # Example
 //!
@@ -33,6 +33,7 @@ pub mod crc;
 pub mod error;
 pub mod geometry;
 pub mod id;
+mod lru;
 
 pub use bytes::Bytes;
 pub use codec::{ByteReader, ByteWriter, Decode, Encode};
@@ -41,3 +42,4 @@ pub use crc::crc32;
 pub use error::{Result, SwarmError};
 pub use geometry::Geometry;
 pub use id::{Aid, BlockAddr, ClientId, FragmentId, ServerId, ServiceId, StripeSeq};
+pub use lru::LruCache;

@@ -1,8 +1,7 @@
 //! A tour of the service stack (§2.2): "applications pick and choose the
 //! exact services needed". One shared log hosts atomic recovery units, an
-//! overwritable logical disk with a compression+encryption+checksum
-//! transform stack, and a background cleaner — then everything recovers
-//! from a crash together.
+//! overwritable logical disk and a background cleaner — and both services
+//! recover from a crash together.
 //!
 //! Run with: `cargo run --example services_tour`
 
@@ -13,8 +12,7 @@ use swarm::local::LocalCluster;
 use swarm_cleaner::{CleanPolicy, Cleaner};
 use swarm_log::{recover, Log};
 use swarm_services::{
-    AruService, AruServiceAdapter, ChecksumTransform, CompressTransform, EncryptTransform,
-    LogicalDisk, LogicalDiskService, Service, ServiceStack, TransformStack,
+    AruService, AruServiceAdapter, LogicalDisk, LogicalDiskService, Service, ServiceStack,
 };
 use swarm_types::ServiceId;
 
@@ -25,27 +23,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cluster = LocalCluster::new(3)?;
 
     // ------------------------------------------------------------------
-    // Logical disk + transform stack
+    // Logical disk
     // ------------------------------------------------------------------
     // Small fragments so the churn below spans many stripes (visible cleaning).
     let config = cluster.log_config(1)?.fragment_size(8 * 1024);
     let log = Arc::new(Log::create(cluster.transport(), config.clone())?);
     let disk = Arc::new(LogicalDisk::new(DISK_SVC, log.clone()));
-    let transforms = TransformStack::new()
-        .push(CompressTransform)
-        .push(EncryptTransform::new(b"tour secret"))
-        .push(ChecksumTransform);
 
-    let plaintext = b"block 7: redundant redundant redundant redundant data".to_vec();
-    disk.write(7, &transforms.encode(plaintext.clone(), 7))?;
+    let block = b"block 7, first version".to_vec();
+    disk.write(7, b"block 7, overwritten below")?;
+    disk.write(7, &block)?; // an overwrite appends; the old copy is dead
     disk.flush()?;
-    let stored = disk.read(7)?.expect("written");
+    assert_eq!(disk.read(7)?.expect("written"), block);
     println!(
-        "logical disk block 7: {} plaintext bytes stored as {} transformed bytes (compressed+encrypted+checksummed)",
-        plaintext.len(),
-        stored.len()
+        "logical disk block 7: overwritten (a fresh copy appended, the old one deleted), {} bytes live",
+        block.len()
     );
-    assert_eq!(transforms.decode(stored.to_vec(), 7)?, plaintext);
 
     // ------------------------------------------------------------------
     // Atomic recovery units
@@ -75,8 +68,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     stack.register(s2)?;
     stack.recover(&replay)?;
 
-    let recovered = disk.read(7)?.expect("block survived");
-    assert_eq!(transforms.decode(recovered.to_vec(), 7)?, plaintext);
+    assert_eq!(disk.read(7)?.expect("block survived"), block);
     let units = aru.committed_units();
     assert_eq!(units.len(), 1, "only the committed unit survives");
     println!(

@@ -3,7 +3,7 @@
 //! The files people and CI runners follow — README, DESIGN, EXPERIMENTS,
 //! the verify skill and the workflow — are scanned for `--bin NAME`,
 //! `--bench NAME`, `-p CRATE`, `--manifest-path PATH`, `tools/*.sh`,
-//! `*.json` / `*.md` file names and `dir/*.rs` source paths; each must
+//! `*.json` / `*.md` / `*.txt` file names and `dir/*.rs` source paths; each must
 //! resolve to a cargo target, a package or a file in the checkout (a
 //! source path from the root, from `crates/` or from inside a crate). A
 //! deleted binary, data or source file that is still cited fails here, not
@@ -12,7 +12,9 @@
 //! tables, or on a `-p swarm-chaos --` command line anywhere, must be a
 //! string the CLI sources read. So is API: a back-ticked `Log::name` (or
 //! `LogConfig::`, `ReadEngine::`, `ConnectionPool::`) must be a function or
-//! public field in `swarm-log` or `swarm-net`.
+//! public field in `swarm-log` or `swarm-net`, and a back-ticked
+//! `swarm-crate::path` (or `swarm_crate::path`) must be a module or `pub`
+//! item of that crate.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -146,7 +148,9 @@ fn docs_and_ci_name_only_things_that_exist() {
                     _ => {}
                 }
                 let script = tok.starts_with("tools/") && tok.ends_with(".sh");
-                let data = tok.ends_with(".json") || tok.ends_with(".md");
+                let data = [".json", ".md", ".txt"]
+                    .iter()
+                    .any(|ext| tok.ends_with(ext));
                 let source = tok.ends_with(".rs") && tok.contains('/');
                 let found = || {
                     if source {
@@ -173,20 +177,28 @@ fn docs_and_ci_name_only_things_that_exist() {
     );
 }
 
+/// The text of every `.rs` file under `dir`, recursively.
+fn rust_sources(dir: &Path, out: &mut Vec<String>) {
+    for entry in fs::read_dir(dir).unwrap().map(|e| e.unwrap().path()) {
+        if entry.is_dir() {
+            rust_sources(&entry, out);
+        } else if entry.extension().is_some_and(|ext| ext == "rs") {
+            out.push(fs::read_to_string(&entry).unwrap());
+        }
+    }
+}
+
 /// Every string literal in the `.rs` files under `dir`, without a leading
 /// `--`: `swarm-cli` reads `args.get_u64("client", ..)`, `swarm-chaos`
 /// matches on `"--seeds"`.
 fn string_literals(dir: &Path, out: &mut BTreeSet<String>) {
-    for entry in fs::read_dir(dir).unwrap().map(|e| e.unwrap().path()) {
-        if entry.is_dir() {
-            string_literals(&entry, out);
-        } else if entry.extension().is_some_and(|ext| ext == "rs") {
-            let text = fs::read_to_string(&entry).unwrap();
-            // Odd pieces of a split on `"` are the insides of literals
-            // (quotes in the CLI sources come in pairs, in comments too).
-            for literal in text.split('"').skip(1).step_by(2) {
-                out.insert(literal.trim_start_matches("--").to_string());
-            }
+    let mut texts = Vec::new();
+    rust_sources(dir, &mut texts);
+    for text in texts {
+        // Odd pieces of a split on `"` are the insides of literals
+        // (quotes in the CLI sources come in pairs, in comments too).
+        for literal in text.split('"').skip(1).step_by(2) {
+            out.insert(literal.trim_start_matches("--").to_string());
         }
     }
 }
@@ -272,6 +284,92 @@ fn documented_api_names_exist() {
     assert!(
         missing.is_empty(),
         "docs name API that does not exist:\n{}",
+        missing.join("\n")
+    );
+}
+
+/// Whether `code` declares `name` as a `pub` item: `pub fn name`, `pub
+/// struct name`, ... or a `pub use` that brings `name` in.
+fn declares_pub(code: &str, name: &str) -> bool {
+    const KINDS: [&str; 8] = [
+        "fn", "struct", "enum", "trait", "type", "const", "static", "mod",
+    ];
+    let whole = |text: &str, at: usize, len: usize| {
+        !text[..at].ends_with(is_ident) && !text[at + len..].starts_with(is_ident)
+    };
+    let declared = KINDS.iter().any(|kind| {
+        let decl = format!("pub {kind} {name}");
+        code.match_indices(&decl)
+            .any(|(at, _)| whole(code, at, decl.len()))
+    });
+    declared
+        || code.match_indices("pub use ").any(|(at, _)| {
+            let stmt = code[at..].split(';').next().unwrap_or("");
+            stmt.match_indices(name)
+                .any(|(i, _)| whole(stmt, i, name.len()))
+        })
+}
+
+/// The source file of module `path` (`["pool"]`, `["a", "b"]`) under `src`.
+fn module_file(src: &Path, path: &[&str]) -> Option<PathBuf> {
+    let base = path
+        .iter()
+        .fold(src.to_path_buf(), |dir, seg| dir.join(seg));
+    [base.with_extension("rs"), base.join("mod.rs")]
+        .into_iter()
+        .find(|f| f.is_file())
+}
+
+/// A back-ticked `swarm-log::writer`, `swarm_net::pool::WINDOW` or
+/// `swarm_types::Bytes` in the prose docs names something in that crate:
+/// a module file under its `src/`, or a `pub` item of the parent module's
+/// file (for a top-level name, of any file in the crate, since `lib.rs`
+/// re-exports). A path that
+/// trails off into a glob (`swarm-sim::{a, b}`) is checked up to the glob.
+#[test]
+fn documented_crate_paths_exist() {
+    let mut missing = Vec::new();
+    for file in ["README.md", "DESIGN.md", "EXPERIMENTS.md"] {
+        let text = fs::read_to_string(root().join(file)).unwrap_or_else(|e| panic!("{file}: {e}"));
+        for prefix in ["`swarm-", "`swarm_"] {
+            for (at, _) in text.match_indices(prefix) {
+                let rest = &text[at + prefix.len()..];
+                let krate = rest.split(|c| !is_ident(c)).next().unwrap_or("");
+                let mut segs: Vec<&str> = Vec::new();
+                let mut path = &rest[krate.len()..];
+                while let Some(tail) = path.strip_prefix("::") {
+                    let seg = tail.split(|c| !is_ident(c)).next().unwrap_or("");
+                    if seg.is_empty() {
+                        break;
+                    }
+                    segs.push(seg);
+                    path = &tail[seg.len()..];
+                }
+                let Some((last, parents)) = segs.split_last() else {
+                    continue;
+                };
+                let shown = format!("swarm-{krate}::{}", segs.join("::"));
+                let src = root().join(format!("crates/swarm-{}/src", krate.replace('_', "-")));
+                let parent_code = if parents.is_empty() {
+                    let mut texts = Vec::new();
+                    if src.is_dir() {
+                        rust_sources(&src, &mut texts);
+                    }
+                    texts.concat()
+                } else {
+                    module_file(&src, parents)
+                        .map(|f| fs::read_to_string(f).unwrap())
+                        .unwrap_or_default()
+                };
+                if module_file(&src, &segs).is_none() && !declares_pub(&parent_code, last) {
+                    missing.push(format!("{file}: `{shown}` is not in the source"));
+                }
+            }
+        }
+    }
+    assert!(
+        missing.is_empty(),
+        "docs name crate paths that do not exist:\n{}",
         missing.join("\n")
     );
 }

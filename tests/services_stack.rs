@@ -10,8 +10,7 @@ use sting::{StingConfig, StingFs, StingService};
 use swarm::local::LocalCluster;
 use swarm_log::{recover, Log};
 use swarm_services::{
-    AruService, AruServiceAdapter, ChecksumTransform, CompressTransform, EncryptTransform,
-    LogicalDisk, LogicalDiskService, Service, ServiceStack, TransformStack,
+    AruService, AruServiceAdapter, LogicalDisk, LogicalDiskService, Service, ServiceStack,
 };
 use swarm_types::ServiceId;
 
@@ -97,32 +96,6 @@ fn three_services_share_one_log_and_recover_together() {
             b"transfer: credit account B".to_vec()
         ]
     );
-}
-
-#[test]
-fn transformed_blocks_on_a_logical_disk() {
-    // Compression + encryption + checksums layered under a logical disk:
-    // the paper's "pick and choose the exact services needed".
-    let cluster = LocalCluster::new(2).unwrap();
-    let log = Arc::new(Log::create(cluster.transport(), cluster.log_config(1).unwrap()).unwrap());
-    let disk = LogicalDisk::new(DISK_SVC, log.clone());
-    let stack = TransformStack::new()
-        .push(CompressTransform)
-        .push(EncryptTransform::new(b"cluster secret"))
-        .push(ChecksumTransform);
-
-    let plaintext = b"confidential but very compressible: aaaaaaaaaaaaaaaaaaaaaaaa".to_vec();
-    let encoded = stack.encode(plaintext.clone(), 42);
-    disk.write(42, &encoded).unwrap();
-    disk.flush().unwrap();
-
-    let fetched = disk.read(42).unwrap().unwrap();
-    assert_eq!(stack.decode(fetched.to_vec(), 42).unwrap(), plaintext);
-    // The stored bytes are actually ciphertext.
-    assert_ne!(fetched, plaintext);
-    assert!(!fetched
-        .windows(b"confidential".len())
-        .any(|w| w == b"confidential"));
 }
 
 #[test]
