@@ -120,7 +120,8 @@ pub struct LogStats {
     pub bytes_shipped: u64,
     /// Read requests served.
     pub reads: u64,
-    /// Reads served from the client fragment cache or open builder.
+    /// Reads served locally: the open builder, a sealed fragment whose
+    /// store is not acked yet, or the client fragment cache.
     pub cache_hits: u64,
     /// Reads answered by a decode of the stripe's survivors (a whole
     /// fragment rebuilt, or just the addressed range).
@@ -143,6 +144,7 @@ pub struct LogConfig {
     pub fragment_size: usize,
     /// Client-side fragment cache capacity, in fragments (default 16).
     /// Serves re-reads and recovery scans without server round-trips.
+    /// Read-your-writes does not depend on it: 0 is a supported setting.
     pub cache_fragments: usize,
     /// Attempts per fragment store before the writer reports the server
     /// lost (default [`crate::writer::STORE_RETRIES`]).
@@ -539,9 +541,10 @@ impl Log {
         state.next_seq = sealed.fid().seq() + 1;
         state.stats.data_fragments += 1;
         state.stats.bytes_shipped += sealed.bytes.len() as u64;
-        // Cache the sealed bytes so reads never race the write pipeline
-        // (the fragment may still be in a writer queue). `share` aliases
-        // the sealed buffer; no copy is made.
+        // A cache, not a correctness measure: until its store is acked the
+        // write pool serves the fragment (`read_local`). Caching it here
+        // keeps the newest fragments local after they land. `share`
+        // aliases the sealed buffer; no copy is made.
         self.cache.lock().insert(sealed.fid(), sealed.bytes.share());
         m.fragments_sealed.inc();
         swarm_metrics::trace!(
@@ -840,8 +843,9 @@ impl Log {
     }
 
     /// The local half of a read, and the one place a read is counted: the
-    /// open builder, then the client fragment cache. `None` leaves the
-    /// address to [`Log::read_remote`].
+    /// open builder, then the sealed fragments whose stores are not acked
+    /// (their homes may not have them yet), then the client fragment
+    /// cache. `None` leaves the address to [`Log::read_remote`].
     fn read_local(
         &self,
         state: &mut LogState,
@@ -867,7 +871,10 @@ impl Log {
                 return Some((ReadSource::Builder, result));
             }
         }
-        let bytes = self.cache.lock().get(&addr.fid)?.share();
+        let bytes = match self.pool.unacked(addr.fid) {
+            Some(bytes) => bytes,
+            None => self.cache.lock().get(&addr.fid)?.share(),
+        };
         state.stats.cache_hits += 1;
         Some((ReadSource::Cache, slice_fragment(&bytes, addr)))
     }
@@ -1062,7 +1069,10 @@ impl Log {
     ///
     /// Propagates transport errors and corruption.
     pub fn fetch_fragment_view(&self, fid: FragmentId) -> Result<Option<FragmentView>> {
-        let cached = self.cache.lock().get(&fid).map(Bytes::share);
+        let cached = self
+            .pool
+            .unacked(fid)
+            .or_else(|| self.cache.lock().get(&fid).map(Bytes::share));
         if let Some(bytes) = cached {
             return Ok(Some(FragmentView::parse(&bytes)?));
         }

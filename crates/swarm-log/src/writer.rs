@@ -42,7 +42,7 @@ use crossbeam::channel::{bounded, Receiver, Sender, TryRecvError};
 use parking_lot::{Condvar, Mutex};
 use swarm_net::pool::WINDOW;
 use swarm_net::{Connection, ConnectionPool, PendingCall, PreparedRequest, Request, Response};
-use swarm_types::{FragmentId, Result, ServerId, SwarmError};
+use swarm_types::{Bytes, FragmentId, Result, ServerId, SwarmError};
 
 use crate::fragment::SealedFragment;
 
@@ -105,6 +105,10 @@ struct PoolState {
     /// a down server heals once the server is back, and a flush that
     /// returns `Ok` really means every sealed fragment is durable.
     failed: Vec<(ServerId, SealedFragment)>,
+    /// The bytes of every submitted fragment whose store has not been
+    /// acked, failed ones included: until its home has it, a sealed
+    /// fragment can only be read from here.
+    unacked: HashMap<FragmentId, Bytes>,
 }
 
 struct Shared {
@@ -184,14 +188,17 @@ impl WritePool {
         let sender = self.senders.get(&server).ok_or_else(|| {
             SwarmError::invalid(format!("server {server} is not in the write pool"))
         })?;
+        let fid = fragment.fid();
         {
             let mut state = self.shared.state.lock();
             state.in_flight += 1;
+            state.unacked.insert(fid, fragment.bytes.share());
         }
         sender.send(Job { fragment }).map_err(|_| {
             {
                 let mut state = self.shared.state.lock();
                 state.in_flight -= 1;
+                state.unacked.remove(&fid);
             }
             // Every in_flight decrement must notify: a flush_all waiting
             // on this job being the last in flight would otherwise sleep
@@ -199,6 +206,13 @@ impl WritePool {
             self.shared.done.notify_all();
             SwarmError::Closed("write pool")
         })
+    }
+
+    /// The bytes of fragment `fid` if it was submitted and its store has
+    /// not been acked yet — the read path's source for sealed fragments
+    /// whose home does not have them.
+    pub(crate) fn unacked(&self, fid: FragmentId) -> Option<Bytes> {
+        self.shared.state.lock().unacked.get(&fid).map(Bytes::share)
     }
 
     /// Waits for every queued fragment to be durably stored.
@@ -436,11 +450,16 @@ impl ServerWriter {
         let server = self.server;
         let mut state = self.shared.state.lock();
         state.in_flight -= 1;
-        if let Err(e) = result {
-            m.write_errors.inc();
-            swarm_metrics::trace!("log.write", "store of {fid} on server {server} failed: {e}");
-            state.errors.push((server, e));
-            state.failed.push((server, inflight.fragment));
+        match result {
+            Ok(()) => {
+                state.unacked.remove(&fid);
+            }
+            Err(e) => {
+                m.write_errors.inc();
+                swarm_metrics::trace!("log.write", "store of {fid} on server {server} failed: {e}");
+                state.errors.push((server, e));
+                state.failed.push((server, inflight.fragment));
+            }
         }
         drop(state);
         self.shared.done.notify_all();

@@ -13,7 +13,9 @@
 //! `min(WINDOW, width, jobs)`.
 //!
 //! Also pins the YCSB-B head-of-line fix at the log layer: reads complete
-//! while a full window of store RPCs is stalled in flight.
+//! while a full window of store RPCs is stalled in flight; and
+//! read-your-writes before `flush`: a block whose store has not reached
+//! its home reads back, whatever the client cache holds.
 
 mod common;
 
@@ -342,4 +344,66 @@ fn reads_complete_while_store_window_is_stalled() {
     }
     // Any store that arrives at the gate from here on passes through.
     log.flush().unwrap();
+}
+
+/// Appends `blocks` one-fragment blocks with every store held at the gate,
+/// reads each back before and after `flush`, and returns the indices of
+/// the blocks a single read could not return byte-exact before the flush,
+/// and whether one scan of them all could. The gate is released whatever
+/// the reads did, so a failing read never strands the writer threads.
+fn unflushed_read_failures(config: LogConfig, servers: u32, blocks: u8) -> (Vec<usize>, bool) {
+    let state = Arc::new(GatedState {
+        gate: Mutex::new(Some(Vec::new())),
+    });
+    let transport = Arc::new(GatedTransport {
+        inner: cluster(servers),
+        state: state.clone(),
+    });
+    let log = Log::create(transport, config).unwrap();
+    let written: Vec<(BlockAddr, Vec<u8>)> = (0..blocks)
+        .map(|i| {
+            let payload = vec![i; 1600]; // one block fills a 2 KiB fragment
+            (log.append_block(SVC, b"", &payload).unwrap(), payload)
+        })
+        .collect();
+    let failed: Vec<usize> = written
+        .iter()
+        .enumerate()
+        .filter(|(_, (addr, data))| log.read(*addr).ok().as_deref() != Some(&data[..]))
+        .map(|(i, _)| i)
+        .collect();
+    let scan: Vec<BlockAddr> = written.iter().map(|(a, _)| *a).collect();
+    let scanned = log.read_many(&scan).is_ok_and(|got| {
+        got.iter()
+            .zip(&written)
+            .all(|(got, (_, data))| got[..] == data[..])
+    });
+
+    for tx in state.gate.lock().take().expect("gate installed") {
+        let _ = tx.send(());
+    }
+    log.flush().unwrap();
+    for (addr, data) in &written {
+        assert_eq!(&log.read(*addr).unwrap(), data, "after flush");
+    }
+    (failed, scanned)
+}
+
+/// Read-your-writes does not rest on the client fragment cache: a block
+/// `append_block` returned reads back while its fragment's store is still
+/// held short of its home — with no cache at all, and with the default
+/// cache when more fragments are in the write pipeline than it holds.
+#[test]
+fn appended_blocks_read_back_before_their_stores_land() {
+    let no_cache = read_config(3);
+    assert_eq!(unflushed_read_failures(no_cache, 3, 6), (vec![], true));
+
+    let default_cache = LogConfig::new(ClientId::new(1), (0..8).map(ServerId::new).collect())
+        .unwrap()
+        .fragment_size(2048);
+    assert!(default_cache.cache_fragments < 21); // 21 of the 22 are sealed
+    assert_eq!(
+        unflushed_read_failures(default_cache, 8, 22),
+        (vec![], true)
+    );
 }

@@ -83,40 +83,6 @@ struct HistogramInner {
 pub struct Histogram(Arc<HistogramInner>);
 
 impl Histogram {
-    /// Creates a histogram that is NOT in the global registry.
-    ///
-    /// Detached histograms are for per-run measurement (e.g. a benchmark
-    /// driver that wants one histogram per worker thread, merged at the
-    /// end) where polluting the process-wide snapshot would be wrong.
-    pub fn detached() -> Histogram {
-        Histogram(Arc::new(HistogramInner {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum_us: AtomicU64::new(0),
-            max_us: AtomicU64::new(0),
-        }))
-    }
-
-    /// Folds every observation recorded in `other` into `self`.
-    ///
-    /// Bucket counts are additive and the max is a max, so merging N
-    /// per-thread histograms yields exactly the histogram a single shared
-    /// one would have produced.
-    pub fn merge(&self, other: &Histogram) {
-        for (mine, theirs) in self.0.buckets.iter().zip(other.0.buckets.iter()) {
-            mine.fetch_add(theirs.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-        self.0
-            .count
-            .fetch_add(other.0.count.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.0
-            .sum_us
-            .fetch_add(other.0.sum_us.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.0
-            .max_us
-            .fetch_max(other.0.max_us.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
-
     fn bucket_index(us: u64) -> usize {
         // 0 -> 0, 1 -> 1, 2..3 -> 2, ..., clamped to the open-ended top.
         ((64 - us.leading_zeros()) as usize).min(HISTOGRAM_BUCKETS - 1)
@@ -700,28 +666,8 @@ mod tests {
     }
 
     #[test]
-    fn detached_histograms_merge_like_a_shared_one() {
-        let shared = Histogram::detached();
-        let parts: Vec<Histogram> = (0..4).map(|_| Histogram::detached()).collect();
-        for (i, part) in parts.iter().enumerate() {
-            for k in 0..250 {
-                let us = (i as u64 + 1) * 100 + k;
-                part.record_us(us);
-                shared.record_us(us);
-            }
-        }
-        let merged = Histogram::detached();
-        for part in &parts {
-            merged.merge(part);
-        }
-        assert_eq!(merged.summarize(), shared.summarize());
-        // Detached histograms must never leak into the global snapshot.
-        assert!(!snapshot().histograms.values().any(|h| h.count == 1000));
-    }
-
-    #[test]
     fn p999_sits_between_p99_and_max() {
-        let h = Histogram::detached();
+        let h = histogram("test_hist_p999");
         for _ in 0..9_980 {
             h.record_us(100);
         }

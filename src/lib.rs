@@ -4,8 +4,8 @@
 //! Murdock, Spalink — ICDCS 1999): simple storage servers aggregated into
 //! a high-performance, fault-tolerant store by client-side striped logs
 //! with rotated parity, plus the stackable services (cleaner, ARU,
-//! logical disk, caching, compression, encryption) and the Sting local
-//! file system the paper builds on top.
+//! logical disk, caching) and the Sting local file system the paper
+//! builds on top.
 //!
 //! This crate is the facade: it re-exports every subsystem and provides
 //! [`local::LocalCluster`], a one-liner for spinning up an in-process

@@ -159,10 +159,12 @@ fn docs_and_ci_name_only_things_that_exist() {
                         root().join(tok).is_file()
                     }
                 };
-                // Relative names only: `/tmp/...` and `~/...` are not ours.
+                // Relative names only: `/tmp/...` and `~/...` are not ours,
+                // and neither is build output under `target/`.
                 if (script || data || source)
                     && !is_pattern(tok)
                     && !tok.starts_with(['/', '~'])
+                    && !tok.starts_with("target/")
                     && !found()
                 {
                     complain("no file", tok);
