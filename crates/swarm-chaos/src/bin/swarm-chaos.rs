@@ -127,7 +127,7 @@ fn parse_args() -> Result<Args, String> {
 fn report_line(report: &RunReport, geometry: Geometry) -> String {
     format!(
         "seed {:>6} transport={} store={} geometry={} clients={} \
-         hash={:#018x} events={} acked={} reads={} {}",
+         hash={:#018x} events={} acked={} reads={} moved={} {}",
         report.seed,
         report.transport,
         report.store,
@@ -137,6 +137,7 @@ fn report_line(report: &RunReport, geometry: Geometry) -> String {
         report.events,
         report.acked_blocks,
         report.verified_reads,
+        report.blocks_moved,
         if report.passed() { "PASS" } else { "FAIL" }
     )
 }

@@ -241,6 +241,8 @@ pub struct RunReport {
     pub verified_reads: u64,
     /// Blocks acked over the whole run.
     pub acked_blocks: u64,
+    /// Live blocks the clean-pass events relocated.
+    pub blocks_moved: u64,
     /// Parity members per stripe (`m`) the run striped with.
     pub parity: u32,
     /// Concurrent client logs the run dealt events across.
@@ -351,6 +353,7 @@ pub struct Runner {
     delete_rr: usize,
     verified_reads: u64,
     acked_blocks: u64,
+    blocks_moved: u64,
     failures: Vec<String>,
 }
 
@@ -385,6 +388,7 @@ impl Runner {
             delete_rr: 0,
             verified_reads: 0,
             acked_blocks: 0,
+            blocks_moved: 0,
             failures: Vec::new(),
         })
     }
@@ -428,6 +432,7 @@ impl Runner {
             mut failures,
             verified_reads,
             acked_blocks,
+            blocks_moved,
             ..
         } = runner;
         drop(rigs);
@@ -441,6 +446,7 @@ impl Runner {
             events: schedule.events.len(),
             verified_reads,
             acked_blocks,
+            blocks_moved,
             parity: schedule.parity,
             clients: schedule.clients,
             failures,
@@ -507,6 +513,7 @@ impl Runner {
                     // cleaning error here is a real bug, not bad luck.
                     match cleaner.clean_pass(4) {
                         Ok(stats) => {
+                            self.blocks_moved += stats.blocks_moved;
                             swarm_metrics::trace!(
                                 "chaos",
                                 "clean pass: {} stripes, {} blocks moved",
@@ -901,6 +908,7 @@ mod tests {
             events: 70,
             verified_reads: 0,
             acked_blocks: 0,
+            blocks_moved: 0,
             parity: 2,
             clients: 8,
             failures: Vec::new(),

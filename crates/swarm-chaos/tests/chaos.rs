@@ -180,3 +180,19 @@ fn rs_geometries_never_lose_acked_writes_with_m_concurrent_kills() {
         );
     }
 }
+
+/// Clean-pass events still relocate live blocks: a cleaner that only
+/// reclaims stripes that pay for their moves must not quietly take the
+/// move path (append, notify, verify at the new address) out of chaos.
+#[test]
+fn clean_passes_still_relocate_blocks() {
+    let moved: u64 = (0..8u64)
+        .map(|seed| {
+            let schedule = Schedule::generate(seed, &ScheduleConfig::new(4, 48));
+            let report = Runner::run(&schedule, TransportKind::Mem, StoreKind::Mem).unwrap();
+            assert!(report.passed(), "seed {seed}: {:?}", report.failures);
+            report.blocks_moved
+        })
+        .sum();
+    assert!(moved > 0, "no clean pass in seeds 0..8 moved a block");
+}

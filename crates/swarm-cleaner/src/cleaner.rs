@@ -1,7 +1,6 @@
 //! The cleaner proper: victim selection, block relocation, stripe
 //! reclamation (§2.1.4).
 
-use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -161,16 +160,24 @@ pub struct Cleaner {
     stack: Arc<ServiceStack>,
     policy: CleanPolicy,
     budget: Option<TokenBucket>,
-    /// Stripes already reclaimed (first sequence numbers), so rescans can
-    /// skip them cheaply.
-    cleaned: Mutex<HashSet<u64>>,
+    /// The usage table, kept between passes and folded forward by each
+    /// (`None` until the first pass, and after a failed one: the next
+    /// pass rebuilds it from sequence 0).
+    table: Mutex<Option<UsageTable>>,
 }
 
 impl std::fmt::Debug for Cleaner {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Cleaner")
             .field("policy", &self.policy)
-            .field("cleaned_stripes", &self.cleaned.lock().len())
+            // A pass holds the table; formatting must not wait for it.
+            .field(
+                "stripes",
+                &self
+                    .table
+                    .try_lock()
+                    .and_then(|t| t.as_ref().map(|t| t.stripes.len())),
+            )
             .finish()
     }
 }
@@ -196,7 +203,7 @@ impl Cleaner {
             stack,
             policy: config.policy,
             budget: config.budget_bytes_per_sec.map(TokenBucket::new),
-            cleaned: Mutex::new(HashSet::new()),
+            table: Mutex::new(None),
         }
     }
 
@@ -266,80 +273,99 @@ impl Cleaner {
 
     /// Runs one cleaning pass, reclaiming at most `max_stripes` stripes.
     ///
-    /// If nothing is cleanable because services are sitting on stale
-    /// checkpoints, demands checkpoints from every service and tries once
-    /// more (the paper's countermeasure against services that starve the
-    /// cleaner).
+    /// The pass folds the fragments sealed since the last pass into the
+    /// kept usage table, then reclaims the best-ranked stripes that are
+    /// cleanable and pay for their move ([`StripeUsage::pays`]). If none
+    /// is cleanable because services are sitting on stale checkpoints, it
+    /// demands checkpoints from every service and tries once more (the
+    /// paper's countermeasure against services that starve the cleaner).
     ///
     /// # Errors
     ///
-    /// Propagates log read/append/flush failures. On error the pass stops;
-    /// already-moved blocks remain valid (moves are idempotent from the
-    /// services' perspective).
+    /// Propagates log read/append/flush failures. On error the pass stops
+    /// and the table is dropped, so the next pass rebuilds it; already-moved
+    /// blocks remain valid (moves are idempotent from the services'
+    /// perspective).
     pub fn clean_pass(&self, max_stripes: usize) -> Result<CleanStats> {
         let m = metrics();
         m.passes.inc();
         let _pass_span = m.pass_us.span("cleaner.pass");
+        let mut kept = self.table.lock();
+        let table = kept.get_or_insert_with(|| UsageTable::new(self.log.group().width(), 0));
+        let result = self.pass(table, max_stripes);
+        if result.is_err() {
+            *kept = None;
+        }
+        result
+    }
+
+    fn pass(&self, table: &mut UsageTable, max_stripes: usize) -> Result<CleanStats> {
+        let m = metrics();
         let mut stats = CleanStats::default();
-        let mut attempt = 0;
         loop {
             let select_span = m.select_us.span("cleaner.select");
-            let table = UsageTable::scan(&self.log, 0)?;
+            table.fold(&self.log)?;
+            let amplification = table.write_amplification();
             let newest = table.stripes.keys().next_back().copied().unwrap_or(0);
-            let cleaned_set: HashSet<u64> = self.cleaned.lock().clone();
+            // Never clean the stripe currently being appended to.
             let candidates: Vec<&StripeUsage> = table
                 .stripes
                 .values()
-                .filter(|s| !cleaned_set.contains(&s.first_seq))
-                // Never clean the stripe currently being appended to.
-                .filter(|s| s.first_seq + table.width as u64 <= self.log.next_seq())
+                .filter(|s| table.complete(s) && s.pays(amplification))
                 .filter(|s| self.cleanable(s, table.width))
                 .collect();
             drop(select_span);
             if candidates.is_empty() {
-                // Force checkpoints when a stripe is held hostage by
-                // stale records (the paper's starvation countermeasure)
-                // or is only waiting for the anchor to advance past it —
-                // but not when the only blocked stripe is the live
-                // checkpoint anchor (forcing there would churn a fresh
-                // anchor stripe every pass).
+                // Force checkpoints when a stripe worth cleaning is held
+                // hostage by stale records (the paper's starvation
+                // countermeasure) or is only waiting for the anchor to
+                // advance past it — but not when the only blocked stripe
+                // is the live checkpoint anchor (forcing there would churn
+                // a fresh anchor stripe every pass).
                 let starved = table
                     .stripes
                     .values()
-                    .filter(|s| !cleaned_set.contains(&s.first_seq))
+                    .filter(|s| s.pays(amplification))
                     .any(|s| {
-                        if self.blocked_by_records(s) {
-                            return true;
-                        }
-                        let complete = s.first_seq + table.width as u64 <= self.log.next_seq();
-                        complete
-                            && self.owners_present(s)
-                            && !self.is_anchor(s)
-                            && !self.below_anchor(s, table.width)
+                        self.blocked_by_records(s)
+                            || (table.complete(s)
+                                && self.owners_present(s)
+                                && !self.is_anchor(s)
+                                && !self.below_anchor(s, table.width))
                     });
-                if attempt == 0 && starved {
+                if stats.forced_checkpoints == 0 && starved {
                     swarm_metrics::trace!("cleaner", "no cleanable stripes; forcing checkpoints");
                     self.stack.checkpoint_all(&self.log)?;
                     stats.forced_checkpoints += 1;
                     m.forced_checkpoints.inc();
-                    attempt += 1;
                     continue;
                 }
                 return Ok(stats);
             }
-            let victims = self.policy.rank(candidates, newest);
-            for victim in victims.into_iter().take(max_stripes) {
-                self.clean_stripe(victim, table.width, &mut stats)?;
-            }
+            let victims: Vec<u64> = self
+                .policy
+                .rank(candidates, newest)
+                .into_iter()
+                .take(max_stripes)
+                .map(|s| s.first_seq)
+                .collect();
+            self.reclaim(table, &victims, &mut stats)?;
             return Ok(stats);
         }
     }
 
-    fn clean_stripe(&self, usage: &StripeUsage, width: u8, stats: &mut CleanStats) -> Result<()> {
+    /// Moves every victim's live blocks, flushes once, then deletes the
+    /// victims' fragments and drops them from the table.
+    fn reclaim(
+        &self,
+        table: &mut UsageTable,
+        victims: &[u64],
+        stats: &mut CleanStats,
+    ) -> Result<()> {
         // 1. Move live blocks: read old copy, append under the owning
         //    service with the original creation record, notify the
         //    service (old addr, new addr, creation record — §2.1.4).
-        for lb in &usage.live_blocks {
+        for lb in victims.iter().flat_map(|v| &table.stripes[v].live_blocks) {
             // Each relocation reads the block once and writes it once;
             // charge both against the budget *before* issuing the I/O so
             // foreground traffic sees the pause, not the burst.
@@ -354,38 +380,40 @@ impl Cleaner {
             self.stack
                 .notify_block_moved(lb.service, lb.addr, new_addr, &lb.create)?;
         }
-        // 2. Make the moved copies durable before destroying the originals.
+        // 2. Make the moved copies — and the deletion records that killed
+        //    the rest — durable before destroying the originals.
         self.log.flush()?;
-        // 3. Delete every member fragment of the stripe.
-        for i in 0..width {
-            let fid = FragmentId::new(self.log.client(), usage.first_seq + i as u64);
-            match self.log.delete_fragment(fid) {
+        // 3. Delete every member fragment of every victim in one round.
+        let fids: Vec<FragmentId> = victims
+            .iter()
+            .flat_map(|&first| first..first + table.width as u64)
+            .map(|seq| FragmentId::new(self.log.client(), seq))
+            .collect();
+        for result in self.log.delete_fragments(&fids) {
+            match result {
                 Ok(()) => {}
                 // Already gone (e.g. torn-tail padding): fine.
                 Err(swarm_types::SwarmError::FragmentNotFound(_)) => {}
                 Err(e) => return Err(e),
             }
         }
-        stats.stripes_cleaned += 1;
-        stats.bytes_reclaimed += usage.stored_bytes;
-        let m = metrics();
-        m.stripes_cleaned.inc();
-        m.bytes_reclaimed.add(usage.stored_bytes);
-        swarm_metrics::trace!(
-            "cleaner",
-            "reclaimed stripe at seq {} ({} bytes)",
-            usage.first_seq,
-            usage.stored_bytes
-        );
-        self.cleaned.lock().insert(usage.first_seq);
+        for &first_seq in victims {
+            let usage = table
+                .remove(first_seq)
+                .expect("victims come from the table");
+            stats.stripes_cleaned += 1;
+            stats.bytes_reclaimed += usage.stored_bytes;
+            let m = metrics();
+            m.stripes_cleaned.inc();
+            m.bytes_reclaimed.add(usage.stored_bytes);
+            swarm_metrics::trace!(
+                "cleaner",
+                "reclaimed stripe at seq {} ({} bytes)",
+                usage.first_seq,
+                usage.stored_bytes
+            );
+        }
         Ok(())
-    }
-
-    /// Lowest first-sequence the cleaner has reclaimed (diagnostics).
-    pub fn cleaned_stripes(&self) -> Vec<u64> {
-        let mut v: Vec<u64> = self.cleaned.lock().iter().copied().collect();
-        v.sort_unstable();
-        v
     }
 
     /// Spawns a background thread running [`Cleaner::clean_pass`] every
@@ -466,6 +494,14 @@ impl CleanerHandle {
 impl Drop for CleanerHandle {
     fn drop(&mut self) {
         self.stop();
+    }
+}
+
+#[cfg(test)]
+impl Cleaner {
+    /// The kept table, for tests that check it against a model.
+    pub(crate) fn kept_table(&self) -> parking_lot::MutexGuard<'_, Option<UsageTable>> {
+        self.table.lock()
     }
 }
 
@@ -561,6 +597,35 @@ pub(crate) mod tests_support {
     pub fn total_fragments(f: &Fixture) -> u64 {
         f.servers.iter().map(|s| s.store().fragment_count()).sum()
     }
+
+    /// First sequences of the stripes below the log's head of which no
+    /// member is stored on any server.
+    pub fn reclaimed_stripes(f: &Fixture) -> Vec<u64> {
+        let width = f.log.group().width() as u64;
+        let present: std::collections::HashSet<u64> = f
+            .servers
+            .iter()
+            .flat_map(|s| s.store().list())
+            .map(|fid| fid.seq() / width * width)
+            .collect();
+        (0..f.log.next_seq())
+            .step_by(width as usize)
+            .filter(|first| !present.contains(first))
+            .collect()
+    }
+
+    /// Writes one block per tag, then deletes every other one: three
+    /// half-live stripes of 1200-byte blocks (one per 2048-byte fragment)
+    /// that pay for their move. Returns the surviving tags.
+    pub fn half_live_stripes(f: &Fixture) -> Vec<Vec<u8>> {
+        let tags: Vec<Vec<u8>> = (b'a'..=b'f').map(|c| vec![c]).collect();
+        let addrs: Vec<BlockAddr> = tags.iter().map(|t| write_block(f, t, 1200)).collect();
+        for (t, addr) in tags.iter().zip(&addrs).skip(1).step_by(2) {
+            f.log.delete_block(SVC, *addr).unwrap();
+            f.owner.lock().blocks.remove(t);
+        }
+        tags.into_iter().step_by(2).collect()
+    }
 }
 
 #[cfg(test)]
@@ -589,10 +654,7 @@ mod tests {
     #[test]
     fn live_blocks_are_moved_and_stay_readable() {
         let f = fixture(3);
-        let tags: Vec<Vec<u8>> = (b'a'..=b'f').map(|c| vec![c]).collect();
-        for t in &tags {
-            write_block(&f, t, 1200);
-        }
+        let tags = half_live_stripes(&f);
         f.log.checkpoint(SVC, b"ckpt").unwrap();
         let cleaner = Cleaner::new(f.log.clone(), f.stack.clone(), CleanPolicy::Greedy);
         let stats = cleaner.clean_pass(16).unwrap();
@@ -635,9 +697,7 @@ mod tests {
     #[test]
     fn budgeted_pass_paces_live_block_moves() {
         let f = fixture(3);
-        for c in b'a'..=b'f' {
-            write_block(&f, &[c], 1200);
-        }
+        half_live_stripes(&f);
         f.log.checkpoint(SVC, b"ckpt").unwrap();
         // Each relocation charges 2 × 1200 bytes; at 48 000 B/s that is
         // ~50 ms of budget per moved block after the first.
@@ -699,7 +759,7 @@ mod tests {
         let width = f.log.group().width() as u64;
         let stripe_first = (ckpt_pos.seq / width) * width;
         assert!(
-            !cleaner.cleaned_stripes().contains(&stripe_first),
+            !reclaimed_stripes(&f).contains(&stripe_first),
             "checkpoint stripe {stripe_first} was cleaned"
         );
     }
@@ -747,9 +807,9 @@ mod tests {
         let stats = cleaner.clean_pass(16).unwrap();
         assert!(stats.stripes_cleaned >= 1, "{stats:?}");
         assert!(
-            !cleaner.cleaned_stripes().contains(&0),
+            !reclaimed_stripes(&f).contains(&0),
             "orphan stripe must survive: {:?}",
-            cleaner.cleaned_stripes()
+            reclaimed_stripes(&f)
         );
         // The orphan's data is still there.
         let table = UsageTable::scan(&f.log, 0).unwrap();
@@ -784,7 +844,7 @@ mod tests {
         let anchor_after = f.log.anchor_seq().unwrap();
         assert!(anchor_after > anchor_before);
         let width = f.log.group().width() as u64;
-        for s in cleaner.cleaned_stripes() {
+        for s in reclaimed_stripes(&f) {
             assert!(
                 s + width <= anchor_after,
                 "stripe {s} reclaimed at/above anchor {anchor_after}"
@@ -807,8 +867,91 @@ mod tests {
             s2.stripes_cleaned,
             0,
             "nothing new to clean: {s2:?} (cleaned: {:?})",
-            cleaner.cleaned_stripes()
+            reclaimed_stripes(&f)
         );
+    }
+
+    #[test]
+    fn fully_live_stripes_are_never_picked() {
+        let f = fixture(3);
+        for c in b'a'..=b'f' {
+            write_block(&f, &[c], 1200);
+        }
+        f.log.checkpoint(SVC, b"ckpt").unwrap();
+        let cleaner = Cleaner::new(f.log.clone(), f.stack.clone(), CleanPolicy::Greedy);
+        let stats = cleaner.clean_pass(16).unwrap();
+        assert_eq!(stats, CleanStats::default(), "moving them frees nothing");
+        assert_eq!(f.owner.lock().moves, 0);
+    }
+
+    #[test]
+    fn a_stripe_that_frees_less_than_it_moves_is_never_picked() {
+        let f = fixture(3);
+        // Stripe 0: two 600-byte blocks in member 0, one 1200-byte block
+        // in member 1. Deleting one small block leaves it ~half live:
+        // freeing its ~3.8 KB would cost ~1.6 × 1800 bytes of new log.
+        let small = write_block(&f, b"s", 600);
+        write_block(&f, b"t", 600);
+        write_block(&f, b"u", 1200);
+        f.log.flush().unwrap();
+        f.log.delete_block(SVC, small).unwrap();
+        f.owner.lock().blocks.remove(b"s".as_slice());
+        f.log.checkpoint(SVC, b"ckpt").unwrap();
+        let table = UsageTable::scan(&f.log, 0).unwrap();
+        let stripe = &table.stripes[&0];
+        assert_eq!(stripe.live_bytes, 1800);
+        assert!(stripe.utilization() > 0.4 && stripe.utilization() < 0.6);
+        assert!(!stripe.pays(table.write_amplification()));
+
+        let cleaner = Cleaner::new(f.log.clone(), f.stack.clone(), CleanPolicy::Greedy);
+        let stats = cleaner.clean_pass(16).unwrap();
+        assert_eq!(stats.blocks_moved, 0, "{stats:?}");
+        assert!(!reclaimed_stripes(&f).contains(&0));
+        assert_eq!(f.owner.lock().moves, 0);
+    }
+
+    #[test]
+    fn no_checkpoint_is_forced_for_stripes_that_would_not_pay() {
+        let f = fixture(3);
+        // Fully-live stripes above an anchor that does not exist yet: the
+        // anchor gate blocks them, but cleaning them would free nothing,
+        // so they are no reason to demand a checkpoint.
+        for c in b'a'..=b'f' {
+            write_block(&f, &[c], 1200);
+        }
+        f.log.flush().unwrap();
+        let cleaner = Cleaner::new(f.log.clone(), f.stack.clone(), CleanPolicy::Greedy);
+        for _ in 0..3 {
+            let stats = cleaner.clean_pass(16).unwrap();
+            assert_eq!(stats, CleanStats::default());
+        }
+        assert_eq!(f.log.last_checkpoint(SVC), None);
+    }
+
+    #[test]
+    fn a_block_stays_dead_after_the_stripe_holding_its_delete_is_reclaimed() {
+        let f = fixture(3);
+        let other = ServiceId::new(2);
+        // S1 (seq 0..3): block A, plus a record of a service with no
+        // checkpoint, which keeps S1 blocked until that service writes one.
+        let a = write_block(&f, b"a", 1200);
+        f.log.append_record(other, 1, b"r").unwrap();
+        f.log.flush().unwrap();
+        // S2 (seq 3..6): the deletion of A. S3: the owner's checkpoint.
+        f.log.delete_block(SVC, a).unwrap();
+        f.log.flush().unwrap();
+        f.log.checkpoint(SVC, b"ckpt").unwrap();
+        let cleaner = Cleaner::new(f.log.clone(), f.stack.clone(), CleanPolicy::Greedy);
+        let first = cleaner.clean_pass(16).unwrap();
+        assert_eq!(first.stripes_cleaned, 1, "{first:?}");
+        assert_eq!(reclaimed_stripes(&f), vec![3], "only S2 may go first");
+        // S1 unblocks. A full rescan no longer sees A's deletion; the kept
+        // table still knows A is dead, so S1 goes without moving it.
+        f.log.checkpoint(other, b"other-ckpt").unwrap();
+        let second = cleaner.clean_pass(16).unwrap();
+        assert!(reclaimed_stripes(&f).contains(&0), "{second:?}");
+        assert_eq!(second.blocks_moved, 0, "{second:?}");
+        assert_eq!(f.owner.lock().moves, 0, "a deleted block was moved");
     }
 }
 

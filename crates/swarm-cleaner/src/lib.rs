@@ -22,6 +22,8 @@
 #![warn(missing_docs)]
 
 pub mod cleaner;
+#[cfg(test)]
+mod kept_table_prop;
 pub mod policy;
 pub mod usage;
 

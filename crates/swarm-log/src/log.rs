@@ -1061,9 +1061,11 @@ impl Log {
         self.state.lock().stats
     }
 
-    /// Fetches and parses a whole fragment (recovery and cleaning use
-    /// this). Falls back to reconstruction; `Ok(None)` means the fragment
-    /// does not exist anywhere.
+    /// Fetches and parses a whole fragment (the cleaner uses this): from
+    /// the write pool or the fragment cache, else from the home this log
+    /// stored it on (a `Locate` and a `Read` there, no broadcast), else
+    /// from wherever a broadcast finds it, else by reconstruction.
+    /// `Ok(None)` means the fragment does not exist anywhere.
     ///
     /// # Errors
     ///
@@ -1076,7 +1078,17 @@ impl Log {
         if let Some(bytes) = cached {
             return Ok(Some(FragmentView::parse(&bytes)?));
         }
-        match reconstruct::read_fragment_anywhere(&self.reader, fid)? {
+        let home = self.state.lock().fragment_map.get(&fid).copied();
+        let at_home = home
+            .filter(|&server| self.engine.should_try(server))
+            .map(|server| reconstruct::fetch_fragment(&self.reader, server, fid));
+        let fetched = match at_home {
+            Some(Ok(bytes)) => Some(bytes),
+            Some(Err(e)) if !e.is_unavailability() => return Err(e),
+            // No known home, home gone or mapping stale: look everywhere.
+            _ => reconstruct::read_fragment_anywhere(&self.reader, fid)?,
+        };
+        match fetched {
             None => Ok(None),
             Some(bytes) => {
                 let view = FragmentView::parse(&bytes)?;
@@ -1109,20 +1121,43 @@ impl Log {
     /// Propagates server errors; deleting an already-absent fragment is
     /// reported as [`SwarmError::FragmentNotFound`].
     pub fn delete_fragment(&self, fid: FragmentId) -> Result<()> {
-        let server = {
+        self.delete_fragments(&[fid])
+            .pop()
+            .expect("one result per fragment")
+    }
+
+    /// Deletes each of `fids` on its home server, all in one fan-out, and
+    /// returns one result per fragment, as for [`Log::delete_fragment`].
+    /// The deletes bound for one server arrive together, so its journal
+    /// can commit them in one batch instead of one sync each.
+    pub fn delete_fragments(&self, fids: &[FragmentId]) -> Vec<Result<()>> {
+        let homes: Vec<Option<ServerId>> = {
             let state = self.state.lock();
-            state.fragment_map.get(&fid).copied()
+            fids.iter()
+                .map(|fid| state.fragment_map.get(fid).copied())
+                .collect()
         };
-        let server = match server {
-            Some(s) => s,
-            None => reconstruct::locate_fragment(&self.engine, fid)
-                .map(|(s, _)| s)
-                .ok_or(SwarmError::FragmentNotFound(fid))?,
-        };
-        self.call_server(server, &Request::Delete { fid })?
-            .into_result()?;
-        self.forget_fragment(fid);
-        Ok(())
+        let mut results: Vec<Result<()>> = Vec::with_capacity(fids.len());
+        let mut jobs = Vec::new();
+        for (i, (&fid, home)) in fids.iter().zip(homes).enumerate() {
+            let home = home.or_else(|| {
+                reconstruct::locate_fragment(&self.engine, fid).map(|(server, _)| server)
+            });
+            match home {
+                Some(server) => {
+                    jobs.push((i, (server, Request::Delete { fid })));
+                    results.push(Ok(()));
+                }
+                None => results.push(Err(SwarmError::FragmentNotFound(fid))),
+            }
+        }
+        let (slots, requests): (Vec<usize>, Vec<_>) = jobs.into_iter().unzip();
+        for (i, reply) in slots.into_iter().zip(self.engine.fan_out(requests)) {
+            results[i] = reply.and_then(Response::into_result).map(|_| {
+                self.forget_fragment(fids[i]);
+            });
+        }
+        results
     }
 
     /// Preallocates server slots for the next `stripes` stripes, so the

@@ -116,7 +116,18 @@ pub fn fetch_fragment(engine: &ReadEngine, server: ServerId, fid: FragmentId) ->
     let header = located
         .expect("one job")?
         .ok_or(SwarmError::FragmentNotFound(fid))?;
-    let ReadSpec { fid, offset, len } = whole_fragment(fid, &header);
+    read_located(engine, server, fid, &header)
+}
+
+/// The `Read` half of [`fetch_fragment`], for a caller that already holds
+/// the fragment's header from `server`.
+fn read_located(
+    engine: &ReadEngine,
+    server: ServerId,
+    fid: FragmentId,
+    header: &FragmentHeader,
+) -> Result<Bytes> {
+    let ReadSpec { fid, offset, len } = whole_fragment(fid, header);
     engine.read_one(server, fid, offset, len)
 }
 
@@ -425,10 +436,11 @@ pub fn rebuild_range(
 
 /// Reads the complete bytes of `fid` from wherever they are, falling back
 /// to reconstruction; `Ok(None)` means the fragment does not exist in the
-/// cluster at all (end of log, or a cleaned stripe).
+/// cluster at all (end of log, or a cleaned stripe). The broadcast's
+/// winning header sizes the `Read`: the holder is not asked again.
 pub fn read_fragment_anywhere(engine: &ReadEngine, fid: FragmentId) -> Result<Option<Bytes>> {
-    if let Some((server, _)) = locate_fragment(engine.pool(), fid) {
-        match fetch_fragment(engine, server, fid) {
+    if let Some((server, header)) = locate_fragment(engine.pool(), fid) {
+        match read_located(engine, server, fid, &header) {
             Ok(bytes) => return Ok(Some(bytes)),
             Err(e) if e.is_unavailability() => {} // fall through to rebuild
             Err(e) => return Err(e),

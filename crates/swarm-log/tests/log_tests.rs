@@ -595,3 +595,97 @@ fn reconstruction_with_member_dying_mid_fetch_falls_back_to_locate() {
     assert_eq!(log.read(addr).unwrap(), expected);
     assert!(log.stats().reconstructions >= 1);
 }
+
+/// Counts the `Locate` requests one server answers.
+struct LocateCounter {
+    inner: Arc<StorageServer<MemStore>>,
+    locates: std::sync::atomic::AtomicU64,
+}
+
+impl swarm_net::RequestHandler for LocateCounter {
+    fn handle(&self, client: ClientId, request: swarm_net::Request) -> swarm_net::Response {
+        if matches!(request, swarm_net::Request::Locate { .. }) {
+            self.locates
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        }
+        self.inner.handle(client, request)
+    }
+}
+
+/// A whole-fragment fetch of a fragment this log stored asks its home
+/// alone: one `Locate` there and the `Read`, no broadcast. A fragment the
+/// log never wrote (past its head) still takes the broadcast.
+#[test]
+fn fetching_a_fragment_this_log_wrote_sends_no_broadcast() {
+    let transport = Arc::new(MemTransport::new());
+    let counters: Vec<Arc<LocateCounter>> = (0..4)
+        .map(|i| {
+            let counter = Arc::new(LocateCounter {
+                inner: StorageServer::new(ServerId::new(i), MemStore::new()).into_shared(),
+                locates: Default::default(),
+            });
+            transport.register(ServerId::new(i), counter.clone());
+            counter
+        })
+        .collect();
+    let config = LogConfig::new(ClientId::new(1), (0..4).map(ServerId::new).collect())
+        .unwrap()
+        .fragment_size(4096)
+        .cache_fragments(0);
+    let log = Log::create(transport, config).unwrap();
+    for i in 0..24u32 {
+        log.append_block(SVC, b"", &[i as u8; 1000]).unwrap();
+    }
+    log.flush().unwrap();
+    let locates = || -> Vec<u64> {
+        counters
+            .iter()
+            .map(|c| c.locates.load(std::sync::atomic::Ordering::Relaxed))
+            .collect()
+    };
+    let head = log.next_seq();
+    for seq in 0..head {
+        let before = locates();
+        let view = log
+            .fetch_fragment_view(swarm_types::FragmentId::new(log.client(), seq))
+            .unwrap();
+        assert!(view.is_some(), "fragment {seq}");
+        let asked: u64 = locates().iter().zip(&before).map(|(a, b)| a - b).sum();
+        assert_eq!(asked, 1, "fragment {seq}: {before:?} -> {:?}", locates());
+    }
+    let before: u64 = locates().iter().sum();
+    let past = swarm_types::FragmentId::new(log.client(), head + 1);
+    assert!(log.fetch_fragment_view(past).unwrap().is_none());
+    assert!(
+        locates().iter().sum::<u64>() - before >= 4,
+        "past the head is asked of all"
+    );
+}
+
+/// `delete_fragments` deletes a batch at its homes in one call, one result
+/// per fragment: a fragment that exists nowhere is `FragmentNotFound` and
+/// does not stop the others.
+#[test]
+fn delete_fragments_reports_each_fragment() {
+    let (transport, servers) = cluster(3);
+    let log = small_log(transport, 1, 3);
+    for i in 0..12u32 {
+        log.append_block(SVC, b"", &[i as u8; 1500]).unwrap();
+    }
+    log.flush().unwrap();
+    let stored = |servers: &[Arc<StorageServer<MemStore>>]| -> u64 {
+        servers.iter().map(|s| s.store().fragment_count()).sum()
+    };
+    let before = stored(&servers);
+    let fid = |seq| swarm_types::FragmentId::new(log.client(), seq);
+    let past = log.next_seq() + 3;
+    let results = log.delete_fragments(&[fid(0), fid(1), fid(past), fid(2)]);
+    assert!(results[0].is_ok() && results[1].is_ok() && results[3].is_ok());
+    assert!(matches!(results[2], Err(SwarmError::FragmentNotFound(_))));
+    assert_eq!(stored(&servers), before - 3);
+    // Deleted means gone: a second delete finds nothing.
+    assert!(matches!(
+        log.delete_fragment(fid(1)),
+        Err(SwarmError::FragmentNotFound(_))
+    ));
+}
